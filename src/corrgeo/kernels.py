@@ -1,42 +1,27 @@
-"""Hot solver kernels with a numba fast path and a pure-numpy fallback.
+"""Hot solver kernels, batched over the leading axis in numpy.
 
 The implicit diagonal solvers dominate the runtime of the permutation-invariant
-geometries, so they are compiled with numba when available.  Setting the
-environment variable ``CORRGEO_NUMBA=0`` selects the vectorized numpy
-implementations instead; ``benchmarks/compare_backends.py`` times both.
-
-All kernels are batched over the leading axis and share exact semantics
-between the two backends (same iteration counts, same damping schedule).
+geometries.  Each iterative kernel works on the set of still-active samples at
+once, with a per-sample stop test and damping schedule, so a sample's result
+(iterations included) does not depend on the rest of its batch.
 """
-
-import os
 
 import numpy as np
 
-try:
-    import numba
+# no compiled backend exists; the constant stays because perfbench/run.py
+# records it in its environment line
+USE_NUMBA = False
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and os.environ.get("CORRGEO_NUMBA", "1") != "0"
-
-# damping schedule shared by both backends: alpha in {1, 1/2, ..., 2**-20}
+# damping schedule: alpha in {1, 1/2, ..., 2**-20}
 _MAX_HALVINGS = 20
 
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
 
 def _sym_exp_batch(s):
     w, v = np.linalg.eigh(s)
     return (v * np.exp(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
-def dplus_solve_np(h, tol, max_iter):
+def dplus_solve(h, tol, max_iter):
     """Find diagonal vectors d with unit-diagonal exp(diag(d) + h), batched.
 
     Fixed-point iteration d <- d - log(diag(exp(diag(d) + h))) from d = 0.
@@ -66,11 +51,53 @@ def dplus_solve_np(h, tol, max_iter):
     return d, iters, res
 
 
-def _f_residual(c, x):
-    return c @ x - 1.0 / x
+def _residual(c, x):
+    # a stacked matrix-vector product rounds exactly like the per-sample one
+    return (c @ x[..., None])[..., 0] - 1.0 / x
 
 
-def dstar_full_np(c, tol, max_iter):
+def _newton_step(c, x, f):
+    jac = c + np.eye(x.shape[-1]) * (1.0 / x**2)[..., None, :]
+    return np.linalg.solve(jac, -f[..., None])[..., 0]
+
+
+def _damped_update(c, x, fnorm, step):
+    """Per sample, take the first alpha that keeps x positive and lowers max|f| below fnorm.
+
+    Returns (x, ok); a sample no alpha helps keeps its x and gets ok False.
+    """
+    out = x.copy()
+    pending = np.ones(len(x), dtype=bool)
+    alpha = 1.0
+    for _ in range(_MAX_HALVINGS + 1):
+        idx = np.flatnonzero(pending)
+        if idx.size == 0:
+            break
+        trial = x[idx] + alpha * step[idx]
+        positive = (trial > 0.0).all(axis=-1)
+        idx, trial = idx[positive], trial[positive]
+        better = np.abs(_residual(c[idx], trial)).max(axis=-1) < fnorm[idx]
+        out[idx[better]] = trial[better]
+        pending[idx[better]] = False
+        alpha *= 0.5
+    return out, ~pending
+
+
+def _polish(c, x, f, fnorm):
+    """One undamped Newton step, kept where it stays positive and does not raise max|f|."""
+    x, fnorm = x.copy(), fnorm.copy()
+    idx = np.flatnonzero(fnorm != 0.0)
+    trial = x[idx] + _newton_step(c[idx], x[idx], f[idx])
+    positive = (trial > 0.0).all(axis=-1)
+    idx, trial = idx[positive], trial[positive]
+    tnorm = np.abs(_residual(c[idx], trial)).max(axis=-1)
+    keep = tnorm <= fnorm[idx]
+    x[idx[keep]] = trial[keep]
+    fnorm[idx[keep]] = tnorm[keep]
+    return x, fnorm
+
+
+def dstar_full(c, tol, max_iter):
     """Damped-Newton solve of c @ x = 1/x for positive x, batched.
 
     Returns (x, iterations, residuals, damping_failed).  The residual is the
@@ -83,52 +110,30 @@ def dstar_full_np(c, tol, max_iter):
     iters = np.zeros(b, dtype=np.int64)
     res = np.full(b, np.inf)
     failed = np.zeros(b, dtype=bool)
-    for k in range(b):
-        xk = x[k]
-        for _ in range(max_iter):
-            f = _f_residual(c[k], xk)
-            res[k] = np.abs(f).max()
-            # scale-aware stop: the attainable floor grows with |x|
-            if res[k] <= tol * max(1.0, np.abs(xk).max()):
-                xk, res[k] = _polish_np(c[k], xk, f, res[k])
-                break
-            jac = c[k] + np.diag(1.0 / xk**2)
-            step = np.linalg.solve(jac, -f)
-            xk, ok = _damped_update_np(c[k], xk, f, step)
-            if not ok:
-                # stalled at the rounding floor; fail only above threshold
-                failed[k] = res[k] > tol * max(1.0, np.abs(xk).max())
-                break
-            iters[k] += 1
-        x[k] = xk
+    active = np.arange(b)
+    for _ in range(max_iter):
+        if active.size == 0:
+            break
+        ca, xa = c[active], x[active]
+        f = _residual(ca, xa)
+        r = np.abs(f).max(axis=-1)
+        res[active] = r
+        # scale-aware stop: the attainable floor grows with |x|
+        done = r <= tol * np.maximum(1.0, np.abs(xa).max(axis=-1))
+        if done.any():
+            fin = active[done]
+            x[fin], res[fin] = _polish(ca[done], xa[done], f[done], r[done])
+            active, ca, xa, f, r = active[~done], ca[~done], xa[~done], f[~done], r[~done]
+        x[active], ok = _damped_update(ca, xa, r, _newton_step(ca, xa, f))
+        # stalled at the rounding floor; fail only above threshold
+        stalled = active[~ok]
+        failed[stalled] = res[stalled] > tol * np.maximum(1.0, np.abs(x[stalled]).max(axis=-1))
+        active = active[ok]
+        iters[active] += 1
     return x, iters, res, failed
 
 
-def _polish_np(c, x, f, fnorm):
-    if fnorm == 0.0:
-        return x, fnorm
-    jac = c + np.diag(1.0 / x**2)
-    trial = x + np.linalg.solve(jac, -f)
-    if np.all(trial > 0.0):
-        tnorm = np.abs(_f_residual(c, trial)).max()
-        if tnorm <= fnorm:
-            return trial, tnorm
-    return x, fnorm
-
-
-def _damped_update_np(c, x, f, step):
-    fnorm = np.abs(f).max()
-    alpha = 1.0
-    for _ in range(_MAX_HALVINGS + 1):
-        trial = x + alpha * step
-        if np.all(trial > 0.0):
-            if np.abs(_f_residual(c, trial)).max() < fnorm:
-                return trial, True
-        alpha *= 0.5
-    return x, False
-
-
-def dstar_newton1_np(c):
+def dstar_newton1(c):
     """A single damped Newton step from x = 1, batched.
 
     Returns (x, damping_failed); positivity of x is guaranteed whenever the
@@ -137,211 +142,23 @@ def dstar_newton1_np(c):
     c = np.asarray(c, dtype=np.float64)
     b, n = c.shape[0], c.shape[1]
     x = np.ones((b, n))
+    f = _residual(c, x)
+    fnorm = np.abs(f).max(axis=-1)
+    idx = np.flatnonzero(fnorm != 0.0)
+    ci, xi = c[idx], x[idx]
+    x[idx], ok = _damped_update(ci, xi, fnorm[idx], _newton_step(ci, xi, f[idx]))
     failed = np.zeros(b, dtype=bool)
-    for k in range(b):
-        f = c[k] @ x[k] - 1.0
-        if np.abs(f).max() == 0.0:
-            continue
-        jac = c[k] + np.eye(n)
-        step = np.linalg.solve(jac, -f)
-        x[k], ok = _damped_update_np(c[k], x[k], f, step)
-        failed[k] = not ok
+    failed[idx] = ~ok
     return x, failed
 
 
-def h0_build_np(u, lw):
-    """Eigenbasis coupling matrix H0[i,l] = sum_jk U_ij U_ik U_lj U_lk LW_jk, batched."""
-    p = u[..., :, None, :] * u[..., None, :, :]
-    return np.einsum("...ilj,...jk,...ilk->...il", p, lw, p)
+def h0_build(u, lw):
+    """Eigenbasis coupling matrix H0[i,l] = sum_jk U_ij U_ik U_lj U_lk LW_jk, batched.
 
-
-# ---------------------------------------------------------------------------
-# numba implementations (same semantics, per-sample loops)
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-    _njit = numba.njit(cache=True, fastmath=False)
-
-    @_njit
-    def _sym_exp_nb(s):
-        w, v = np.linalg.eigh(s)
-        return (v * np.exp(w)) @ v.T
-
-    @_njit
-    def dplus_solve_nb(h, tol, max_iter):
-        b, n = h.shape[0], h.shape[1]
-        d = np.zeros((b, n))
-        iters = np.zeros(b, dtype=np.int64)
-        res = np.full(b, np.inf)
-        for k in range(b):
-            for _ in range(max_iter):
-                s = h[k].copy()
-                for i in range(n):
-                    s[i, i] += d[k, i]
-                e = _sym_exp_nb(s)
-                r = 0.0
-                for i in range(n):
-                    r = max(r, abs(e[i, i] - 1.0))
-                iters[k] += 1
-                res[k] = r
-                if r <= tol:
-                    break
-                for i in range(n):
-                    d[k, i] -= np.log(e[i, i])
-        return d, iters, res
-
-    @_njit
-    def _residual_nb(c, x):
-        f = c @ x
-        for i in range(x.shape[0]):
-            f[i] -= 1.0 / x[i]
-        return f
-
-    @_njit
-    def _damped_update_nb(c, x, fnorm, step):
-        alpha = 1.0
-        for _ in range(_MAX_HALVINGS + 1):
-            trial = x + alpha * step
-            positive = True
-            for i in range(trial.shape[0]):
-                if trial[i] <= 0.0:
-                    positive = False
-                    break
-            if positive:
-                if np.abs(_residual_nb(c, trial)).max() < fnorm:
-                    return trial, True
-            alpha *= 0.5
-        return x, False
-
-    @_njit
-    def _polish_nb(c, x, f, fnorm):
-        n = x.shape[0]
-        jac = c.copy()
-        for i in range(n):
-            jac[i, i] += 1.0 / x[i] ** 2
-        trial = x + np.linalg.solve(jac, -f)
-        positive = True
-        for i in range(n):
-            if trial[i] <= 0.0:
-                positive = False
-                break
-        if positive:
-            tnorm = np.abs(_residual_nb(c, trial)).max()
-            if tnorm <= fnorm:
-                return trial, tnorm
-        return x, fnorm
-
-    @_njit
-    def dstar_full_nb(c, tol, max_iter):
-        b, n = c.shape[0], c.shape[1]
-        x = np.ones((b, n))
-        iters = np.zeros(b, dtype=np.int64)
-        res = np.full(b, np.inf)
-        failed = np.zeros(b, dtype=np.bool_)
-        for k in range(b):
-            xk = x[k].copy()
-            for _ in range(max_iter):
-                f = _residual_nb(c[k], xk)
-                res[k] = np.abs(f).max()
-                # scale-aware stop: the attainable floor grows with |x|
-                if res[k] <= tol * max(1.0, np.abs(xk).max()):
-                    if res[k] > 0.0:
-                        xk, res[k] = _polish_nb(c[k], xk, f, res[k])
-                    break
-                jac = c[k].copy()
-                for i in range(n):
-                    jac[i, i] += 1.0 / xk[i] ** 2
-                step = np.linalg.solve(jac, -f)
-                xk, ok = _damped_update_nb(c[k], xk, res[k], step)
-                if not ok:
-                    # stalled at the rounding floor; fail only above threshold
-                    failed[k] = res[k] > tol * max(1.0, np.abs(xk).max())
-                    break
-                iters[k] += 1
-            x[k] = xk
-        return x, iters, res, failed
-
-    @_njit
-    def dstar_newton1_nb(c):
-        b, n = c.shape[0], c.shape[1]
-        x = np.ones((b, n))
-        failed = np.zeros(b, dtype=np.bool_)
-        for k in range(b):
-            f = _residual_nb(c[k], x[k])
-            fnorm = np.abs(f).max()
-            if fnorm == 0.0:
-                continue
-            jac = c[k].copy()
-            for i in range(n):
-                jac[i, i] += 1.0
-            step = np.linalg.solve(jac, -f)
-            x[k], ok = _damped_update_nb(c[k], x[k], fnorm, step)
-            failed[k] = not ok
-        return x, failed
-
-    @_njit
-    def h0_build_nb(u, lw):
-        b, n = u.shape[0], u.shape[1]
-        out = np.empty((b, n, n))
-        for s in range(b):
-            for i in range(n):
-                for l in range(i, n):
-                    acc = 0.0
-                    for j in range(n):
-                        pj = u[s, i, j] * u[s, l, j]
-                        row = 0.0
-                        for k in range(n):
-                            row += lw[s, j, k] * (u[s, i, k] * u[s, l, k])
-                        acc += pj * row
-                    out[s, i, l] = acc
-                    out[s, l, i] = acc
-        return out
-
-    def _as_batch3(a):
-        return np.ascontiguousarray(a, dtype=np.float64)
-
-    def dplus_solve_numba(h, tol, max_iter):
-        return dplus_solve_nb(_as_batch3(h), float(tol), int(max_iter))
-
-    def dstar_full_numba(c, tol, max_iter):
-        x, iters, res, failed = dstar_full_nb(_as_batch3(c), float(tol), int(max_iter))
-        return x, iters, res, np.asarray(failed, dtype=bool)
-
-    def dstar_newton1_numba(c):
-        x, failed = dstar_newton1_nb(_as_batch3(c))
-        return x, np.asarray(failed, dtype=bool)
-
-    def h0_build_numba(u, lw):
-        u = np.asarray(u, dtype=np.float64)
-        lw = np.asarray(lw, dtype=np.float64)
-        shape = u.shape
-        n = shape[-1]
-        ub = np.ascontiguousarray(u.reshape(-1, n, n))
-        lb = np.ascontiguousarray(lw.reshape(-1, n, n))
-        return h0_build_nb(ub, lb).reshape(shape)
-
-    def warmup():
-        """Trigger jit compilation on tiny inputs (cached across processes)."""
-        h = np.zeros((1, 2, 2))
-        h[0, 0, 1] = h[0, 1, 0] = 0.1
-        dplus_solve_numba(h, 1e-12, 50)
-        c = np.eye(2)[None] + 0.0
-        c[0, 0, 1] = c[0, 1, 0] = 0.3
-        dstar_full_numba(c, 1e-10, 20)
-        dstar_newton1_numba(c)
-        h0_build_numba(np.eye(2)[None], np.ones((1, 2, 2)))
-
-
-if USE_NUMBA:
-    dplus_solve = dplus_solve_numba
-    dstar_full = dstar_full_numba
-    dstar_newton1 = dstar_newton1_numba
-    h0_build = h0_build_numba
-else:
-    dplus_solve = dplus_solve_np
-    dstar_full = dstar_full_np
-    dstar_newton1 = dstar_newton1_np
-    h0_build = h0_build_np
-
-    def warmup():
-        return None
+    One matmul per sample: H0 = Q diag(vec LW) Q^T with Q[i, jk] = U_ij U_ik.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    n = u.shape[-1]
+    q = (u[..., :, :, None] * u[..., :, None, :]).reshape(u.shape[:-2] + (n, n * n))
+    qw = q * np.reshape(lw, np.shape(lw)[:-2] + (1, n * n))
+    return qw @ np.swapaxes(q, -1, -2)

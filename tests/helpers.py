@@ -1,4 +1,5 @@
-"""Shared oracles: central finite differences and random test inputs."""
+"""Shared oracles: central finite differences, random test inputs and
+per-sample reference loops for the batched solver kernels."""
 
 import numpy as np
 
@@ -81,3 +82,88 @@ def random_spd(n, rng, cond=10.0):
 def random_unit_lower(n, rng, scale=0.5):
     k = np.eye(n) + scale * np.tril(rng.standard_normal((n, n)), -1)
     return k
+
+
+# ---------------------------------------------------------------------------
+# per-sample reference loops for the batched solver kernels
+# ---------------------------------------------------------------------------
+
+MAX_HALVINGS = 20
+
+
+def _dstar_residual(c, x):
+    return c @ x - 1.0 / x
+
+
+def damped_update_ref(c, x, f, step):
+    fnorm = np.abs(f).max()
+    alpha = 1.0
+    for _ in range(MAX_HALVINGS + 1):
+        trial = x + alpha * step
+        if np.all(trial > 0.0):
+            if np.abs(_dstar_residual(c, trial)).max() < fnorm:
+                return trial, True
+        alpha *= 0.5
+    return x, False
+
+
+def _polish_ref(c, x, f, fnorm):
+    if fnorm == 0.0:
+        return x, fnorm
+    jac = c + np.diag(1.0 / x**2)
+    trial = x + np.linalg.solve(jac, -f)
+    if np.all(trial > 0.0):
+        tnorm = np.abs(_dstar_residual(c, trial)).max()
+        if tnorm <= fnorm:
+            return trial, tnorm
+    return x, fnorm
+
+
+def dstar_full_ref(c, tol, max_iter):
+    """Damped Newton for c @ x = 1/x, one sample at a time: (x, iters, res, failed)."""
+    c = np.asarray(c, dtype=np.float64)
+    b, n = c.shape[0], c.shape[1]
+    x = np.ones((b, n))
+    iters = np.zeros(b, dtype=np.int64)
+    res = np.full(b, np.inf)
+    failed = np.zeros(b, dtype=bool)
+    for k in range(b):
+        xk = x[k]
+        for _ in range(max_iter):
+            f = _dstar_residual(c[k], xk)
+            res[k] = np.abs(f).max()
+            if res[k] <= tol * max(1.0, np.abs(xk).max()):
+                xk, res[k] = _polish_ref(c[k], xk, f, res[k])
+                break
+            jac = c[k] + np.diag(1.0 / xk**2)
+            step = np.linalg.solve(jac, -f)
+            xk, ok = damped_update_ref(c[k], xk, f, step)
+            if not ok:
+                failed[k] = res[k] > tol * max(1.0, np.abs(xk).max())
+                break
+            iters[k] += 1
+        x[k] = xk
+    return x, iters, res, failed
+
+
+def dstar_newton1_ref(c):
+    """One damped Newton step from x = 1, one sample at a time: (x, failed)."""
+    c = np.asarray(c, dtype=np.float64)
+    b, n = c.shape[0], c.shape[1]
+    x = np.ones((b, n))
+    failed = np.zeros(b, dtype=bool)
+    for k in range(b):
+        f = c[k] @ x[k] - 1.0
+        if np.abs(f).max() == 0.0:
+            continue
+        jac = c[k] + np.eye(n)
+        step = np.linalg.solve(jac, -f)
+        x[k], ok = damped_update_ref(c[k], x[k], f, step)
+        failed[k] = not ok
+    return x, failed
+
+
+def h0_build_ref(u, lw):
+    """H0[i,l] = sum_jk U_ij U_ik U_lj U_lk LW_jk by a direct contraction."""
+    p = u[..., :, None, :] * u[..., None, :, :]
+    return np.einsum("...ilj,...jk,...ilk->...il", p, lw, p)

@@ -146,6 +146,24 @@ class TestTrainEval:
         assert acc == final_acc
         assert confusion.sum() == len(samples)
 
+    def test_confusion_matches_per_sample_counts(self, tmp_path):
+        from corrgeo import layers as ly
+
+        cfg = RunConfig(
+            conv_metric="lecm", mlr_metric="lecm", n_in=4, channels=2,
+            field_size=2, stride=1, kernels=1, m_hidden=3, classes=3, seed=5,
+        )
+        net = trainmod.build_from_config(cfg)
+        samples, labels = datamod.generate(3, 9, 4, 2, 0.3, 1.0, seed=7)
+        # batches of 5 repeat (label, prediction) pairs within a batch
+        acc, confusion = trainmod.evaluate(net, samples, labels, batch_size=5)
+        pred = ly.predict(ly.network_forward(net, samples))
+        expected = np.zeros((3, 3), dtype=np.int64)
+        for t, p in zip(labels, pred):
+            expected[t, p] += 1
+        assert np.array_equal(confusion, expected)
+        assert acc == np.trace(expected) / len(samples)
+
     def test_bitwise_deterministic_training(self, tmp_path):
         cfg, cfg_path = write_tiny_setup(tmp_path, epochs=2)
         for sub in ("r1", "r2"):
