@@ -29,20 +29,6 @@ from .errors import UnsupportedMetric
 METRICS = ("ecm", "lecm", "olm", "lsm", "phcm")
 LOG_EUCLIDEAN = ("ecm", "lecm", "olm", "lsm")
 
-# geometry-level solver defaults: the raw solvers keep a budget of 100
-# iterations, but generic round trips on well-spread inputs need 100-200
-# fixed-point steps to reach 1e-12, so the geometry layer asks for more.
-DEFAULT_SOLVER = {"dplus_max_iter": 1000}
-
-
-def _solver_opts(solver):
-    if not solver:
-        return dict(DEFAULT_SOLVER)
-    merged = dict(DEFAULT_SOLVER)
-    merged.update(solver)
-    return merged
-
-
 def check_metric(metric, allow_phcm=True):
     if metric not in METRICS:
         raise UnsupportedMetric(f"unknown metric {metric!r}")
@@ -138,7 +124,6 @@ def prototype_forward(metric, c, solver=None):
     """Map to the prototype space, returning (value, cache) for reverse mode."""
     check_metric(metric, allow_phcm=False)
     c = np.asarray(c, dtype=np.float64)
-    solver = _solver_opts(solver)
     if metric in ("ecm", "lecm"):
         l = la.chol(c)
         t = l / la.diagvec(l)[..., :, None]
@@ -151,7 +136,7 @@ def prototype_forward(metric, c, solver=None):
         logc = (u * np.log(lam)[..., None, :]) @ la.transpose(u)
         return la.offmat(logc), {"lam": lam, "u": u}
     # lsm
-    return _lsm_forward(c, solver)
+    return _lsm_forward(c, solver or {})
 
 
 def to_prototype(metric, c, solver=None):
@@ -186,7 +171,7 @@ def inverse_forward(metric, x, solver=None):
     """Map from the prototype space back to correlation matrices, with cache."""
     check_metric(metric, allow_phcm=False)
     x = np.asarray(x, dtype=np.float64)
-    solver = _solver_opts(solver)
+    solver = solver or {}
     if metric == "ecm":
         n = x.shape[-1]
         k = x + np.eye(n)
@@ -199,11 +184,9 @@ def inverse_forward(metric, x, solver=None):
     if metric == "olm":
         tol = solver.get("dplus_tol", sv.DPLUS_TOL)
         max_iter = solver.get("dplus_max_iter", sv.DPLUS_MAX_ITER)
-        d, _, _ = sv.dplus_batch(x, tol, max_iter)
-        s = x + la.diag_from_vec(d)
-        lam, u = np.linalg.eigh(s)
+        _, _, _, lam, u = sv.dplus_batch(x, tol, max_iter)
         c = (u * np.exp(lam)[..., None, :]) @ la.transpose(u)
-        return c, {"s": s, "lam": lam, "u": u}
+        return c, {"lam": lam, "u": u}
     # lsm
     sigma = la.sym_exp(x)
     return dom.cor_of(sigma), {"sigma": sigma, "x": x}
@@ -227,8 +210,7 @@ def inverse_vjp(metric, x, cache, grad_c):
         lam, u = cache["lam"], cache["u"]
         lw = la.loewner(lam, np.exp, np.exp)
         gs = u @ (lw * (la.transpose(u) @ la.sym(g) @ u)) @ la.transpose(u)
-        d = la.diagvec(cache["s"])  # x is hollow, so diag(s) is the solved shift
-        return sv.dplus_backward_batch(x, gs, d=d)
+        return sv.dplus_backward_batch(x, gs, eig=(lam, u))
     if metric == "lsm":
         sigma = cache["sigma"]
         gsigma = dom.cor_of_backward(sigma, g)

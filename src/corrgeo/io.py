@@ -43,12 +43,16 @@ def read_tensor(path):
         raise IoError(f"cannot read tensor file {path}: {e}") from e
     if blob[:4] != TENSOR_MAGIC:
         raise IoError(f"{path}: bad magic {blob[:4]!r}")
+    if len(blob) < 12:
+        raise IoError(f"{path}: truncated header")
     version, dtype = struct.unpack_from("<BB", blob, 4)
     if version != 1 or dtype != 0:
         raise IoError(f"{path}: unsupported version/dtype {version}/{dtype}")
     (ndim,) = struct.unpack_from("<I", blob, 8)
-    shape = struct.unpack_from(f"<{ndim}I", blob, 12)
     off = 12 + 4 * ndim
+    if len(blob) < off:
+        raise IoError(f"{path}: truncated shape")
+    shape = struct.unpack_from(f"<{ndim}I", blob, 12)
     count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
     expect = off + 8 * count
     if len(blob) != expect:
@@ -75,6 +79,8 @@ def read_labels(path):
         raise IoError(f"cannot read label file {path}: {e}") from e
     if blob[:4] != LABEL_MAGIC:
         raise IoError(f"{path}: bad magic {blob[:4]!r}")
+    if len(blob) < 8:
+        raise IoError(f"{path}: truncated header")
     (count,) = struct.unpack_from("<I", blob, 4)
     if len(blob) != 8 + 4 * count:
         raise IoError(f"{path}: truncated label payload")

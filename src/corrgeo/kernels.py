@@ -8,6 +8,8 @@ once, with a per-sample stop test and damping schedule, so a sample's result
 
 import numpy as np
 
+from . import linalg as la
+
 # no compiled backend exists; the constant stays because perfbench/run.py
 # records it in its environment line
 USE_NUMBA = False
@@ -16,39 +18,61 @@ USE_NUMBA = False
 _MAX_HALVINGS = 20
 
 
-def _sym_exp_batch(s):
-    w, v = np.linalg.eigh(s)
-    return (v * np.exp(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
-
-
 def dplus_solve(h, tol, max_iter):
     """Find diagonal vectors d with unit-diagonal exp(diag(d) + h), batched.
 
-    Fixed-point iteration d <- d - log(diag(exp(diag(d) + h))) from d = 0.
-    Returns (d, iterations, residuals); a residual above tol means the
-    iteration budget ran out for that sample.
+    Safeguarded Newton from d = 0 on log(e) = 0, e = diag(exp(S)) and
+    S = diag(d) + h = U diag(lam) U^T.  The Jacobian of d -> e is the SPD
+    H0 = h0_build(U, loewner(lam, exp, exp)), so a step solves
+    H0 delta = -e log(e).  A Newton iterate whose residual max|e - 1| is not
+    below that of its base point is discarded for the fixed-point step
+    d <- d - log(e) of Archakov & Hansen (2021) from the base point.  Each
+    evaluation of S (one eigh) counts as an iteration.
+
+    Returns (d, iterations, residuals, lam, u) with (lam, u) the
+    eigendecomposition of the last evaluated S; a residual above tol means
+    the iteration budget ran out for that sample.
     """
     h = np.asarray(h, dtype=np.float64)
     b, n = h.shape[0], h.shape[1]
     d = np.zeros((b, n))
     iters = np.zeros(b, dtype=np.int64)
     res = np.full(b, np.inf)
-    active = np.ones(b, dtype=bool)
+    lam = np.zeros((b, n))
+    u = np.zeros((b, n, n))
+    # per sample: residual of the last accepted point and its fixed-point step
+    base_res = np.full(b, np.inf)
+    fixed = np.zeros((b, n))
+    newton = np.zeros(b, dtype=bool)  # d is a Newton iterate not yet accepted
+    active = np.arange(b)
     eye = np.arange(n)
     for _ in range(max_iter):
-        if not active.any():
+        if active.size == 0:
             break
-        s = h[active].copy()
+        s = h[active]
         s[:, eye, eye] += d[active]
-        diag = _sym_exp_batch(s)[:, eye, eye]
-        r = np.abs(diag - 1.0).max(axis=1)
+        lam_a, u_a = np.linalg.eigh(s)
+        lam[active], u[active] = lam_a, u_a
+        # a Newton iterate far off can overflow; its residual is then inf or
+        # NaN and the iterate is rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = ((u_a * u_a) @ np.exp(lam_a)[..., None])[..., 0]
+        r = np.abs(e - 1.0).max(axis=1)
         iters[active] += 1
         res[active] = r
-        done = r <= tol
-        upd = np.where(active)[0]
-        d[upd[~done]] -= np.log(diag[~done])
-        active[upd[done]] = False
-    return d, iters, res
+        go = ~(r <= tol)  # a NaN residual keeps its sample going
+        active, lam_a, u_a, e, r = active[go], lam_a[go], u_a[go], e[go], r[go]
+        back = newton[active] & ~(r < base_res[active])  # NaN counts as no lower
+        d[active[back]] = fixed[active[back]]
+        newton[active[back]] = False
+        ok = ~back
+        acc, e = active[ok], e[ok]
+        log_e = np.log(e)
+        base_res[acc], fixed[acc] = r[ok], d[acc] - log_e
+        h0 = h0_build(u_a[ok], la.loewner(lam_a[ok], np.exp, np.exp))
+        d[acc] += np.linalg.solve(h0, -(e * log_e)[..., None])[..., 0]
+        newton[acc] = True
+    return d, iters, res, lam, u
 
 
 def _residual(c, x):

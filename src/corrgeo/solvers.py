@@ -2,8 +2,10 @@
 
 Two solvers, each with an exact reverse-mode rule:
 
-* ``dplus``: the diagonal d making exp(diag(d) + H) unit-diagonal, by the
-  exponentially converging fixed point d <- d - log(diag(exp(diag(d) + H))).
+* ``dplus``: the diagonal d making exp(diag(d) + H) unit-diagonal, by Newton
+  from d = 0, falling back to the fixed point d <- d - log(diag(exp(diag(d) +
+  H))) where a Newton iterate does not lower the residual.  The solve returns
+  the eigendecomposition of the final diag(d) + H for reuse downstream.
 * ``dstar``: the positive vector x with (diag(x) C diag(x)) 1 = 1, i.e. the
   zero of f(x) = C x - 1/x, by damped Newton from x = 1 (``full``) or a single
   damped Newton step (``newton1``).
@@ -48,52 +50,39 @@ class DstarResult:
 
 def _as_batch(h):
     h = np.asarray(h, dtype=np.float64)
-    if h.ndim == 2:
-        return h[None], True
-    return h.reshape((-1,) + h.shape[-2:]), False
+    return h.reshape((-1,) + h.shape[-2:])
 
 
 def dplus_batch(h, tol=DPLUS_TOL, max_iter=DPLUS_MAX_ITER):
-    """Batched diagonal solve; raises NoConvergence if any sample fails."""
-    hb, _ = _as_batch(h)
-    d, iters, res = kernels.dplus_solve(hb, tol, max_iter)
+    """Batched diagonal solve; raises NoConvergence if any sample fails.
+
+    Returns (d, iterations, residuals, lam, u) with (lam, u) the
+    eigendecomposition of diag(d) + h at the solved shift.
+    """
+    hb = _as_batch(h)
+    d, iters, res, lam, u = kernels.dplus_solve(hb, tol, max_iter)
     if (res > tol).any():
         worst = int(np.argmax(res))
         raise NoConvergence(int(iters[worst]), float(res[worst]), "dplus")
     shape = np.asarray(h).shape[:-2] + (hb.shape[-1],)
-    return d.reshape(shape), iters, res
+    return d.reshape(shape), iters, res, lam.reshape(shape), u.reshape(shape + shape[-1:])
 
 
 def dplus(h, tol=DPLUS_TOL, max_iter=DPLUS_MAX_ITER):
     """Solve for the unit-diagonal shift of a single hollow symmetric matrix."""
-    d, iters, res = dplus_batch(np.asarray(h, dtype=np.float64)[None], tol, max_iter)
+    d, iters, res, _, _ = dplus_batch(np.asarray(h, dtype=np.float64)[None], tol, max_iter)
     return DplusResult(d=d[0], iterations=int(iters[0]), residual=float(res[0]))
-
-
-def dplus_history(h, tol=DPLUS_TOL, max_iter=DPLUS_MAX_ITER):
-    """Reference fixed-point loop recording the residual sequence."""
-    h = np.asarray(h, dtype=np.float64)
-    d = np.zeros(h.shape[-1])
-    history = []
-    for _ in range(max_iter):
-        e = la.sym_exp(h + np.diag(d))
-        diag = la.diagvec(e)
-        history.append(float(np.abs(diag - 1.0).max()))
-        if history[-1] <= tol:
-            break
-        d -= np.log(diag)
-    return d, history
 
 
 def off_exp_batch(h, tol=DPLUS_TOL, max_iter=DPLUS_MAX_ITER):
     """exp(diag(d) + h) for the solved shift d: hollow symmetric -> correlation."""
-    d, _, _ = dplus_batch(h, tol, max_iter)
-    return la.sym_exp(np.asarray(h, dtype=np.float64) + la.diag_from_vec(d))
+    _, _, _, lam, u = dplus_batch(h, tol, max_iter)
+    return (u * np.exp(lam)[..., None, :]) @ la.transpose(u)
 
 
 def dstar_batch(c, mode="full", tol=DSTAR_TOL, max_iter=DSTAR_MAX_ITER):
     """Batched positive-diagonal solve. Returns (x, iterations, residuals)."""
-    cb, _ = _as_batch(c)
+    cb = _as_batch(c)
     if mode == "full":
         x, iters, res, failed = kernels.dstar_full(cb, tol, max_iter)
         if failed.any():
@@ -130,24 +119,22 @@ def scaled_spd_batch(c, mode="full", tol=DSTAR_TOL, max_iter=DSTAR_MAX_ITER):
 # exact reverse-mode rules
 # ---------------------------------------------------------------------------
 
-def _exp_eig_cache(s):
-    lam, u = np.linalg.eigh(np.asarray(s, dtype=np.float64))
-    lw = la.loewner(lam, np.exp, np.exp)
-    return u, lam, lw
-
-
-def dplus_backward_batch(h, grad_y, d=None, tol=DPLUS_TOL, max_iter=DPLUS_MAX_ITER):
+def dplus_backward_batch(h, grad_y, eig=None, tol=DPLUS_TOL, max_iter=DPLUS_MAX_ITER):
     """Adjoint of h -> diag(dplus(h)) + h given the adjoint of that sum.
 
+    ``eig`` is the eigendecomposition (lam, u) of diag(d) + h at the solved
+    shift, as returned by ``dplus_batch``; it is solved for when omitted.
     Returns a hollow symmetric adjoint (pairs with symmetric hollow dh).
     """
-    h = np.asarray(h, dtype=np.float64)
-    if d is None:
-        d, _, _ = dplus_batch(h, tol, max_iter)
-    s = h + la.diag_from_vec(d)
-    u, _, lw = _exp_eig_cache(s)
+    if eig is None:
+        _, _, _, lam, u = dplus_batch(h, tol, max_iter)
+    else:
+        lam, u = eig
+    lw = la.loewner(lam, np.exp, np.exp)
     h0 = kernels.h0_build(u, lw)
-    if np.linalg.cond(h0).max() > H0_COND_LIMIT:
+    # H0 is SPD, so its condition number is its eigenvalue ratio
+    ev = np.linalg.eigvalsh(h0)
+    if (ev[..., -1] > H0_COND_LIMIT * ev[..., 0]).any():
         raise SingularH0("eigenbasis coupling matrix condition exceeds 1e12")
     g = la.diagvec(grad_y)
     w = np.linalg.solve(h0, g[..., None])[..., 0]
@@ -155,10 +142,9 @@ def dplus_backward_batch(h, grad_y, d=None, tol=DPLUS_TOL, max_iter=DPLUS_MAX_IT
     return la.offmat(np.asarray(grad_y) - corr)
 
 
-def dplus_backward(h, grad_y, d=None, tol=DPLUS_TOL, max_iter=DPLUS_MAX_ITER):
+def dplus_backward(h, grad_y, tol=DPLUS_TOL, max_iter=DPLUS_MAX_ITER):
     h = np.asarray(h, dtype=np.float64)
-    db = None if d is None else np.asarray(d)[None]
-    return dplus_backward_batch(h[None], np.asarray(grad_y)[None], db, tol, max_iter)[0]
+    return dplus_backward_batch(h[None], np.asarray(grad_y)[None], None, tol, max_iter)[0]
 
 
 def dstar_backward_batch(c, grad_sigma, x=None, tol=DSTAR_TOL, max_iter=DSTAR_MAX_ITER):

@@ -3,6 +3,8 @@ per-sample reference loops for the batched solver kernels."""
 
 import numpy as np
 
+from corrgeo import linalg as la
+
 
 def rel_err(a, b):
     a = np.asarray(a, dtype=np.float64)
@@ -167,3 +169,21 @@ def h0_build_ref(u, lw):
     """H0[i,l] = sum_jk U_ij U_ik U_lj U_lk LW_jk by a direct contraction."""
     p = u[..., :, None, :] * u[..., None, :, :]
     return np.einsum("...ilj,...jk,...ilk->...il", p, lw, p)
+
+
+def dplus_history(h, tol=1e-12, max_iter=100):
+    """Fixed point d <- d - log(diag(exp(diag(d) + h))) from d = 0 for one sample.
+
+    Returns (d, residual history); one residual per evaluated point, and the
+    loop stops at the first one within tol.
+    """
+    h = np.asarray(h, dtype=np.float64)
+    d = np.zeros(h.shape[-1])
+    history = []
+    for _ in range(max_iter):
+        diag = la.diagvec(la.sym_exp(h + np.diag(d)))
+        history.append(float(np.abs(diag - 1.0).max()))
+        if history[-1] <= tol:
+            break
+        d -= np.log(diag)
+    return d, history

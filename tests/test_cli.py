@@ -187,6 +187,18 @@ class TestTrainEval:
         acc, _ = trainmod.evaluate(net, samples, labels)
         assert 0.0 <= acc <= 1.0
 
+    @pytest.mark.parametrize("name, blob", [
+        ("samples.cort", b"CORT\x01"),
+        ("samples.cort", b"CORT\x01\x00\x00\x00\x03\x00\x00\x00\x04\x00\x00\x00"),
+        ("labels.corl", b"CORL\x01"),
+    ])
+    def test_truncated_header_is_io_error(self, tmp_path, name, blob):
+        cfg, cfg_path = write_tiny_setup(tmp_path)
+        (tmp_path / "data" / name).write_bytes(blob)
+        rc = cli.main(["train", "--config", str(cfg_path), "--data", str(tmp_path / "data"),
+                       "--out", str(tmp_path / "ckpt")])
+        assert rc == 3
+
     def test_shape_mismatch_is_config_error(self, tmp_path):
         cfg, cfg_path = write_tiny_setup(tmp_path)
         samples, labels = datamod.generate(2, 4, 5, 2, 0.2, 1.5, seed=6)

@@ -6,8 +6,13 @@ import pytest
 from corrgeo import kernels
 from corrgeo import domain as dom
 from corrgeo import linalg as la
+from corrgeo import solvers as sv
+from corrgeo.errors import NoConvergence
 
-from helpers import damped_update_ref, dstar_full_ref, dstar_newton1_ref, h0_build_ref
+from helpers import (
+    damped_update_ref, dplus_history, dstar_full_ref, dstar_newton1_ref, h0_build_ref,
+    random_hollow,
+)
 
 
 def cor_batch(b, n, seed, spread=1.0):
@@ -33,6 +38,88 @@ def assert_same(got, want):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
+
+
+def hollow_batch(b, n, seed, scale):
+    rng = np.random.default_rng(seed)
+    return np.stack([random_hollow(n, rng, scale) for _ in range(b)])
+
+
+def assert_matches_fixed_point(h, got, tol=1e-12):
+    d, iters, res, lam, u = got
+    assert (res <= tol).all()
+    for k in range(len(h)):
+        d_ref, hist = dplus_history(h[k], tol, 5000)
+        assert hist[-1] <= tol
+        assert np.abs(d[k] - d_ref).max() <= 1e-10
+    # (lam, u) is the eigendecomposition of the final S, not a recomputation
+    want_lam, want_u = np.linalg.eigh(h + la.diag_from_vec(d))
+    assert np.array_equal(lam, want_lam) and np.array_equal(u, want_u)
+
+
+class TestDplusSolve:
+    def test_zero_input(self):
+        d, iters, res, lam, u = kernels.dplus_solve(np.zeros((2, 4, 4)), 1e-12, 100)
+        assert np.array_equal(d, np.zeros((2, 4)))
+        assert np.array_equal(iters, [1, 1])
+        assert np.array_equal(res, [0.0, 0.0])
+
+    @pytest.mark.parametrize("n", [2, 6, 8, 30])
+    def test_matches_fixed_point(self, n):
+        h = np.concatenate([hollow_batch(2, n, n + k, scale)
+                            for k, scale in enumerate((0.1, 0.5, 1.0, 1.5))])
+        got = kernels.dplus_solve(h, 1e-12, 100)
+        if n > 2:
+            assert got[1].max() <= 8
+        assert_matches_fixed_point(h, got)
+
+    def test_forced_fixed_point_fallback(self, monkeypatch):
+        # a negated Jacobian makes every Newton iterate raise the residual, so
+        # each one is rejected and the solve walks the fixed-point sequence
+        # with one rejected evaluation between consecutive points
+        h0_build = kernels.h0_build
+        monkeypatch.setattr(kernels, "h0_build", lambda u, lw: -h0_build(u, lw))
+        h = hollow_batch(6, 5, 70, 0.8)
+        d, iters, res, _, _ = kernels.dplus_solve(h, 1e-12, 400)
+        for k in range(len(h)):
+            d_ref, hist = dplus_history(h[k], 1e-12, 400)
+            assert iters[k] == 2 * len(hist) - 1
+            assert res[k] <= 1e-12
+            assert np.abs(d[k] - d_ref).max() <= 1e-13
+
+    def test_natural_fallback(self, monkeypatch):
+        # large off-diagonal entries make some Newton iterates overshoot; the
+        # h0_build calls count the accepted points, the rest were rejected
+        rows = []
+        h0_build = kernels.h0_build
+
+        def counting(u, lw):
+            rows.append(len(u))
+            return h0_build(u, lw)
+
+        monkeypatch.setattr(kernels, "h0_build", counting)
+        h = hollow_batch(6, 6, 80, 5.0)
+        got = kernels.dplus_solve(h, 1e-12, 100)
+        rejected = got[1].sum() - len(h) - sum(rows)
+        assert rejected > 0
+        assert_matches_fixed_point(h, got)
+
+    def test_budget_exhausted(self):
+        h = hollow_batch(4, 8, 90, 1.5)
+        d, iters, res, _, _ = kernels.dplus_solve(h, 1e-12, 2)
+        assert np.array_equal(iters, [2, 2, 2, 2])
+        assert (res > 1e-12).all()
+        with pytest.raises(NoConvergence):
+            sv.dplus_batch(h, max_iter=2)
+
+    def test_batch_independent(self):
+        h = np.concatenate([np.zeros((1, 6, 6)), hollow_batch(3, 6, 95, 0.5),
+                            hollow_batch(3, 6, 96, 5.0)])
+        got = kernels.dplus_solve(h, 1e-12, 100)
+        for k in range(len(h)):
+            single = kernels.dplus_solve(h[k:k + 1], 1e-12, 100)
+            for g, w in zip(got, single):
+                assert np.array_equal(g[k], w[0])
 
 
 class TestDstarFull:

@@ -1,10 +1,12 @@
 import numpy as np
+import pytest
 
 from corrgeo import domain as dom
 from corrgeo import linalg as la
 from corrgeo import solvers as sv
+from corrgeo.errors import SingularH0
 
-from helpers import fd_grad_sym, random_hollow, rel_err, sym_adjoint_as_fd
+from helpers import dplus_history, fd_grad_sym, random_hollow, rel_err, sym_adjoint_as_fd
 
 
 def scaled_hollow(n, rng, cap=2.0):
@@ -52,7 +54,7 @@ class TestDplus:
         findings = []
         for seed in range(30):
             h = scaled_hollow(6, rng)
-            _, hist = sv.dplus_history(h)
+            _, hist = dplus_history(h)
             tail = hist[1:]
             if any(b > a for a, b in zip(tail, tail[1:])):
                 findings.append(seed)
@@ -63,7 +65,7 @@ class TestDplus:
     def test_batch_matches_single(self):
         rng = np.random.default_rng(2)
         hs = np.stack([scaled_hollow(5, rng) for _ in range(7)])
-        d, iters, res = sv.dplus_batch(hs)
+        d, iters, res, _, _ = sv.dplus_batch(hs)
         for k in range(7):
             single = sv.dplus(hs[k])
             assert np.allclose(d[k], single.d, atol=1e-14)
@@ -83,7 +85,7 @@ class TestDplusBackward:
             return sv.off_exp_batch(hol[None])[0][0, 1]
 
         hol = np.array([[0.0, h], [h, 0.0]])
-        d, _, _ = sv.dplus_batch(hol[None])
+        d = sv.dplus_batch(hol[None])[0]
         s = hol + np.diag(d[0])
         grad_c = np.zeros((2, 2))
         grad_c[0, 1] = 1.0
@@ -102,13 +104,26 @@ class TestDplusBackward:
         def loss(hol):
             return np.sum(sv.off_exp_batch(hol[None])[0] * w)
 
-        d, _, _ = sv.dplus_batch(h[None])
+        d = sv.dplus_batch(h[None])[0]
         s = h + np.diag(d[0])
         grad_y = la.sym_fun_diff("exp", s, w)
         g = sv.dplus_backward(h, grad_y)
         fd = fd_grad_sym(loss, h)
         np.fill_diagonal(fd, 0.0)
         assert rel_err(sym_adjoint_as_fd(g), fd) < 1e-5
+
+    def test_singular_h0_raises(self):
+        # for [[0, h], [h, 0]] the shift is log(2) - h up to exp(-2h), and the
+        # coupling matrix has eigenvalues 1/2 and about 1/(2h).  At h = 1e13
+        # its condition number exceeds the 1e12 limit; the solve from d = 0
+        # would overflow, so the backward pass is handed the closed-form point.
+        h = 1e13
+        hol = np.array([[0.0, h], [h, 0.0]])
+        s = hol + np.diag(np.full(2, np.log(2.0) - h))
+        grad_y = np.zeros((1, 2, 2))
+        grad_y[0, 0, 1] = grad_y[0, 1, 0] = 1.0
+        with pytest.raises(SingularH0):
+            sv.dplus_backward_batch(hol[None], grad_y, eig=np.linalg.eigh(s[None]))
 
 
 class TestDstar:
