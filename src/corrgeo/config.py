@@ -1,5 +1,6 @@
 """Run configuration: flat ``key = value`` text files."""
 
+import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -38,10 +39,19 @@ class RunConfig:
                      "m_hidden", "classes", "batch_size"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.n_in < 2 or self.m_hidden < 2:
+            raise ConfigError("n_in and m_hidden must be at least 2")
         if self.epochs < 0:
             raise ConfigError("epochs must be nonnegative")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        for name in ("lr", "dplus_tol", "dstar_tol"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ConfigError(f"{name} must be positive and finite")
+        if not math.isfinite(self.power):
+            raise ConfigError("power must be finite")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError("weight_decay must be nonnegative and finite")
+        if self.dplus_max_iter < 1:
+            raise ConfigError("dplus_max_iter must be at least 1")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.dstar_mode not in ("full", "newton1"):

@@ -1,21 +1,31 @@
 """Riemannian geometries on the correlation manifold.
 
-Four flat (pullback-from-Euclidean) metrics share one template: a
-diffeomorphism onto a prototype space, its differential, and their inverses.
+The four flat metrics are pullbacks: a diffeomorphism onto a Euclidean
+prototype space (strictly lower for ecm/lecm, hollow symmetric for olm,
+row-zero symmetric for lsm), its differential, and their inverses.  Each is
+one chart in ``CHARTS``.  ``forward(c, solver)`` and ``inverse(x, solver)``
+return the mapped value and a cache of the input and its factorization:
 
-    metric  prototype space          map                      inverse
-    ecm     strictly lower           strict_lower(theta(C))   cor_of(K K^T)
-    lecm    strictly lower           tri_log(theta(C))        cor_of(exp(X) exp(X)^T)
-    olm     hollow symmetric         off(logm(C))             expm(diag(dplus) + H)
-    lsm     row-zero symmetric       logm(D* C D*)            cor_of(expm(R))
+    metric  forward C -> X          forward cache             inverse X -> C
+    ecm     strict_lower(theta(C))  c, L = chol(C), theta, X  cor_of(K K^T), K = I + X
+    lecm    tri_log(theta(C))       c, L, theta, X            cor_of(K K^T), K = tri_exp(X)
+    olm     off(logm(C))            c, (lam, U) of C          expm(diag(dplus(X)) + X)
+    lsm     logm(D* C D*)           c, D* = diag(x), D* C D*, cor_of(expm(X))
+                                    its (lam, U), newton1 alpha
+
+The inverse caches hold X with K and K K^T (ecm, lecm), the (lam, U) dplus
+ends on (olm), or (lam, U) of X and expm(X) (lsm).  The differentials
+(``push``, ``push_inv``) and adjoints (``vjp``, ``inverse_vjp``) take the
+cache, never the point, so no base point is factored twice; ``coords``,
+``from_coords`` and ``coords_adjoint`` vectorize the prototype space.  The
+lsm differentials are those of the full-mode scaling, so the Riemannian
+operators solve lsm in full mode whatever ``dstar_mode`` they are given.
 
 The fifth metric (phcm) is the pullback of a product of hyperbolic
 hemispheres through the Cholesky rows; only its distance and the layer
-pipeline are exposed here.
-
-All maps are batched over leading axes.  ``*_vjp`` functions are the adjoints
-of the corresponding differentials under the Frobenius pairing and return
-symmetric adjoints for symmetric arguments.
+pipeline are exposed here.  All maps are batched over leading axes; the
+adjoints are taken under the Frobenius pairing and are symmetric for
+symmetric arguments.
 """
 
 import numpy as np
@@ -27,7 +37,7 @@ from . import solvers as sv
 from .errors import UnsupportedMetric
 
 METRICS = ("ecm", "lecm", "olm", "lsm", "phcm")
-LOG_EUCLIDEAN = ("ecm", "lecm", "olm", "lsm")
+
 
 def check_metric(metric, allow_phcm=True):
     if metric not in METRICS:
@@ -35,79 +45,6 @@ def check_metric(metric, allow_phcm=True):
     if metric == "phcm" and not allow_phcm:
         raise UnsupportedMetric("operation not available under phcm")
     return metric
-
-
-def prototype_coords(metric, x):
-    """Flatten a prototype element along the module's vectorization contract."""
-    if metric in ("ecm", "lecm"):
-        return dom.lt0_coords(x)
-    if metric == "olm":
-        return dom.hol_coords(x)
-    if metric == "lsm":
-        return dom.rowzero_coords(x)
-    raise UnsupportedMetric(metric)
-
-
-def prototype_from_coords(metric, v, m):
-    if metric in ("ecm", "lecm"):
-        return dom.lt0_from_coords(v, m)
-    if metric == "olm":
-        return dom.hol_from_coords(v, m)
-    if metric == "lsm":
-        return dom.rowzero_from_coords(v, m)
-    raise UnsupportedMetric(metric)
-
-
-# ---------------------------------------------------------------------------
-# theta differential and its inverse/adjoint
-# ---------------------------------------------------------------------------
-
-def theta_diff_at(l, t, v):
-    a = la.inner_solve_spd(l, v)
-    return t @ la.half_lower(a) - 0.5 * la.dmat(a) @ t
-
-
-def theta_diff(c, v):
-    l = la.chol(c)
-    t = l / la.diagvec(l)[..., :, None]
-    return theta_diff_at(l, t, v)
-
-
-def theta_diff_inv_at(l, c, xi):
-    dl_vec = la.diagvec(l)
-    lxt = l @ la.transpose(xi)
-    dvec = la.diagvec(lxt)
-    left = (lxt - c * dvec[..., None, :]) * dl_vec[..., None, :]
-    right = dl_vec[..., :, None] * (la.transpose(lxt) - dvec[..., :, None] * c)
-    return left + right
-
-
-def theta_diff_inv(c, xi):
-    return theta_diff_inv_at(la.chol(c), np.asarray(c, dtype=np.float64), xi)
-
-
-def theta_diff_vjp_at(l, t, grad_xi):
-    g = np.asarray(grad_xi, dtype=np.float64)
-    abar = la.half_lower(la.transpose(t) @ g) - 0.5 * la.dmat(g @ la.transpose(t))
-    lt = la.transpose(l)
-    w = la.transpose(np.linalg.solve(lt, la.transpose(np.linalg.solve(lt, abar))))
-    return la.sym(w)
-
-
-# ---------------------------------------------------------------------------
-# per-metric maps with caches for reverse mode
-# ---------------------------------------------------------------------------
-
-def _lsm_forward(c, solver):
-    mode = solver.get("dstar_mode", "full")
-    tol = solver.get("dstar_tol", sv.DSTAR_TOL)
-    max_iter = solver.get("dstar_max_iter", sv.DSTAR_MAX_ITER)
-    x, _, _ = sv.dstar_batch(c, mode, tol, max_iter)
-    sigma = np.asarray(c, dtype=np.float64) * x[..., :, None] * x[..., None, :]
-    r = la.sym_log(sigma)
-    if mode == "newton1":
-        r = project_rowzero(r)
-    return r, {"x": x, "sigma": sigma, "mode": mode}
 
 
 def project_rowzero(m):
@@ -120,190 +57,284 @@ def project_rowzero(m):
     return m - s[..., :, None] - s[..., None, :]
 
 
-def prototype_forward(metric, c, solver=None):
-    """Map to the prototype space, returning (value, cache) for reverse mode."""
-    check_metric(metric, allow_phcm=False)
-    c = np.asarray(c, dtype=np.float64)
-    if metric in ("ecm", "lecm"):
+# ---------------------------------------------------------------------------
+# charts
+# ---------------------------------------------------------------------------
+
+def _log_eig(s, what):
+    """logm of an SPD stack, with its eigendecomposition (lam, u)."""
+    lam, u = np.linalg.eigh(s)
+    la._check_pd_eigs(lam, what)
+    return la.from_eig(np.log(lam), u), lam, u
+
+
+def _log_loewner(lam):
+    return la.loewner(lam, np.log, lambda x: 1.0 / x)
+
+
+def _identity(_, v):
+    return v
+
+
+class TriangularChart:
+    """ecm and lecm: C -> log(theta(C)) with theta(C) = L / diag(L), L = chol(C).
+
+    ``log``/``exp`` are the triangular log and exp (or their first-order
+    stand-ins for ecm), ``log_diff``/``exp_diff`` their differentials at a
+    base point and ``log_adjoint``/``exp_adjoint`` the adjoints of those.
+    """
+
+    def __init__(self, log, exp, log_diff, exp_diff, log_adjoint, exp_adjoint):
+        self.log, self.exp = log, exp
+        self.log_diff, self.exp_diff = log_diff, exp_diff
+        self.log_adjoint, self.exp_adjoint = log_adjoint, exp_adjoint
+
+    coords = staticmethod(dom.lt0_coords)
+    from_coords = staticmethod(dom.lt0_from_coords)
+    coords_adjoint = staticmethod(dom.lt0_from_coords)
+
+    def forward(self, c, solver):
         l = la.chol(c)
         t = l / la.diagvec(l)[..., :, None]
-        if metric == "ecm":
-            return la.strict_lower(t), {"l": l, "t": t}
-        return la.tri_log(t), {"l": l, "t": t}
-    if metric == "olm":
-        lam, u = np.linalg.eigh(c)
-        la._check_pd_eigs(lam, "off-log")
-        logc = (u * np.log(lam)[..., None, :]) @ la.transpose(u)
-        return la.offmat(logc), {"lam": lam, "u": u}
-    # lsm
-    return _lsm_forward(c, solver or {})
+        x = self.log(t)
+        return x, {"c": c, "l": l, "t": t, "x": x}
+
+    def inverse(self, x, solver):
+        k = self.exp(x)
+        sigma = k @ la.transpose(k)
+        return dom.cor_of(sigma), {"x": x, "k": k, "sigma": sigma}
+
+    def vjp(self, cache, g):
+        # adjoint of the theta differential below
+        l, t = cache["l"], cache["t"]
+        g = self.log_adjoint(t, g)
+        abar = la.half_lower(la.transpose(t) @ g) - 0.5 * la.dmat(g @ la.transpose(t))
+        lt = la.transpose(l)
+        w = la.transpose(np.linalg.solve(lt, la.transpose(np.linalg.solve(lt, abar))))
+        return la.sym(w)
+
+    def inverse_vjp(self, cache, g):
+        gk = 2.0 * dom.cor_of_backward(cache["sigma"], g) @ cache["k"]
+        return la.strict_lower(self.exp_adjoint(cache["x"], gk))
+
+    def push(self, cache, v):
+        l, t = cache["l"], cache["t"]
+        a = la.inner_solve_spd(l, v)
+        return self.log_diff(t, t @ la.half_lower(a) - 0.5 * la.dmat(a) @ t)
+
+    def push_inv(self, cache, w):
+        # inverse of the theta differential applied to d theta = exp_*(w)
+        l, c = cache["l"], cache["c"]
+        dl_vec = la.diagvec(l)
+        lxt = l @ la.transpose(self.exp_diff(cache["x"], w))
+        dvec = la.diagvec(lxt)
+        left = (lxt - c * dvec[..., None, :]) * dl_vec[..., None, :]
+        right = dl_vec[..., :, None] * (la.transpose(lxt) - dvec[..., :, None] * c)
+        return left + right
+
+
+class OffLogChart:
+    """olm: C -> off(logm(C)); inverse exp(diag(dplus(H)) + H)."""
+
+    coords = staticmethod(dom.hol_coords)
+    from_coords = staticmethod(dom.hol_from_coords)
+    coords_adjoint = staticmethod(dom.hol_from_coords)
+
+    def forward(self, c, solver):
+        logc, lam, u = _log_eig(c, "off-log")
+        return la.offmat(logc), {"c": c, "lam": lam, "u": u}
+
+    def inverse(self, x, solver):
+        tol = solver.get("dplus_tol", sv.DPLUS_TOL)
+        max_iter = solver.get("dplus_max_iter", sv.DPLUS_MAX_ITER)
+        _, _, _, lam, u = sv.dplus_batch(x, tol, max_iter)
+        return la.from_eig(np.exp(lam), u), {"x": x, "lam": lam, "u": u}
+
+    def vjp(self, cache, g):
+        return la.daleckii_krein(cache["u"], _log_loewner(cache["lam"]), la.offmat(la.sym(g)))
+
+    def inverse_vjp(self, cache, g):
+        lam, u = cache["lam"], cache["u"]
+        gs = la.daleckii_krein(u, la.loewner(lam, np.exp, np.exp), la.sym(g))
+        return sv.dplus_backward_batch(cache["x"], gs, eig=(lam, u))
+
+    def push(self, cache, v):
+        return la.offmat(la.daleckii_krein(cache["u"], _log_loewner(cache["lam"]), v))
+
+    def push_inv(self, cache, w):
+        # the inverse differential is that of exp at log(c) = U log(lam) U^T
+        u = cache["u"]
+        lw = la.loewner(np.log(cache["lam"]), np.exp, np.exp)
+        rhs = la.diagvec(la.daleckii_krein(u, lw, w))
+        dshift = -np.linalg.solve(kernels.h0_build(u, lw), rhs[..., None])[..., 0]
+        return la.daleckii_krein(u, lw, w + la.diag_from_vec(dshift))
+
+
+class ScaledLogChart:
+    """lsm: C -> logm(D* C D*) with D* = diag(x) the unit-row-sum scaling."""
+
+    coords = staticmethod(dom.rowzero_coords)
+    from_coords = staticmethod(dom.rowzero_from_coords)
+
+    @staticmethod
+    def coords_adjoint(cbar, m):
+        """Adjoint of rowzero_coords: the coordinate read (leading-submatrix
+        entries) and the expansion basis are dual but distinct."""
+        cbar = np.asarray(cbar, dtype=np.float64)
+        i, j = np.tril_indices(m - 1)
+        out = np.zeros(cbar.shape[:-1] + (m, m))
+        off = i != j
+        half = 0.5 * dom.SQRT6 * cbar[..., off]
+        out[..., i[off], j[off]] = half
+        out[..., j[off], i[off]] = half
+        out[..., i[~off], i[~off]] = dom.SQRT3 * cbar[..., ~off]
+        return out
+
+    def forward(self, c, solver):
+        tol = solver.get("dstar_tol", sv.DSTAR_TOL)
+        max_iter = solver.get("dstar_max_iter", sv.DSTAR_MAX_ITER)
+        s, _, _, alpha = sv.dstar_batch(c, solver.get("dstar_mode", "full"), tol, max_iter)
+        sigma = c * s[..., :, None] * s[..., None, :]
+        r, lam, u = _log_eig(sigma, "sym_fun(log)")
+        if alpha is not None:
+            # one newton1 step leaves the row sums off zero
+            r = project_rowzero(r)
+        return r, {"c": c, "s": s, "sigma": sigma, "lam": lam, "u": u, "alpha": alpha}
+
+    def inverse(self, x, solver):
+        lam, u = np.linalg.eigh(x)
+        sigma = la.from_eig(np.exp(lam), u)
+        return dom.cor_of(sigma), {"x": x, "lam": lam, "u": u, "sigma": sigma}
+
+    def vjp(self, cache, g):
+        gs = la.sym(g) if cache["alpha"] is None else project_rowzero(la.sym(g))
+        gsigma = la.daleckii_krein(cache["u"], _log_loewner(cache["lam"]), gs)
+        if cache["alpha"] is None:
+            return sv.dstar_backward_batch(cache["c"], gsigma, cache["s"])
+        return sv.dstar_newton1_backward_batch(cache["c"], gsigma, cache["s"], cache["alpha"])
+
+    def inverse_vjp(self, cache, g):
+        gsigma = dom.cor_of_backward(cache["sigma"], g)
+        return la.daleckii_krein(cache["u"], la.loewner(cache["lam"], np.exp, np.exp), gsigma)
+
+    def push(self, cache, v):
+        s, sigma = cache["s"], cache["sigma"]
+        dvd = s[..., :, None] * v * s[..., None, :]
+        eye = np.broadcast_to(np.eye(sigma.shape[-1]), sigma.shape)
+        w = np.linalg.solve(eye + sigma, dvd.sum(axis=-1)[..., None])[..., 0]
+        v0 = -2.0 * w
+        inner = dvd + 0.5 * (v0[..., :, None] * sigma + sigma * v0[..., None, :])
+        return la.daleckii_krein(cache["u"], _log_loewner(cache["lam"]), inner)
+
+    def push_inv(self, cache, w):
+        # (log lam, U) is the eigendecomposition of the prototype point R
+        s, sigma = cache["s"], cache["sigma"]
+        e = la.daleckii_krein(cache["u"], la.loewner(np.log(cache["lam"]), np.exp, np.exp), w)
+        dvec = la.diagvec(e)
+        sinv2 = 1.0 / (s * s)
+        corr = sinv2[..., :, None] * dvec[..., :, None] * sigma + sigma * (dvec * sinv2)[..., None, :]
+        inner = e - 0.5 * corr
+        sinv = 1.0 / s
+        return sinv[..., :, None] * inner * sinv[..., None, :]
+
+
+CHARTS = {
+    "ecm": TriangularChart(
+        la.strict_lower, lambda x: x + np.eye(x.shape[-1]), _identity, _identity,
+        lambda t, g: la.strict_lower(g), _identity,
+    ),
+    "lecm": TriangularChart(
+        la.tri_log, la.tri_exp, la.tri_log_diff, la.tri_exp_diff,
+        la.tri_log_diff_adjoint, la.tri_exp_diff_adjoint,
+    ),
+    "olm": OffLogChart(),
+    "lsm": ScaledLogChart(),
+}
+LOG_EUCLIDEAN = tuple(CHARTS)
+
+
+def _chart(metric):
+    check_metric(metric, allow_phcm=False)
+    return CHARTS[metric]
+
+
+# ---------------------------------------------------------------------------
+# public per-metric maps
+# ---------------------------------------------------------------------------
+
+def prototype_coords(metric, x):
+    """Flatten a prototype element along the module's vectorization contract."""
+    return _chart(metric).coords(x)
+
+
+def prototype_from_coords(metric, v, m):
+    return _chart(metric).from_coords(v, m)
+
+
+def prototype_coords_adjoint(metric, cbar, m):
+    """Adjoint of prototype_coords under the symmetric Frobenius pairing."""
+    return _chart(metric).coords_adjoint(cbar, m)
+
+
+def prototype_forward(metric, c, solver=None):
+    """Map to the prototype space, returning (value, cache) for reverse mode."""
+    return _chart(metric).forward(np.asarray(c, dtype=np.float64), solver or {})
 
 
 def to_prototype(metric, c, solver=None):
     return prototype_forward(metric, c, solver)[0]
 
 
-def prototype_vjp(metric, c, cache, grad_x):
-    """Adjoint of the prototype map at c; returns the symmetric adjoint of c."""
-    g = np.asarray(grad_x, dtype=np.float64)
-    if metric == "ecm":
-        return theta_diff_vjp_at(cache["l"], cache["t"], la.strict_lower(g))
-    if metric == "lecm":
-        gtheta = la.tri_log_diff_adjoint(cache["t"], g)
-        return theta_diff_vjp_at(cache["l"], cache["t"], gtheta)
-    if metric == "olm":
-        lam, u = cache["lam"], cache["u"]
-        lw = la.loewner(lam, np.log, lambda x: 1.0 / x)
-        goff = la.offmat(la.sym(g))
-        return u @ (lw * (la.transpose(u) @ goff @ u)) @ la.transpose(u)
-    if metric == "lsm":
-        gs = la.sym(g)
-        if cache["mode"] == "newton1":
-            gs = project_rowzero(gs)
-            gsigma = la.sym_fun_diff("log", cache["sigma"], gs)
-            return sv.dstar_newton1_backward_batch(c, gsigma, cache["x"])
-        gsigma = la.sym_fun_diff("log", cache["sigma"], gs)
-        return sv.dstar_backward_batch(c, gsigma, cache["x"])
-    raise UnsupportedMetric(metric)
+def prototype_vjp(metric, cache, grad_x):
+    """Adjoint of the prototype map at the cached point; symmetric in c."""
+    return _chart(metric).vjp(cache, np.asarray(grad_x, dtype=np.float64))
 
 
 def inverse_forward(metric, x, solver=None):
     """Map from the prototype space back to correlation matrices, with cache."""
-    check_metric(metric, allow_phcm=False)
-    x = np.asarray(x, dtype=np.float64)
-    solver = solver or {}
-    if metric == "ecm":
-        n = x.shape[-1]
-        k = x + np.eye(n)
-        sigma = k @ la.transpose(k)
-        return dom.cor_of(sigma), {"k": k, "sigma": sigma}
-    if metric == "lecm":
-        k = la.tri_exp(x)
-        sigma = k @ la.transpose(k)
-        return dom.cor_of(sigma), {"k": k, "sigma": sigma}
-    if metric == "olm":
-        tol = solver.get("dplus_tol", sv.DPLUS_TOL)
-        max_iter = solver.get("dplus_max_iter", sv.DPLUS_MAX_ITER)
-        _, _, _, lam, u = sv.dplus_batch(x, tol, max_iter)
-        c = (u * np.exp(lam)[..., None, :]) @ la.transpose(u)
-        return c, {"lam": lam, "u": u}
-    # lsm
-    sigma = la.sym_exp(x)
-    return dom.cor_of(sigma), {"sigma": sigma, "x": x}
+    return _chart(metric).inverse(np.asarray(x, dtype=np.float64), solver or {})
 
 
 def from_prototype(metric, x, solver=None):
     return inverse_forward(metric, x, solver)[0]
 
 
-def inverse_vjp(metric, x, cache, grad_c):
-    """Adjoint of the inverse map at x; pairs with prototype-space perturbations."""
-    g = np.asarray(grad_c, dtype=np.float64)
-    if metric in ("ecm", "lecm"):
-        k, sigma = cache["k"], cache["sigma"]
-        gsigma = dom.cor_of_backward(sigma, g)
-        gk = 2.0 * gsigma @ k
-        if metric == "ecm":
-            return la.strict_lower(gk)
-        return la.strict_lower(la.tri_exp_diff_adjoint(x, gk))
-    if metric == "olm":
-        lam, u = cache["lam"], cache["u"]
-        lw = la.loewner(lam, np.exp, np.exp)
-        gs = u @ (lw * (la.transpose(u) @ la.sym(g) @ u)) @ la.transpose(u)
-        return sv.dplus_backward_batch(x, gs, eig=(lam, u))
-    if metric == "lsm":
-        sigma = cache["sigma"]
-        gsigma = dom.cor_of_backward(sigma, g)
-        return la.sym_fun_diff("exp", x, gsigma)
-    raise UnsupportedMetric(metric)
+def inverse_vjp(metric, cache, grad_c):
+    """Adjoint of the inverse map at the cached point; pairs with prototype perturbations."""
+    return _chart(metric).inverse_vjp(cache, np.asarray(grad_c, dtype=np.float64))
 
 
-# ---------------------------------------------------------------------------
-# differentials (pushforwards) and their inverses
-# ---------------------------------------------------------------------------
-
-def pushforward(metric, c, v, solver=None):
-    """Differential of the prototype map at c applied to a tangent vector v."""
-    check_metric(metric, allow_phcm=False)
-    c = np.asarray(c, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if metric == "ecm":
-        return theta_diff(c, v)
-    if metric == "lecm":
-        l = la.chol(c)
-        t = l / la.diagvec(l)[..., :, None]
-        return la.tri_log_diff(t, theta_diff_at(l, t, v))
-    if metric == "olm":
-        return la.offmat(la.sym_fun_diff("log", c, v))
-    # lsm (full-mode scaling)
-    x, _, _ = sv.dstar_batch(c, "full")
-    sigma = c * x[..., :, None] * x[..., None, :]
-    dvd = x[..., :, None] * v * x[..., None, :]
-    n = c.shape[-1]
-    eye = np.broadcast_to(np.eye(n), sigma.shape)
-    w = np.linalg.solve(eye + sigma, dvd.sum(axis=-1)[..., None])[..., 0]
-    v0 = -2.0 * w
-    inner = dvd + 0.5 * (v0[..., :, None] * sigma + sigma * v0[..., None, :])
-    return la.sym_fun_diff("log", sigma, inner)
+def pushforward(metric, cache, v):
+    """Differential of the prototype map at the cached point applied to a tangent vector v."""
+    return _chart(metric).push(cache, np.asarray(v, dtype=np.float64))
 
 
-def pushforward_inv(metric, c, w, solver=None):
-    """Inverse differential: prototype perturbation back to a tangent vector at c."""
-    check_metric(metric, allow_phcm=False)
-    c = np.asarray(c, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if metric == "ecm":
-        return theta_diff_inv(c, w)
-    if metric == "lecm":
-        l = la.chol(c)
-        t = l / la.diagvec(l)[..., :, None]
-        xi = la.tri_exp_diff(la.tri_log(t), w)
-        return theta_diff_inv_at(l, c, xi)
-    if metric == "olm":
-        # the base point of the inverse differential is log(c) itself
-        lam_c, u = np.linalg.eigh(c)
-        la._check_pd_eigs(lam_c, "off-exp differential")
-        mu = np.log(lam_c)
-        lw = la.loewner(mu, np.exp, np.exp)
-        ut = la.transpose(u)
-        exp_star_w = u @ (lw * (ut @ w @ u)) @ ut
-        h0 = kernels.h0_build(u, lw)
-        rhs = la.diagvec(exp_star_w)
-        dshift = -np.linalg.solve(h0, rhs[..., None])[..., 0]
-        arg = w + la.diag_from_vec(dshift)
-        return u @ (lw * (ut @ arg @ u)) @ ut
-    # lsm: inverse differential of the scaled-log map at x = to_prototype(c)
-    x, _, _ = sv.dstar_batch(c, "full")
-    sigma = c * x[..., :, None] * x[..., None, :]
-    r = la.sym_log(sigma)
-    e = la.sym_fun_diff("exp", r, w)
-    dvec = la.diagvec(e)
-    xinv2 = 1.0 / (x * x)
-    corr = xinv2[..., :, None] * dvec[..., :, None] * sigma + sigma * (dvec * xinv2)[..., None, :]
-    inner = e - 0.5 * corr
-    xinv = 1.0 / x
-    return xinv[..., :, None] * inner * xinv[..., None, :]
+def pushforward_inv(metric, cache, w):
+    """Inverse differential: prototype perturbation back to a tangent vector at the cached point."""
+    return _chart(metric).push_inv(cache, np.asarray(w, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
 # Riemannian operators (closed forms of the pullback geometry)
 # ---------------------------------------------------------------------------
 
+def _full(solver):
+    return {**(solver or {}), "dstar_mode": "full"}
+
+
 def riem_inner(metric, c, v, w, solver=None):
-    pv = pushforward(metric, c, v, solver)
-    pw = pushforward(metric, c, w, solver)
-    return np.sum(pv * pw, axis=(-2, -1))
+    cache = prototype_forward(metric, c, _full(solver))[1]
+    return np.sum(pushforward(metric, cache, v) * pushforward(metric, cache, w), axis=(-2, -1))
 
 
 def riem_exp(metric, c, v, solver=None):
-    x = to_prototype(metric, c, solver)
-    return from_prototype(metric, x + pushforward(metric, c, v, solver), solver)
+    x, cache = prototype_forward(metric, c, _full(solver))
+    return from_prototype(metric, x + pushforward(metric, cache, v), solver)
 
 
 def riem_log(metric, c, c2, solver=None):
-    x = to_prototype(metric, c, solver)
-    x2 = to_prototype(metric, c2, solver)
-    return pushforward_inv(metric, c, x2 - x, solver)
+    x, cache = prototype_forward(metric, c, _full(solver))
+    return pushforward_inv(metric, cache, to_prototype(metric, c2, _full(solver)) - x)
 
 
 def geodesic(metric, c, c2, t, solver=None):
@@ -322,14 +353,14 @@ def riem_dist(metric, c, c2, solver=None):
 
 
 def parallel_transport(metric, c, c2, v, solver=None):
-    return pushforward_inv(metric, c2, pushforward(metric, c, v, solver), solver)
+    cache = prototype_forward(metric, c, _full(solver))[1]
+    cache2 = prototype_forward(metric, c2, _full(solver))[1]
+    return pushforward_inv(metric, cache2, pushforward(metric, cache, v))
 
 
 def frechet_mean(metric, cs, solver=None):
     """Closed-form mean: inverse image of the prototype-space average."""
-    check_metric(metric, allow_phcm=False)
-    xs = np.stack([to_prototype(metric, c, solver) for c in cs])
-    return from_prototype(metric, xs.mean(axis=0), solver)
+    return from_prototype(metric, to_prototype(metric, np.asarray(cs), solver).mean(axis=0), solver)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,9 @@ def dplus_solve(h, tol, max_iter):
     evaluation of S (one eigh) counts as an iteration.
 
     Returns (d, iterations, residuals, lam, u) with (lam, u) the
-    eigendecomposition of the last evaluated S; a residual above tol means
-    the iteration budget ran out for that sample.
+    eigendecomposition of the last evaluated S; a residual above tol (or not
+    finite) means the iteration budget ran out for that sample or exp
+    overflowed at a point it could not step back from.
     """
     h = np.asarray(h, dtype=np.float64)
     b, n = h.shape[0], h.shape[1]
@@ -65,13 +66,16 @@ def dplus_solve(h, tol, max_iter):
         back = newton[active] & ~(r < base_res[active])  # NaN counts as no lower
         d[active[back]] = fixed[active[back]]
         newton[active[back]] = False
-        ok = ~back
+        # an accepted point whose residual overflowed gives no finite step:
+        # its sample stops there with the residual above tol
+        ok = ~back & np.isfinite(r)
         acc, e = active[ok], e[ok]
         log_e = np.log(e)
         base_res[acc], fixed[acc] = r[ok], d[acc] - log_e
         h0 = h0_build(u_a[ok], la.loewner(lam_a[ok], np.exp, np.exp))
         d[acc] += np.linalg.solve(h0, -(e * log_e)[..., None])[..., 0]
         newton[acc] = True
+        active = active[back | ok]
     return d, iters, res, lam, u
 
 
@@ -88,10 +92,12 @@ def _newton_step(c, x, f):
 def _damped_update(c, x, fnorm, step):
     """Per sample, take the first alpha that keeps x positive and lowers max|f| below fnorm.
 
-    Returns (x, ok); a sample no alpha helps keeps its x and gets ok False.
+    Returns (x, ok, taken); a sample no alpha helps keeps its x, gets ok False
+    and taken 0, and every other sample's taken is its alpha.
     """
     out = x.copy()
     pending = np.ones(len(x), dtype=bool)
+    taken = np.zeros(len(x))
     alpha = 1.0
     for _ in range(_MAX_HALVINGS + 1):
         idx = np.flatnonzero(pending)
@@ -103,8 +109,9 @@ def _damped_update(c, x, fnorm, step):
         better = np.abs(_residual(c[idx], trial)).max(axis=-1) < fnorm[idx]
         out[idx[better]] = trial[better]
         pending[idx[better]] = False
+        taken[idx[better]] = alpha
         alpha *= 0.5
-    return out, ~pending
+    return out, ~pending, taken
 
 
 def _polish(c, x, f, fnorm):
@@ -148,7 +155,7 @@ def dstar_full(c, tol, max_iter):
             fin = active[done]
             x[fin], res[fin] = _polish(ca[done], xa[done], f[done], r[done])
             active, ca, xa, f, r = active[~done], ca[~done], xa[~done], f[~done], r[~done]
-        x[active], ok = _damped_update(ca, xa, r, _newton_step(ca, xa, f))
+        x[active], ok, _ = _damped_update(ca, xa, r, _newton_step(ca, xa, f))
         # stalled at the rounding floor; fail only above threshold
         stalled = active[~ok]
         failed[stalled] = res[stalled] > tol * np.maximum(1.0, np.abs(x[stalled]).max(axis=-1))
@@ -160,20 +167,22 @@ def dstar_full(c, tol, max_iter):
 def dstar_newton1(c):
     """A single damped Newton step from x = 1, batched.
 
-    Returns (x, damping_failed); positivity of x is guaranteed whenever the
-    step succeeds.
+    Returns (x, alpha, damping_failed) with alpha the step length taken, 1
+    where x = 1 already solves the system; positivity of x is guaranteed
+    whenever the step succeeds.
     """
     c = np.asarray(c, dtype=np.float64)
     b, n = c.shape[0], c.shape[1]
     x = np.ones((b, n))
+    alpha = np.ones(b)
     f = _residual(c, x)
     fnorm = np.abs(f).max(axis=-1)
     idx = np.flatnonzero(fnorm != 0.0)
     ci, xi = c[idx], x[idx]
-    x[idx], ok = _damped_update(ci, xi, fnorm[idx], _newton_step(ci, xi, f[idx]))
+    x[idx], ok, alpha[idx] = _damped_update(ci, xi, fnorm[idx], _newton_step(ci, xi, f[idx]))
     failed = np.zeros(b, dtype=bool)
     failed[idx] = ~ok
-    return x, failed
+    return x, alpha, failed
 
 
 def h0_build(u, lw):

@@ -142,28 +142,6 @@ def metric_basis(metric, m):
     return dom.rowzero_basis(m)
 
 
-def coords_read_adjoint(metric, cbar, m):
-    """Adjoint of prototype_coords under the symmetric Frobenius pairing.
-
-    For the row-zero space the coordinate read (leading-submatrix entries)
-    and the expansion basis are dual but distinct, so this is not the same as
-    expanding cbar in metric_basis.
-    """
-    if metric in ("ecm", "lecm"):
-        return dom.lt0_from_coords(cbar, m)
-    if metric == "olm":
-        return dom.hol_from_coords(cbar, m)
-    cbar = np.asarray(cbar, dtype=np.float64)
-    i, j = np.tril_indices(m - 1)
-    out = np.zeros(cbar.shape[:-1] + (m, m))
-    off = i != j
-    half = 0.5 * dom.SQRT6 * cbar[..., off]
-    out[..., i[off], j[off]] = half
-    out[..., j[off], i[off]] = half
-    out[..., i[~off], i[~off]] = dom.SQRT3 * cbar[..., ~off]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # flat-metric logits (shared by MLR and FC)
 #
@@ -277,7 +255,7 @@ def mlr_forward(x, params, solver=None):
     px, pcache = geo.prototype_forward(params.metric, x, solver)
     v, lcache = _flat_logits(px, params.z, params.gamma, params.metric, n)
     lcache["gamma"] = params.gamma
-    return v, {"kind": "flat", "x": x, "pcache": pcache, "lcache": lcache, "solver": solver}
+    return v, {"kind": "flat", "pcache": pcache, "lcache": lcache}
 
 
 def mlr_vjp(params, cache, grad_v):
@@ -285,7 +263,7 @@ def mlr_vjp(params, cache, grad_v):
     if cache["kind"] == "phcm":
         return _phcm_mlr_vjp(params, cache, grad_v)
     gz, ggamma, gpx = _flat_logits_vjp(cache["lcache"], params.metric, params.n, grad_v)
-    gx = geo.prototype_vjp(params.metric, cache["x"], cache["pcache"], gpx)
+    gx = geo.prototype_vjp(params.metric, cache["pcache"], gpx)
     return {"z": gz, "gamma": ggamma}, gx
 
 
@@ -353,8 +331,8 @@ def fc_forward(x, params, solver=None):
     big_v = np.einsum("bks,sij->bkij", vmat, basis)
     y, icache = geo.inverse_forward(params.metric, big_v, solver)
     return y, {
-        "kind": "flat", "x": x, "pcache": pcache, "lcache": lcache,
-        "big_v": big_v, "icache": icache, "basis": basis, "solver": solver,
+        "kind": "flat", "pcache": pcache, "lcache": lcache,
+        "big_v": big_v, "icache": icache, "basis": basis,
     }
 
 
@@ -363,10 +341,10 @@ def fc_vjp(params, cache, grad_y):
         return _phcm_fc_vjp(params, cache, grad_y)
     b = grad_y.shape[0]
     k, slots = params.z.shape[0], params.z.shape[1]
-    gv_mat = geo.inverse_vjp(params.metric, cache["big_v"], cache["icache"], grad_y)
+    gv_mat = geo.inverse_vjp(params.metric, cache["icache"], grad_y)
     gv = np.einsum("bkij,sij->bks", gv_mat, cache["basis"]).reshape(b, k * slots)
     gz, ggamma, gpx = _flat_logits_vjp(cache["lcache"], params.metric, params.n, gv)
-    gx = geo.prototype_vjp(params.metric, cache["x"], cache["pcache"], gpx)
+    gx = geo.prototype_vjp(params.metric, cache["pcache"], gpx)
     grads = {"z": gz.reshape(params.z.shape), "gamma": ggamma.reshape(params.gamma.shape)}
     return grads, gx
 
@@ -497,11 +475,7 @@ def tangent_relu_forward(x, metric, solver=None):
     mask = coords > 0.0
     rect = geo.prototype_from_coords(metric, coords * mask, n)
     y, icache = geo.inverse_forward(metric, rect, solver)
-    cache = {
-        "metric": metric, "x": x, "pcache": pcache, "mask": mask,
-        "rect": rect, "icache": icache, "solver": solver,
-    }
-    return y, cache
+    return y, {"metric": metric, "pcache": pcache, "mask": mask, "icache": icache}
 
 
 def tangent_relu_vjp(cache, grad_y):
@@ -517,12 +491,11 @@ def tangent_relu_vjp(cache, grad_y):
         gparts_in = hyp.beta_concat_vjp(cache["parts"], gpt)
         gx = hyp.cor_to_ppb_vjp(cache["factors"], gparts_in)
         return gx.reshape(grad_y.shape)
-    n = cache["x"].shape[-1]
-    grect = geo.inverse_vjp(metric, cache["rect"], cache["icache"], grad_y)
-    basis = metric_basis(metric, n)
-    gcoords = np.einsum("...ij,kij->...k", grect, basis) * cache["mask"]
-    gpx = coords_read_adjoint(metric, gcoords, n)
-    return geo.prototype_vjp(metric, cache["x"], cache["pcache"], gpx)
+    n = grad_y.shape[-1]
+    grect = geo.inverse_vjp(metric, cache["icache"], grad_y)
+    gcoords = np.einsum("...ij,kij->...k", grect, metric_basis(metric, n)) * cache["mask"]
+    gpx = geo.prototype_coords_adjoint(metric, gcoords, n)
+    return geo.prototype_vjp(metric, cache["pcache"], gpx)
 
 
 # ---------------------------------------------------------------------------

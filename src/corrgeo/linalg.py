@@ -147,6 +147,21 @@ def loewner(lam, f, df):
     return np.where(near, df(0.5 * (li + lj)), quot)
 
 
+def from_eig(lam, u):
+    """U diag(lam) U^T (stacked)."""
+    return (u * lam[..., None, :]) @ transpose(u)
+
+
+def daleckii_krein(u, lw, v):
+    """U (LW o U^T V U) U^T: the differential of a matrix function at U diag(lam) U^T.
+
+    ``lw`` is the Loewner matrix of the function over lam; the map is
+    self-adjoint in v.
+    """
+    ut = transpose(u)
+    return u @ (lw * (ut @ v @ u)) @ ut
+
+
 def sym_fun(kind, s, p=None):
     """Matrix function U f(lam) U^T of a symmetric matrix (stack)."""
     f, _, needs_pd = _fun_pair(kind, p)
@@ -154,7 +169,7 @@ def sym_fun(kind, s, p=None):
     lam, u = np.linalg.eigh(s)
     if needs_pd:
         _check_pd_eigs(lam, f"sym_fun({kind})")
-    return (u * f(lam)[..., None, :]) @ transpose(u)
+    return from_eig(f(lam), u)
 
 
 def sym_fun_diff(kind, s, v, p=None):
@@ -168,8 +183,7 @@ def sym_fun_diff(kind, s, v, p=None):
     lam, u = np.linalg.eigh(s)
     if needs_pd:
         _check_pd_eigs(lam, f"sym_fun_diff({kind})")
-    lw = loewner(lam, f, df)
-    return u @ (lw * (transpose(u) @ v @ u)) @ transpose(u)
+    return daleckii_krein(u, loewner(lam, f, df), v)
 
 
 def sym_exp(s):

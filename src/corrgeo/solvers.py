@@ -61,7 +61,7 @@ def dplus_batch(h, tol=DPLUS_TOL, max_iter=DPLUS_MAX_ITER):
     """
     hb = _as_batch(h)
     d, iters, res, lam, u = kernels.dplus_solve(hb, tol, max_iter)
-    if (res > tol).any():
+    if not (res <= tol).all():
         worst = int(np.argmax(res))
         raise NoConvergence(int(iters[worst]), float(res[worst]), "dplus")
     shape = np.asarray(h).shape[:-2] + (hb.shape[-1],)
@@ -77,12 +77,13 @@ def dplus(h, tol=DPLUS_TOL, max_iter=DPLUS_MAX_ITER):
 def off_exp_batch(h, tol=DPLUS_TOL, max_iter=DPLUS_MAX_ITER):
     """exp(diag(d) + h) for the solved shift d: hollow symmetric -> correlation."""
     _, _, _, lam, u = dplus_batch(h, tol, max_iter)
-    return (u * np.exp(lam)[..., None, :]) @ la.transpose(u)
+    return la.from_eig(np.exp(lam), u)
 
 
 def dstar_batch(c, mode="full", tol=DSTAR_TOL, max_iter=DSTAR_MAX_ITER):
-    """Batched positive-diagonal solve. Returns (x, iterations, residuals)."""
+    """Batched positive-diagonal solve: (x, iterations, residuals, newton1 alpha or None)."""
     cb = _as_batch(c)
+    alpha = None
     if mode == "full":
         x, iters, res, failed = kernels.dstar_full(cb, tol, max_iter)
         if failed.any():
@@ -92,26 +93,27 @@ def dstar_batch(c, mode="full", tol=DSTAR_TOL, max_iter=DSTAR_MAX_ITER):
             worst = int(np.argmax(res / scale))
             raise NoConvergence(int(iters[worst]), float(res[worst]), "dstar")
     elif mode == "newton1":
-        x, failed = kernels.dstar_newton1(cb)
+        x, alpha, failed = kernels.dstar_newton1(cb)
         if failed.any():
             raise DampingFailure("no damped step length reduced the residual")
         iters = np.ones(len(x), dtype=np.int64)
         res = np.abs(np.einsum("bij,bj->bi", cb, x) - 1.0 / x).max(axis=1)
+        alpha = alpha.reshape(np.shape(c)[:-2])
     else:
         raise ValueError(f"unknown dstar mode {mode!r}")
     shape = np.asarray(c).shape[:-2] + (cb.shape[-1],)
-    return x.reshape(shape), iters, res
+    return x.reshape(shape), iters, res, alpha
 
 
 def dstar(c, mode="full", tol=DSTAR_TOL, max_iter=DSTAR_MAX_ITER):
     """Solve for the row-sum-normalizing diagonal of a single correlation matrix."""
-    x, iters, res = dstar_batch(np.asarray(c, dtype=np.float64)[None], mode, tol, max_iter)
+    x, iters, res, _ = dstar_batch(np.asarray(c, dtype=np.float64)[None], mode, tol, max_iter)
     return DstarResult(x=x[0], iterations=int(iters[0]), residual=float(res[0]))
 
 
 def scaled_spd_batch(c, mode="full", tol=DSTAR_TOL, max_iter=DSTAR_MAX_ITER):
     """diag(x) C diag(x) with the solved x; unit row sums in full mode."""
-    x, _, _ = dstar_batch(c, mode, tol, max_iter)
+    x = dstar_batch(c, mode, tol, max_iter)[0]
     return np.asarray(c, dtype=np.float64) * x[..., :, None] * x[..., None, :], x
 
 
@@ -138,7 +140,7 @@ def dplus_backward_batch(h, grad_y, eig=None, tol=DPLUS_TOL, max_iter=DPLUS_MAX_
         raise SingularH0("eigenbasis coupling matrix condition exceeds 1e12")
     g = la.diagvec(grad_y)
     w = np.linalg.solve(h0, g[..., None])[..., 0]
-    corr = u @ (lw * (la.transpose(u) @ la.diag_from_vec(w) @ u)) @ la.transpose(u)
+    corr = la.daleckii_krein(u, lw, la.diag_from_vec(w))
     return la.offmat(np.asarray(grad_y) - corr)
 
 
@@ -154,7 +156,7 @@ def dstar_backward_batch(c, grad_sigma, x=None, tol=DSTAR_TOL, max_iter=DSTAR_MA
     """
     c = np.asarray(c, dtype=np.float64)
     if x is None:
-        x, _, _ = dstar_batch(c, "full", tol, max_iter)
+        x = dstar_batch(c, "full", tol, max_iter)[0]
     sigma = c * x[..., :, None] * x[..., None, :]
     g = np.asarray(grad_sigma, dtype=np.float64)
     vtil = la.diagvec(sigma @ g + g @ sigma)
@@ -172,11 +174,12 @@ def dstar_backward(c, grad_sigma, x=None, tol=DSTAR_TOL, max_iter=DSTAR_MAX_ITER
     return dstar_backward_batch(c[None], np.asarray(grad_sigma)[None], xb, tol, max_iter)[0]
 
 
-def dstar_newton1_backward_batch(c, grad_sigma, x):
+def dstar_newton1_backward_batch(c, grad_sigma, x, alpha):
     """Adjoint of c -> diag(x) c diag(x) through one damped Newton step.
 
     Differentiates the step itself (solve included), with the damping factor
-    treated as the constant chosen in the forward pass.
+    alpha treated as the constant the forward pass chose (``dstar_batch``
+    returns it).
     """
     c = np.asarray(c, dtype=np.float64)
     g = np.asarray(grad_sigma, dtype=np.float64)
@@ -187,17 +190,9 @@ def dstar_newton1_backward_batch(c, grad_sigma, x):
     eye = np.broadcast_to(np.eye(n), c.shape)
     a = c + eye
     u = np.linalg.solve(a, r[..., None])[..., 0]
-    step = -u
-    # recover the damping factor used in the forward pass (alpha in (0, 1])
-    denom = np.where(np.abs(step) > 0, step, 1.0)
-    alpha = np.where(
-        np.abs(step).max(axis=-1, keepdims=True) > 0,
-        ((x - 1.0) / denom).max(axis=-1, keepdims=True),
-        1.0,
-    )
     cbar = x[..., :, None] * g * x[..., None, :]
     xbar = 2.0 * np.einsum("...ij,...j->...i", g * c, x)
-    stepbar = alpha * xbar
+    stepbar = np.asarray(alpha)[..., None] * xbar
     ubar = -stepbar
     rbar = np.linalg.solve(a, ubar[..., None])[..., 0]
     cbar = cbar - rbar[..., :, None] * u[..., None, :]

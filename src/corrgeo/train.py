@@ -61,9 +61,18 @@ def make_optimizer(cfg, params):
     return Adam(params, cfg.lr, cfg.weight_decay)
 
 
+def _check_labels(labels, classes):
+    labels = np.asarray(labels)
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+        raise ConfigError(
+            f"labels span {labels.min()}..{labels.max()}, outside 0..{classes - 1}"
+        )
+
+
 def evaluate(net, samples, labels, batch_size=64):
     """Accuracy and per-class confusion counts over a dataset."""
     classes = net.mlr.classes
+    _check_labels(labels, classes)
     confusion = np.zeros((classes, classes), dtype=np.int64)
     correct = 0
     for start in range(0, len(samples), batch_size):
@@ -85,6 +94,7 @@ def train(cfg, data_dir, out_dir, log=print):
             f"data shape {samples.shape} does not match config "
             f"({cfg.channels} channels, n={cfg.n_in})"
         )
+    _check_labels(labels, cfg.classes)
     net = build_from_config(cfg)
     params = {k: v.copy() for k, v in net.param_dict().items()}
     opt = make_optimizer(cfg, params)

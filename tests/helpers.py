@@ -104,9 +104,9 @@ def damped_update_ref(c, x, f, step):
         trial = x + alpha * step
         if np.all(trial > 0.0):
             if np.abs(_dstar_residual(c, trial)).max() < fnorm:
-                return trial, True
+                return trial, True, alpha
         alpha *= 0.5
-    return x, False
+    return x, False, 0.0
 
 
 def _polish_ref(c, x, f, fnorm):
@@ -139,7 +139,7 @@ def dstar_full_ref(c, tol, max_iter):
                 break
             jac = c[k] + np.diag(1.0 / xk**2)
             step = np.linalg.solve(jac, -f)
-            xk, ok = damped_update_ref(c[k], xk, f, step)
+            xk, ok, _ = damped_update_ref(c[k], xk, f, step)
             if not ok:
                 failed[k] = res[k] > tol * max(1.0, np.abs(xk).max())
                 break
@@ -149,10 +149,11 @@ def dstar_full_ref(c, tol, max_iter):
 
 
 def dstar_newton1_ref(c):
-    """One damped Newton step from x = 1, one sample at a time: (x, failed)."""
+    """One damped Newton step from x = 1, one sample at a time: (x, alpha, failed)."""
     c = np.asarray(c, dtype=np.float64)
     b, n = c.shape[0], c.shape[1]
     x = np.ones((b, n))
+    alpha = np.ones(b)
     failed = np.zeros(b, dtype=bool)
     for k in range(b):
         f = c[k] @ x[k] - 1.0
@@ -160,9 +161,9 @@ def dstar_newton1_ref(c):
             continue
         jac = c[k] + np.eye(n)
         step = np.linalg.solve(jac, -f)
-        x[k], ok = damped_update_ref(c[k], x[k], f, step)
+        x[k], ok, alpha[k] = damped_update_ref(c[k], x[k], f, step)
         failed[k] = not ok
-    return x, failed
+    return x, alpha, failed
 
 
 def h0_build_ref(u, lw):

@@ -72,6 +72,9 @@ class TestConfig:
     @pytest.mark.parametrize("line", [
         "conv_metric = nope", "lr = -1", "optimizer = rmsprop",
         "unknown_key = 1", "epochs = -1", "dstar_mode = newton2",
+        "lr = nan", "lr = inf", "power = nan", "power = inf", "weight_decay = -0.1",
+        "dplus_tol = 0", "dplus_tol = -1", "dplus_tol = inf", "dstar_tol = 0",
+        "dstar_tol = nan", "dplus_max_iter = 0", "n_in = 1", "m_hidden = 1",
     ])
     def test_rejects_bad_values(self, line):
         with pytest.raises(ConfigError):
@@ -198,6 +201,21 @@ class TestTrainEval:
         rc = cli.main(["train", "--config", str(cfg_path), "--data", str(tmp_path / "data"),
                        "--out", str(tmp_path / "ckpt")])
         assert rc == 3
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_label_out_of_range_is_config_error(self, tmp_path, bad):
+        cfg, cfg_path = write_tiny_setup(tmp_path)
+        samples, labels = datamod.load_dataset(tmp_path / "data")
+        labels[3] = bad
+        datamod.save_dataset(tmp_path / "bad", samples, labels)
+        rc = cli.main(["train", "--config", str(cfg_path), "--data",
+                       str(tmp_path / "bad"), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        rc = cli.main(["train", "--config", str(cfg_path), "--data",
+                       str(tmp_path / "data"), "--out", str(tmp_path / "ckpt")])
+        assert rc == 0
+        rc = cli.main(["eval", "--ckpt", str(tmp_path / "ckpt"), "--data", str(tmp_path / "bad")])
+        assert rc == 1
 
     def test_shape_mismatch_is_config_error(self, tmp_path):
         cfg, cfg_path = write_tiny_setup(tmp_path)

@@ -4,6 +4,7 @@ import pytest
 from corrgeo import domain as dom
 from corrgeo import geometry as geo
 from corrgeo import linalg as la
+from corrgeo import solvers as sv
 from corrgeo.errors import UnsupportedMetric
 
 from helpers import central_fd_dir, rel_err
@@ -18,6 +19,14 @@ def rand_cor(n, seed, spread=1.0):
 def rand_tangent(n, seed, scale=0.5):
     rng = np.random.default_rng(seed)
     return dom.random_hollow(n, rng, scale)
+
+
+def push(metric, c, v):
+    return geo.pushforward(metric, geo.prototype_forward(metric, c)[1], v)
+
+
+def push_inv(metric, c, w):
+    return geo.pushforward_inv(metric, geo.prototype_forward(metric, c)[1], w)
 
 
 class TestPrototypeMaps:
@@ -75,31 +84,31 @@ class TestPrototypeMaps:
 class TestPushforward:
     def test_olm_identity_base(self):
         v = rand_tangent(4, 0)
-        assert rel_err(geo.pushforward("olm", np.eye(4), v), v) < 1e-12
+        assert rel_err(push("olm", np.eye(4), v), v) < 1e-12
 
     def test_lsm_identity_base(self):
         v = rand_tangent(4, 1)
         expect = v - np.diag(v.sum(axis=1))
-        assert rel_err(geo.pushforward("lsm", np.eye(4), v), expect) < 1e-9
+        assert rel_err(push("lsm", np.eye(4), v), expect) < 1e-9
 
     @pytest.mark.parametrize("metric", ["ecm", "lecm"])
     def test_lower_identity_base(self, metric):
         v = rand_tangent(4, 2)
-        assert rel_err(geo.pushforward(metric, np.eye(4), v), np.tril(v, -1)) < 1e-12
+        assert rel_err(push(metric, np.eye(4), v), np.tril(v, -1)) < 1e-12
 
     @pytest.mark.parametrize("metric", LE)
     def test_matches_finite_differences(self, metric):
         c = rand_cor(5, 4)
         v = rand_tangent(5, 5, scale=0.3)
         fd = central_fd_dir(lambda m: geo.to_prototype(metric, m), c, v)
-        assert rel_err(geo.pushforward(metric, c, v), fd) < 1e-5
+        assert rel_err(push(metric, c, v), fd) < 1e-5
 
     @pytest.mark.parametrize("metric", LE)
     def test_linear(self, metric):
         c = rand_cor(4, 6)
         v, w = rand_tangent(4, 7), rand_tangent(4, 8)
-        lhs = geo.pushforward(metric, c, 2.0 * v - 0.25 * w)
-        rhs = 2.0 * geo.pushforward(metric, c, v) - 0.25 * geo.pushforward(metric, c, w)
+        lhs = push(metric, c, 2.0 * v - 0.25 * w)
+        rhs = 2.0 * push(metric, c, v) - 0.25 * push(metric, c, w)
         assert rel_err(lhs, rhs) < 1e-10
 
     @pytest.mark.parametrize("metric", LE)
@@ -107,9 +116,9 @@ class TestPushforward:
     def test_roundtrip_inverse(self, metric, n):
         c = rand_cor(n, 9)
         v = rand_tangent(n, 10)
-        w = geo.pushforward(metric, c, v)
-        assert rel_err(geo.pushforward_inv(metric, c, w), v) < 1e-8
-        assert np.abs(geo.pushforward_inv(metric, c, np.zeros((n, n)))).max() < 1e-14
+        w = push(metric, c, v)
+        assert rel_err(push_inv(metric, c, w), v) < 1e-8
+        assert np.abs(push_inv(metric, c, np.zeros((n, n)))).max() < 1e-14
 
     def test_lsm_newton1_recentered_to_rowzero(self):
         # the single-step mode loses exact zero row sums; the projection
@@ -122,8 +131,8 @@ class TestPushforward:
     def test_lsm_identity_right_inverse(self):
         rng = np.random.default_rng(11)
         w = dom.rowzero_from_coords(rng.standard_normal(dom.lt0_dim(5)), 5)
-        v = geo.pushforward_inv("lsm", np.eye(5), w)
-        assert rel_err(geo.pushforward("lsm", np.eye(5), v), w) < 1e-9
+        v = push_inv("lsm", np.eye(5), w)
+        assert rel_err(push("lsm", np.eye(5), v), w) < 1e-9
 
 
 class TestVjps:
@@ -134,8 +143,8 @@ class TestVjps:
         rng = np.random.default_rng(14)
         g = rng.standard_normal((5, 5))
         x, cache = geo.prototype_forward(metric, c)
-        lhs = np.sum(geo.pushforward(metric, c, v) * g)
-        gbar = geo.prototype_vjp(metric, c, cache, g)
+        lhs = np.sum(geo.pushforward(metric, cache, v) * g)
+        gbar = geo.prototype_vjp(metric, cache, g)
         rhs = np.sum(gbar * v)
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
@@ -156,9 +165,64 @@ class TestVjps:
         c, cache = geo.inverse_forward(metric, x)
         fd = central_fd_dir(lambda z: geo.from_prototype(metric, z), x, dx)
         lhs = np.sum(fd * g)
-        gx = geo.inverse_vjp(metric, x, cache, g)
+        gx = geo.inverse_vjp(metric, cache, g)
         rhs = np.sum(gx * dx)
         assert abs(lhs - rhs) < 1e-5 * max(1.0, abs(rhs))
+
+    def test_lsm_newton1_vjp_with_tiny_step_component(self):
+        # the newton1 step's first component is ~1e-16, so a step length
+        # read back as max((x - 1) / step) overshoots the true alpha = 1
+        t = -0.20282642044691368
+        c = np.array([[1.0, 0.3, t], [0.3, 1.0, 0.4], [t, 0.4, 1.0]])
+        solver = {"dstar_mode": "newton1"}
+        rng = np.random.default_rng(0)
+        _, cache = geo.prototype_forward("lsm", c, solver)
+        for _ in range(3):
+            v = dom.random_hollow(3, rng)
+            g = rng.standard_normal((3, 3))
+            fd = central_fd_dir(lambda m: geo.to_prototype("lsm", m, solver), c, v)
+            lhs = np.sum(fd * g)
+            rhs = np.sum(geo.prototype_vjp("lsm", cache, g) * v)
+            assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))
+
+
+class TestFactorizationCounts:
+    """Each Riemannian operator factors each base point once."""
+
+    @staticmethod
+    def count(monkeypatch, op):
+        tally = {"chol": 0, "dstar": 0, "eigh": 0, "dplus_evals": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                # a dplus solve runs one eigh per evaluation
+                tally[key] += int(np.sum(out[1])) if key == "dplus_evals" else 1
+                return out
+            return wrapped
+
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+            mp.setattr(np.linalg, "cholesky", counting("chol", np.linalg.cholesky))
+            mp.setattr(sv, "dstar_batch", counting("dstar", sv.dstar_batch))
+            mp.setattr(sv, "dplus_batch", counting("dplus_evals", sv.dplus_batch))
+            op()
+        return tally["chol"], tally["dstar"], tally["eigh"] - tally["dplus_evals"]
+
+    @pytest.mark.parametrize("metric, op, expect", [
+        ("lsm", "log", (0, 2, 2)), ("lsm", "exp", (0, 1, 2)),
+        ("olm", "log", (0, 0, 2)), ("olm", "exp", (0, 0, 1)),
+        ("ecm", "log", (2, 0, 0)), ("ecm", "exp", (1, 0, 0)),
+        ("lecm", "log", (2, 0, 0)), ("lecm", "exp", (1, 0, 0)),
+    ])
+    def test_riem_log_exp(self, monkeypatch, metric, op, expect):
+        """(cholesky, dstar, eigh outside dplus) calls for one pair."""
+        c, c2, v = rand_cor(6, 90), rand_cor(6, 91), rand_tangent(6, 92, 0.2)
+        if op == "log":
+            got = self.count(monkeypatch, lambda: geo.riem_log(metric, c, c2))
+        else:
+            got = self.count(monkeypatch, lambda: geo.riem_exp(metric, c, v))
+        assert got == expect
 
 
 class TestRiemannianOps:

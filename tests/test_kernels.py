@@ -5,6 +5,7 @@ import pytest
 
 from corrgeo import kernels
 from corrgeo import domain as dom
+from corrgeo import geometry as geo
 from corrgeo import linalg as la
 from corrgeo import solvers as sv
 from corrgeo.errors import NoConvergence
@@ -112,6 +113,20 @@ class TestDplusSolve:
         with pytest.raises(NoConvergence):
             sv.dplus_batch(h, max_iter=2)
 
+    def test_overflow_stops_sample(self):
+        # exp(H) overflows at d = 0 (entries around 1000), so the first point
+        # gives no finite step; the other samples are unaffected
+        big = hollow_batch(1, 4, 0, 1000.0)
+        h = np.concatenate([hollow_batch(2, 4, 97, 0.5), big])
+        got = kernels.dplus_solve(h, 1e-12, 100)
+        assert got[1][2] == 1 and not got[2][2] <= 1e-12
+        for g, w in zip(got, kernels.dplus_solve(h[:2], 1e-12, 100)):
+            assert np.array_equal(g[:2], w)
+        with pytest.raises(NoConvergence):
+            sv.dplus_batch(big)
+        with pytest.raises(NoConvergence):
+            geo.from_prototype("olm", big[0])
+
     def test_batch_independent(self):
         h = np.concatenate([np.zeros((1, 6, 6)), hollow_batch(3, 6, 95, 0.5),
                             hollow_batch(3, 6, 96, 5.0)])
@@ -177,6 +192,7 @@ class TestDampedUpdate:
         want = [damped_update_ref(c, x, f, s) for s in steps]
         assert np.array_equal(got[0], np.stack([w[0] for w in want]))
         assert np.array_equal(got[1], np.array([w[1] for w in want]))
+        assert np.array_equal(got[2], np.array([w[2] for w in want]))
         assert got[1][:15].all() and not got[1][-3:].any()
 
 
@@ -184,7 +200,7 @@ class TestDstarNewton1:
     def test_mixed_batch(self):
         c = np.concatenate([np.eye(6)[None], cor_batch(6, 6, 200), near_singular_batch(3, 6, 5)])
         got = kernels.dstar_newton1(c)
-        assert not got[1].any()
+        assert not got[2].any()
         assert_same(got, dstar_newton1_ref(c))
 
     def test_single_sample(self):

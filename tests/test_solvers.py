@@ -150,7 +150,7 @@ class TestDstar:
     def test_unique_fixed_point_from_perturbed_starts(self):
         # same zero reached when the iteration starts away from 1
         c = dom.random_correlation(5, 1.0, rng=7)
-        x_ref, _, _ = sv.dstar_batch(c[None], "full")
+        x_ref = sv.dstar_batch(c[None], "full")[0]
 
         def newton_from(x0):
             x = x0.copy()
@@ -227,8 +227,8 @@ class TestDstarBackward:
             sigma, _ = sv.scaled_spd_batch(cn[None], "newton1")
             return np.sum(sigma[0] * g)
 
-        x, _, _ = sv.dstar_batch(c[None], "newton1")
-        got = sv.dstar_newton1_backward_batch(c[None], g[None], x)[0]
+        x, _, _, alpha = sv.dstar_batch(c[None], "newton1")
+        got = sv.dstar_newton1_backward_batch(c[None], g[None], x, alpha)[0]
         fd = fd_grad_sym(loss, c)
         np.fill_diagonal(fd, 0.0)
         offdiag = sym_adjoint_as_fd(got)
