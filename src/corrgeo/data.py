@@ -14,7 +14,7 @@ import numpy as np
 from . import domain as dom
 from . import geometry as geo
 from . import io
-from .errors import InfeasibleSeparation
+from .errors import CorrGeoError, InfeasibleSeparation, IoError
 
 ANCHOR_ATTEMPTS = 1000
 # log-spectrum of a random anchor grows like sqrt(n); keep it bounded so
@@ -85,7 +85,13 @@ def save_dataset(out_dir, samples, labels):
 
 
 def load_dataset(data_dir):
+    """Read (samples, labels); a sample that is not a correlation matrix is an IoError
+    naming its index (sample, channel)."""
     data = Path(data_dir)
     samples = io.read_tensor(data / "samples.cort")
     labels = io.read_labels(data / "labels.corl")
+    try:
+        dom.validate_correlation(samples)
+    except CorrGeoError as e:
+        raise IoError(f"{data / 'samples.cort'}: {e}") from e
     return samples, labels

@@ -16,7 +16,7 @@ checkpoint layout rely on this ordering.
 import numpy as np
 
 from . import linalg as la
-from .errors import NonPositiveDiagonal, NotPositiveDefinite, NotSymmetric
+from .errors import NonFiniteInput, NonPositiveDiagonal, NotPositiveDefinite, NotSymmetric
 
 EPS_PD = la.EPS_PD
 VALIDATE_TOL = 1e-10
@@ -30,21 +30,32 @@ SQRT6 = np.sqrt(6.0)
 # validation
 # ---------------------------------------------------------------------------
 
+def _raise_first(err, bad, what, value=None):
+    """Raise ``err`` for the first flagged matrix of a stack of check results;
+    ``what`` formats that matrix's ``value``."""
+    if np.any(bad):
+        at = np.unravel_index(np.argmax(bad), np.shape(bad))
+        where = f"matrix {tuple(int(i) for i in at)}: " if at else ""
+        raise err(where + what.format(None if value is None else value[at]))
+
+
 def validate_correlation(c, tol=VALIDATE_TOL, eps_pd=EPS_PD):
-    """Check symmetry, unit diagonal, and positive definiteness; raise if violated.
+    """Check finiteness, symmetry, unit diagonal and positive definiteness of
+    a matrix or a stack of them; raise if violated, naming the first bad
+    matrix of a stack.
 
     Inputs violating the contract are rejected, never projected.
     """
     c = np.asarray(c, dtype=np.float64)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+    if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
         raise NotSymmetric(f"expected a square matrix, got shape {c.shape}")
-    la.check_symmetric(c, tol, "correlation")
-    diag_gap = np.abs(la.diagvec(c) - 1.0).max()
-    if diag_gap > tol:
-        raise NonPositiveDiagonal(f"diagonal off unity by {diag_gap:.3e}")
-    lam_min = np.linalg.eigvalsh(c).min()
-    if lam_min <= eps_pd:
-        raise NotPositiveDefinite(f"min eigenvalue {lam_min:.3e} <= {eps_pd:.0e}")
+    _raise_first(NonFiniteInput, ~np.isfinite(c).all(axis=(-2, -1)), "non-finite entries")
+    gap = np.abs(c - la.transpose(c)).max(axis=(-2, -1), initial=0.0)
+    _raise_first(NotSymmetric, gap > tol, f"asymmetric by {{:.3e}} (tol {tol:.0e})", gap)
+    diag_gap = np.abs(la.diagvec(c) - 1.0).max(axis=-1, initial=0.0)
+    _raise_first(NonPositiveDiagonal, diag_gap > tol, "diagonal off unity by {:.3e}", diag_gap)
+    lam_min = np.linalg.eigvalsh(c).min(axis=-1, initial=np.inf)
+    _raise_first(NotPositiveDefinite, lam_min <= eps_pd, f"min eigenvalue {{:.3e}} <= {eps_pd:.0e}", lam_min)
     return c
 
 
@@ -52,7 +63,7 @@ def is_valid_correlation(c, tol=VALIDATE_TOL, eps_pd=EPS_PD):
     try:
         validate_correlation(c, tol, eps_pd)
         return True
-    except (NotSymmetric, NonPositiveDiagonal, NotPositiveDefinite):
+    except (NonFiniteInput, NotSymmetric, NonPositiveDiagonal, NotPositiveDefinite):
         return False
 
 

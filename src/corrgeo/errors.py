@@ -5,6 +5,10 @@ class CorrGeoError(Exception):
     """Base class for all library-specific errors."""
 
 
+class NonFiniteInput(CorrGeoError):
+    """Input has NaN or infinite entries."""
+
+
 class NotSymmetric(CorrGeoError):
     """Input matrix is not symmetric within tolerance."""
 

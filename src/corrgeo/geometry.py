@@ -18,8 +18,9 @@ ends on (olm), or (lam, U) of X and expm(X) (lsm).  The differentials
 (``push``, ``push_inv``) and adjoints (``vjp``, ``inverse_vjp``) take the
 cache, never the point, so no base point is factored twice; ``coords``,
 ``from_coords`` and ``coords_adjoint`` vectorize the prototype space.  The
-lsm differentials are those of the full-mode scaling, so the Riemannian
-operators solve lsm in full mode whatever ``dstar_mode`` they are given.
+lsm differentials are those of the full-mode scaling and reject a newton1
+cache, so the Riemannian operators solve lsm in full mode whatever
+``dstar_mode`` they are given.
 
 The fifth metric (phcm) is the pullback of a product of hyperbolic
 hemispheres through the Cholesky rows; only its distance and the layer
@@ -217,8 +218,14 @@ class ScaledLogChart:
         gsigma = dom.cor_of_backward(cache["sigma"], g)
         return la.daleckii_krein(cache["u"], la.loewner(cache["lam"], np.exp, np.exp), gsigma)
 
+    @staticmethod
+    def _full_mode(cache):
+        if cache["alpha"] is not None:
+            raise UnsupportedMetric("the lsm differentials need a full-mode dstar cache, not newton1")
+        return cache["s"], cache["sigma"]
+
     def push(self, cache, v):
-        s, sigma = cache["s"], cache["sigma"]
+        s, sigma = self._full_mode(cache)
         dvd = s[..., :, None] * v * s[..., None, :]
         eye = np.broadcast_to(np.eye(sigma.shape[-1]), sigma.shape)
         w = np.linalg.solve(eye + sigma, dvd.sum(axis=-1)[..., None])[..., 0]
@@ -228,7 +235,7 @@ class ScaledLogChart:
 
     def push_inv(self, cache, w):
         # (log lam, U) is the eigendecomposition of the prototype point R
-        s, sigma = cache["s"], cache["sigma"]
+        s, sigma = self._full_mode(cache)
         e = la.daleckii_krein(cache["u"], la.loewner(np.log(cache["lam"]), np.exp, np.exp), w)
         dvec = la.diagvec(e)
         sinv2 = 1.0 / (s * s)

@@ -24,7 +24,7 @@ from . import domain as dom
 from . import geometry as geo
 from . import hyperbolic as hyp
 from . import linalg as la
-from .errors import ShapeMismatch
+from .errors import NonFiniteInput, ShapeMismatch
 
 DEFAULT_LAYER_SOLVER = {"dstar_mode": "newton1"}
 
@@ -583,6 +583,8 @@ def build_network(conv_metric, mlr_metric, n_in, channels, field_size, stride,
 def network_forward(net, x, tape=None):
     """Logits for a (B, C, n, n) batch; records pullbacks on the tape."""
     x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise NonFiniteInput("network input has NaN or infinite entries")
     if net.power != 1.0:
         x = dom.cor_of(power_activation(x, net.power))
     y, conv_cache = conv_forward(x, net.conv, net.solver)

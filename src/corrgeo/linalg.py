@@ -7,20 +7,16 @@ symmetric, so a finite difference along E_ij + E_ji (i != j) equals 2 G_ij.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     BadDiagonal,
-    NoConvergence,
     NotPositiveDefinite,
-    NotSymmetric,
     SingularFactor,
 )
 
 EPS_PD = 1e-12
-SYM_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -65,11 +61,6 @@ def half_lower(m):
     return np.tril(m, -1) + 0.5 * dmat(m)
 
 
-def sum_all(m):
-    """Sum of all entries."""
-    return np.asarray(m).sum(axis=(-2, -1))
-
-
 def sym(m):
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
@@ -78,34 +69,9 @@ def transpose(m):
     return np.swapaxes(m, -1, -2)
 
 
-def check_symmetric(s, tol=SYM_TOL, what="matrix"):
-    gap = np.abs(s - transpose(s)).max()
-    if gap > tol:
-        raise NotSymmetric(f"{what} asymmetric by {gap:.3e} (tol {tol:.0e})")
-
-
 # ---------------------------------------------------------------------------
 # eigendecomposition and matrix functions
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SymEig:
-    """Eigendecomposition S = U diag(lam) U^T with ascending eigenvalues."""
-
-    u: np.ndarray
-    lam: np.ndarray
-
-
-def sym_eig(s):
-    """Eigendecomposition of a symmetric matrix (stack), eigenvalues ascending."""
-    s = np.asarray(s, dtype=np.float64)
-    check_symmetric(s)
-    try:
-        lam, u = np.linalg.eigh(s)
-    except np.linalg.LinAlgError as e:
-        raise NoConvergence(-1, np.nan, "eigendecomposition") from e
-    return SymEig(u=u, lam=lam)
-
 
 _FUNS = {
     "exp": (np.exp, np.exp, False),
@@ -199,7 +165,7 @@ def sym_pow(s, p):
 
 
 # ---------------------------------------------------------------------------
-# Cholesky with differential and reverse-mode rule
+# Cholesky with its reverse-mode rule
 # ---------------------------------------------------------------------------
 
 def chol(p):
@@ -214,20 +180,6 @@ def chol(p):
 def inner_solve_spd(l, v):
     """Congruence l^-1 @ v @ l^-T for a triangular factor l (stacked)."""
     return np.linalg.solve(l, transpose(np.linalg.solve(l, v)))
-
-
-def chol_diff(p, v):
-    """Directional derivative of the Cholesky factor at p along symmetric v."""
-    return chol_diff_at(chol(p), v)
-
-
-def chol_diff_at(l, v):
-    return l @ half_lower(inner_solve_spd(l, v))
-
-
-def chol_diff_inv(l, z):
-    """Inverse of the Cholesky differential: recovers v from z = chol_*(v)."""
-    return l @ transpose(z) + z @ transpose(l)
 
 
 def chol_backward(l, grad_l):
@@ -250,17 +202,22 @@ def chol_backward(l, grad_l):
 # nilpotent triangular log/exp (finite series, Paterson-Stockmeyer order)
 # ---------------------------------------------------------------------------
 
-def _nilpotent_poly(nmat, coeffs):
-    """Evaluate sum_j coeffs[j] * nmat^j for nilpotent nmat (stacked).
+def _nilpotent_poly(nmat, coeffs, xi=None):
+    """Evaluate p(N) = sum_j coeffs[j] * N^j for nilpotent N (stacked), and
+    with ``xi`` its directional derivative Dp(N)[xi]; returns (p(N), Dp or None).
 
     Paterson-Stockmeyer order: ~2 sqrt(d) matrix products, with the inner
-    block combinations fused into one tensor contraction.
+    block combinations fused into one tensor contraction.  The derivative
+    runs the product rule through the same scheme (Al-Mohy & Higham 2009):
+    D(N^i) = D(N^(i-1)) N + N^(i-1) xi, the power tables are contracted with
+    the same coefficients, and the block Horner step P <- P N^s + B_b has
+    derivative D <- D N^s + P D(N^s) + D(B_b).
     """
     d = len(coeffs) - 1
     n = nmat.shape[-1]
     eye = np.broadcast_to(np.eye(n), nmat.shape)
     if d <= 0:
-        return coeffs[0] * np.array(eye)
+        return coeffs[0] * np.array(eye), None if xi is None else np.zeros_like(xi)
     s = max(1, math.isqrt(d) + (0 if math.isqrt(d) ** 2 == d else 1))
     powers = [np.array(eye), np.asarray(nmat)]
     for _ in range(2, s + 1):
@@ -269,12 +226,20 @@ def _nilpotent_poly(nmat, coeffs):
     cmat = np.zeros((nblocks, s))
     for j, c in enumerate(coeffs):
         cmat[j // s, j % s] = c
-    stack = np.stack(powers[:s])
-    blocks = np.tensordot(cmat, stack, axes=(1, 0))
-    out = blocks[-1]
+    blocks = np.tensordot(cmat, np.stack(powers[:s]), axes=(1, 0))
+    out, dout = blocks[-1], None
+    if xi is not None:
+        xi = np.broadcast_to(xi, np.broadcast_shapes(nmat.shape, np.shape(xi)))
+        dpowers = [np.zeros(xi.shape), xi]
+        for i in range(2, s + 1):
+            dpowers.append(dpowers[-1] @ nmat + powers[i - 1] @ xi)
+        dblocks = np.tensordot(cmat, np.stack(dpowers[:s]), axes=(1, 0))
+        dout = dblocks[-1]
     for b in range(nblocks - 2, -1, -1):
+        if xi is not None:
+            dout = dout @ powers[s] + out @ dpowers[s] + dblocks[b]
         out = out @ powers[s] + blocks[b]
-    return out
+    return out, dout
 
 
 def _log_coeffs(d):
@@ -302,53 +267,47 @@ def tri_log(k):
     """Logarithm of a unit-diagonal lower-triangular matrix (exact finite series)."""
     k = _check_unit_lower(k)
     n = k.shape[-1]
-    nmat = k - np.eye(n)
-    return _nilpotent_poly(nmat, _log_coeffs(n - 1))
+    return _nilpotent_poly(k - np.eye(n), _log_coeffs(n - 1))[0]
 
 
 def tri_exp(x):
     """Exponential of a strictly lower-triangular matrix (exact finite series)."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[-1]
-    return _nilpotent_poly(x, _exp_coeffs(n - 1))
+    return _nilpotent_poly(x, _exp_coeffs(n - 1))[0]
 
 
-def _block_fun_diff(nbase, xi, coeffs):
-    """Top-right block of the series applied to [[N, xi], [0, N]]."""
-    n = nbase.shape[-1]
-    shape = nbase.shape[:-2] + (2 * n, 2 * n)
-    big = np.zeros(shape, dtype=np.float64)
-    big[..., :n, :n] = nbase
-    big[..., n:, n:] = nbase
-    big[..., :n, n:] = xi
-    return _nilpotent_poly(big, coeffs)[..., :n, n:]
-
+# The series have degree n - 1: for strictly lower N and xi every term of
+# degree >= n is zero.  The adjoints run the same derivative at N^T, where the
+# degree-(n-1) series is exact only on the strictly lower part -- the part
+# their consumers read (the chart's vjp cancels the diagonal and ignores the
+# upper part, and its inverse_vjp keeps the strictly lower part).
 
 def tri_log_diff(k, xi):
-    """Directional derivative of tri_log at k along xi."""
+    """Directional derivative of tri_log at k along strictly lower xi."""
     k = np.asarray(k, dtype=np.float64)
     n = k.shape[-1]
-    nmat = k - np.eye(n)
-    return _block_fun_diff(nmat, xi, _log_coeffs(2 * n - 1))
+    return _nilpotent_poly(k - np.eye(n), _log_coeffs(n - 1), xi)[1]
 
 
 def tri_exp_diff(x, xi):
-    """Directional derivative of tri_exp at x along xi."""
+    """Directional derivative of tri_exp at x along strictly lower xi."""
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[-1]
-    return _block_fun_diff(x, xi, _exp_coeffs(2 * n - 1))
+    return _nilpotent_poly(x, _exp_coeffs(x.shape[-1] - 1), xi)[1]
 
 
 def tri_log_diff_adjoint(k, zbar):
-    """Adjoint of xi -> tri_log_diff(k, xi) under the Frobenius pairing."""
+    """Adjoint of xi -> tri_log_diff(k, xi) under the Frobenius pairing,
+    exact on the strictly lower part."""
     k = np.asarray(k, dtype=np.float64)
     n = k.shape[-1]
-    nmat = transpose(k - np.eye(n))
-    return _block_fun_diff(nmat, zbar, _log_coeffs(2 * n - 1))
+    nt = np.ascontiguousarray(transpose(k - np.eye(n)))
+    return _nilpotent_poly(nt, _log_coeffs(n - 1), zbar)[1]
 
 
 def tri_exp_diff_adjoint(x, zbar):
-    """Adjoint of xi -> tri_exp_diff(x, xi) under the Frobenius pairing."""
+    """Adjoint of xi -> tri_exp_diff(x, xi) under the Frobenius pairing,
+    exact on the strictly lower part."""
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[-1]
-    return _block_fun_diff(transpose(x), zbar, _exp_coeffs(2 * n - 1))
+    nt = np.ascontiguousarray(transpose(x))
+    return _nilpotent_poly(nt, _exp_coeffs(x.shape[-1] - 1), zbar)[1]

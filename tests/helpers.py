@@ -1,9 +1,13 @@
-"""Shared oracles: central finite differences, random test inputs and
-per-sample reference loops for the batched solver kernels."""
+"""Shared oracles: central finite differences, random test inputs,
+linear-algebra routines without a caller in the library and per-sample
+reference loops for the batched solver kernels."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from corrgeo import linalg as la
+from corrgeo.errors import NoConvergence, NotSymmetric
 
 
 def rel_err(a, b):
@@ -84,6 +88,75 @@ def random_spd(n, rng, cond=10.0):
 def random_unit_lower(n, rng, scale=0.5):
     k = np.eye(n) + scale * np.tril(rng.standard_normal((n, n)), -1)
     return k
+
+
+# ---------------------------------------------------------------------------
+# linear-algebra oracles
+# ---------------------------------------------------------------------------
+
+def sum_all(m):
+    """Sum of all entries."""
+    return np.asarray(m).sum(axis=(-2, -1))
+
+
+@dataclass
+class SymEig:
+    """Eigendecomposition S = U diag(lam) U^T with ascending eigenvalues."""
+
+    u: np.ndarray
+    lam: np.ndarray
+
+
+def sym_eig(s):
+    """Eigendecomposition of a symmetric matrix (stack), eigenvalues ascending."""
+    s = np.asarray(s, dtype=np.float64)
+    gap = np.abs(s - la.transpose(s)).max()
+    if gap > 1e-10:
+        raise NotSymmetric(f"matrix asymmetric by {gap:.3e}")
+    try:
+        lam, u = np.linalg.eigh(s)
+    except np.linalg.LinAlgError as e:
+        raise NoConvergence(-1, np.nan, "eigendecomposition") from e
+    return SymEig(u=u, lam=lam)
+
+
+def chol_diff(p, v):
+    """Directional derivative of the Cholesky factor at p along symmetric v."""
+    return chol_diff_at(la.chol(p), v)
+
+
+def chol_diff_at(l, v):
+    return l @ la.half_lower(la.inner_solve_spd(l, v))
+
+
+def chol_diff_inv(l, z):
+    """Inverse of the Cholesky differential: recovers v from z = chol_*(v)."""
+    return l @ la.transpose(z) + z @ la.transpose(l)
+
+
+def tri_diff_block(name, a, xi):
+    """linalg's triangular derivative ``name`` by the block embedding
+    (Higham, Functions of Matrices, 2008, sec. 3.2): the top-right block of
+    the degree-(2n-1) series at [[N, xi], [0, N]], summed by plain Horner.
+
+    N is a - I for the log, a for the exp, and its transpose for the
+    adjoints, which are then exact everywhere, not only strictly below the
+    diagonal.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[-1]
+    nbase = a - np.eye(n) if name.startswith("tri_log") else a
+    if name.endswith("adjoint"):
+        nbase = la.transpose(nbase)
+    coeffs = (la._log_coeffs if name.startswith("tri_log") else la._exp_coeffs)(2 * n - 1)
+    big = np.zeros(np.broadcast_shapes(nbase.shape, np.shape(xi))[:-2] + (2 * n, 2 * n))
+    big[..., :n, :n] = nbase
+    big[..., n:, n:] = nbase
+    big[..., :n, n:] = xi
+    out = coeffs[-1] * np.eye(2 * n)
+    for c in coeffs[-2::-1]:
+        out = out @ big + c * np.eye(2 * n)
+    return out[..., :n, n:]
 
 
 # ---------------------------------------------------------------------------

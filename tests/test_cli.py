@@ -217,6 +217,23 @@ class TestTrainEval:
         rc = cli.main(["eval", "--ckpt", str(tmp_path / "ckpt"), "--data", str(tmp_path / "bad")])
         assert rc == 1
 
+    def test_invalid_sample_is_io_error(self, tmp_path, capsys):
+        cfg, cfg_path = write_tiny_setup(tmp_path)
+        samples, labels = datamod.load_dataset(tmp_path / "data")
+        samples[5, 1, 2, 0] = samples[5, 1, 0, 2] = np.nan
+        datamod.save_dataset(tmp_path / "bad", samples, labels)
+        with pytest.raises(IoError, match=r"matrix \(5, 1\): non-finite"):
+            datamod.load_dataset(tmp_path / "bad")
+        rc = cli.main(["train", "--config", str(cfg_path), "--data",
+                       str(tmp_path / "bad"), "--out", str(tmp_path / "x")])
+        assert rc == 3
+        rc = cli.main(["train", "--config", str(cfg_path), "--data",
+                       str(tmp_path / "data"), "--out", str(tmp_path / "ckpt")])
+        assert rc == 0
+        rc = cli.main(["eval", "--ckpt", str(tmp_path / "ckpt"), "--data", str(tmp_path / "bad")])
+        assert rc == 3
+        assert "matrix (5, 1)" in capsys.readouterr().err
+
     def test_shape_mismatch_is_config_error(self, tmp_path):
         cfg, cfg_path = write_tiny_setup(tmp_path)
         samples, labels = datamod.generate(2, 4, 5, 2, 0.2, 1.5, seed=6)

@@ -3,7 +3,7 @@ import pytest
 
 from corrgeo import domain as dom
 from corrgeo import linalg as la
-from corrgeo.errors import NonPositiveDiagonal, NotPositiveDefinite
+from corrgeo.errors import NonFiniteInput, NonPositiveDiagonal, NotPositiveDefinite, NotSymmetric
 
 from helpers import fd_grad_sym, random_spd, rel_err, sym_adjoint_as_fd
 
@@ -68,6 +68,30 @@ class TestValidation:
         bad[0, 1] = bad[1, 0] = 1.0 + 1e-13
         with pytest.raises(NotPositiveDefinite):
             dom.validate_correlation(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # nan > tol is false, so a symmetry check alone lets NaN through
+        c = np.eye(3)
+        c[1, 0] = c[0, 1] = bad
+        with pytest.raises(NonFiniteInput):
+            dom.validate_correlation(c)
+        assert not dom.is_valid_correlation(c)
+
+    def test_stack_names_first_bad_matrix(self):
+        stack = np.stack([dom.random_correlation(4, 0.5, rng=s) for s in range(6)]).reshape(3, 2, 4, 4)
+        assert dom.validate_correlation(stack) is not None
+        cases = [  # matrix, entry, value, error; all ones is singular
+            ((2, 1), (0, 3), np.nan, NonFiniteInput),
+            ((1, 0), (0, 3), 0.9, NotSymmetric),
+            ((0, 1), (2, 2), 1.5, NonPositiveDiagonal),
+            ((2, 0), slice(None), 1.0, NotPositiveDefinite),
+        ]
+        for at, entry, value, err in cases:
+            bad = stack.copy()
+            bad[at][entry] = value
+            with pytest.raises(err, match=rf"matrix \({at[0]}, {at[1]}\)"):
+                dom.validate_correlation(bad)
 
 
 class TestTheta:

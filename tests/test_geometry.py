@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrgeo import domain as dom
 from corrgeo import geometry as geo
@@ -128,6 +130,16 @@ class TestPushforward:
         assert np.abs(x.sum(axis=-1)).max() < 1e-13
         assert np.abs(x - x.T).max() < 1e-12
 
+    def test_lsm_differentials_reject_newton1_cache(self):
+        # they are the differentials of the full-mode scaling; at a newton1
+        # point they would be those of neither map
+        c = rand_cor(6, 4)
+        cache = geo.prototype_forward("lsm", c, {"dstar_mode": "newton1"})[1]
+        with pytest.raises(UnsupportedMetric):
+            geo.pushforward("lsm", cache, rand_tangent(6, 5))
+        with pytest.raises(UnsupportedMetric):
+            geo.pushforward_inv("lsm", cache, np.zeros((6, 6)))
+
     def test_lsm_identity_right_inverse(self):
         rng = np.random.default_rng(11)
         w = dom.rowzero_from_coords(rng.standard_normal(dom.lt0_dim(5)), 5)
@@ -184,6 +196,48 @@ class TestVjps:
             lhs = np.sum(fd * g)
             rhs = np.sum(geo.prototype_vjp("lsm", cache, g) * v)
             assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))
+
+
+class TestTriangularAdjoints:
+    """Dot-product tests for the ecm/lecm charts: <push(v), g> = <v, vjp(g)>
+    and <push_inv(w), G> = <w, inverse_vjp(G)>, alongside the finite-difference
+    gates above."""
+
+    cases = settings(derandomize=True, deadline=None, database=None, max_examples=25)
+    inputs = given(
+        n=st.integers(2, 30),
+        spread=st.sampled_from([0.5, 1.0, 2.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+
+    @pytest.mark.parametrize("metric", ["ecm", "lecm"])
+    @cases
+    @inputs
+    def test_push_vjp(self, metric, n, spread, seed):
+        rng = np.random.default_rng(seed)
+        c = rand_cor(n, rng, spread / np.sqrt(n))
+        v = dom.random_hollow(n, rng)
+        g = rng.standard_normal((n, n))
+        cache = geo.prototype_forward(metric, c)[1]
+        jv = geo.pushforward(metric, cache, v)
+        jtg = geo.prototype_vjp(metric, cache, g)
+        scale = np.linalg.norm(jv) * np.linalg.norm(g) + np.linalg.norm(v) * np.linalg.norm(jtg)
+        assert abs(np.sum(jv * g) - np.sum(v * jtg)) < 1e-12 * scale
+
+    @pytest.mark.parametrize("metric", ["ecm", "lecm"])
+    @cases
+    @inputs
+    def test_push_inv_inverse_vjp(self, metric, n, spread, seed):
+        rng = np.random.default_rng(seed)
+        c = rand_cor(n, rng, spread / np.sqrt(n))
+        w = np.tril(rng.standard_normal((n, n)), -1)
+        big_g = la.sym(rng.standard_normal((n, n)))
+        x, cache = geo.prototype_forward(metric, c)
+        icache = geo.inverse_forward(metric, x)[1]
+        jw = geo.pushforward_inv(metric, cache, w)
+        jtg = geo.inverse_vjp(metric, icache, big_g)
+        scale = np.linalg.norm(jw) * np.linalg.norm(big_g) + np.linalg.norm(w) * np.linalg.norm(jtg)
+        assert abs(np.sum(jw * big_g) - np.sum(w * jtg)) < 1e-12 * scale
 
 
 class TestFactorizationCounts:

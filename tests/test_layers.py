@@ -4,6 +4,7 @@ import pytest
 from corrgeo import domain as dom
 from corrgeo import geometry as geo
 from corrgeo import layers as ly
+from corrgeo.errors import NonFiniteInput
 
 from helpers import rel_err
 
@@ -307,6 +308,15 @@ class TestNetworkGradients:
         x = batch_of_correlations(2, 2, 4, 30)
         logits = ly.network_forward(net, x)
         assert np.abs(logits).max() < 1e-10
+
+    @pytest.mark.parametrize("metric", METRICS5)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, metric, bad):
+        net = tiny_network(metric, metric, seed=33)
+        x = batch_of_correlations(2, 2, 4, 34)
+        x[1, 0, 2, 1] = x[1, 0, 1, 2] = bad
+        with pytest.raises(NonFiniteInput):
+            ly.network_forward(net, x)
 
     def test_power_preprocessing(self):
         net = tiny_network("ecm", "ecm", seed=31)

@@ -6,12 +6,17 @@ from corrgeo.errors import BadDiagonal, NotPositiveDefinite, NotSymmetric
 
 from helpers import (
     central_fd_dir,
+    chol_diff,
+    chol_diff_inv,
     fd_grad_sym,
     random_spd,
     random_sym,
     random_unit_lower,
     rel_err,
+    sum_all,
     sym_adjoint_as_fd,
+    sym_eig,
+    tri_diff_block,
 )
 
 
@@ -31,29 +36,29 @@ class TestHelpers:
         m = rng.standard_normal((4, 4))
         assert np.array_equal(la.dmat(m) + la.offmat(m), m)
         assert np.array_equal(la.diagvec(la.diag_from_vec(m[0])), m[0])
-        assert la.sum_all(m) == m.sum()
+        assert sum_all(m) == m.sum()
 
 
 class TestSymEig:
     def test_identity(self):
-        e = la.sym_eig(np.eye(3))
+        e = sym_eig(np.eye(3))
         assert np.allclose(e.lam, 1.0)
         assert np.allclose(e.u @ e.u.T, np.eye(3), atol=1e-12)
 
     def test_diagonal(self):
-        e = la.sym_eig(np.diag([3.0, 1.0]))
+        e = sym_eig(np.diag([3.0, 1.0]))
         assert np.allclose(e.lam, [1.0, 3.0])
 
     def test_reconstruct(self):
         rng = np.random.default_rng(1)
         s = random_sym(5, rng)
-        e = la.sym_eig(s)
+        e = sym_eig(s)
         assert rel_err((e.u * e.lam) @ e.u.T, s) < 1e-9
         assert np.abs(e.u.T @ e.u - np.eye(5)).max() < 1e-10
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
-            la.sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestSymFun:
@@ -168,29 +173,29 @@ class TestCholDiff:
     def test_at_identity(self):
         rng = np.random.default_rng(13)
         v = random_sym(4, rng)
-        assert rel_err(la.chol_diff(np.eye(4), v), la.half_lower(v)) < 1e-13
+        assert rel_err(chol_diff(np.eye(4), v), la.half_lower(v)) < 1e-13
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(14)
         p = random_spd(5, rng)
         v = random_sym(5, rng)
         fd = central_fd_dir(la.chol, p, v)
-        assert rel_err(la.chol_diff(p, v), fd) < 1e-5
+        assert rel_err(chol_diff(p, v), fd) < 1e-5
 
     def test_roundtrip_inverse(self):
         rng = np.random.default_rng(15)
         p = random_spd(5, rng)
         v = random_sym(5, rng)
         l = la.chol(p)
-        z = la.chol_diff(p, v)
-        assert rel_err(la.chol_diff_inv(l, z), v) < 1e-9
+        z = chol_diff(p, v)
+        assert rel_err(chol_diff_inv(l, z), v) < 1e-9
 
     def test_linearity(self):
         rng = np.random.default_rng(16)
         p = random_spd(4, rng)
         v, w = random_sym(4, rng), random_sym(4, rng)
-        lhs = la.chol_diff(p, 1.5 * v - 0.5 * w)
-        rhs = 1.5 * la.chol_diff(p, v) - 0.5 * la.chol_diff(p, w)
+        lhs = chol_diff(p, 1.5 * v - 0.5 * w)
+        rhs = 1.5 * chol_diff(p, v) - 0.5 * chol_diff(p, w)
         assert rel_err(lhs, rhs) < 1e-10
 
 
@@ -294,3 +299,37 @@ class TestTriSeries:
         lhs = np.sum(la.tri_exp_diff(x, xi) * z)
         rhs = np.sum(xi * la.tri_exp_diff_adjoint(x, z))
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
+
+    @pytest.mark.parametrize("name", [
+        "tri_log_diff", "tri_exp_diff", "tri_log_diff_adjoint", "tri_exp_diff_adjoint",
+    ])
+    def test_diff_matches_block_formula(self, name):
+        # degree n - 1 is exact for strictly lower directions; the adjoints
+        # are exact on the strictly lower part, the part their callers read
+        rng = np.random.default_rng(23)
+        adjoint = name.endswith("adjoint")
+        for n in list(range(2, 13)) + [20, 30]:
+            for scale in (0.3, 1.0, 3.0):
+                for batch in ((), (3,)):
+                    base = scale * np.tril(rng.standard_normal(batch + (n, n)), -1)
+                    if name.startswith("tri_log"):
+                        base = base + np.eye(n)
+                    xi = rng.standard_normal(batch + (n, n))
+                    if not adjoint:
+                        xi = np.tril(xi, -1)
+                    got = getattr(la, name)(base, xi)
+                    want = tri_diff_block(name, base, xi)
+                    if adjoint:
+                        got, want = la.strict_lower(got), la.strict_lower(want)
+                    assert rel_err(got, want) < 1e-13, (n, scale, batch)
+
+    @pytest.mark.parametrize("n", [2, 5, 30])
+    def test_value_unchanged_by_derivative(self, n):
+        rng = np.random.default_rng(24)
+        x = np.tril(rng.standard_normal((4, n, n)), -1)
+        xi = np.tril(rng.standard_normal((4, n, n)), -1)
+        coeffs = la._log_coeffs(n - 1)
+        alone, none = la._nilpotent_poly(x, coeffs)
+        with_diff, _ = la._nilpotent_poly(x, coeffs, xi)
+        assert none is None
+        assert np.array_equal(alone, with_diff)
