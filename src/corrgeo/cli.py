@@ -20,6 +20,7 @@ from .errors import (
     InfeasibleSeparation,
     IoError,
     NoConvergence,
+    NonFiniteLoss,
 )
 from .geometry import METRICS
 
@@ -164,7 +165,7 @@ def main(argv=None):
     except (ConfigError, InfeasibleSeparation) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (NoConvergence, DampingFailure) as e:
+    except (NoConvergence, DampingFailure, NonFiniteLoss) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
     except IoError as e:

@@ -1,7 +1,7 @@
 """Domain types for the correlation manifold and its flat prototype spaces.
 
 A correlation matrix is symmetric positive definite with unit diagonal.  The
-prototype spaces are carried by plain arrays with structural validators:
+prototype spaces are carried by plain arrays:
 
 * hollow symmetric  -- symmetric, zero diagonal (tangent space at I)
 * row-zero symmetric -- symmetric, zero row sums
@@ -10,7 +10,9 @@ prototype spaces are carried by plain arrays with structural validators:
 Vectorization contract: coordinates are row-major over (i, j) with i > j for
 strictly-lower and hollow elements, and row-major over 1 <= j <= i <= m-1 on
 the leading principal submatrix for row-zero elements.  The FC layers and
-checkpoint layout rely on this ordering.
+checkpoint layout rely on this ordering: the FC outputs are scattered into
+the prototype space by ``*_from_coords`` and their gradients gathered back by
+the adjoints ``*_from_coords_adjoint``.
 """
 
 import numpy as np
@@ -65,32 +67,6 @@ def is_valid_correlation(c, tol=VALIDATE_TOL, eps_pd=EPS_PD):
         return True
     except (NonFiniteInput, NotSymmetric, NonPositiveDiagonal, NotPositiveDefinite):
         return False
-
-
-def is_hollow(v, tol=0.0):
-    v = np.asarray(v)
-    return (
-        np.abs(v - la.transpose(v)).max() <= max(tol, 1e-12)
-        and np.abs(la.diagvec(v)).max() <= tol
-    )
-
-
-def is_rowzero(r, tol=VALIDATE_TOL):
-    r = np.asarray(r)
-    return (
-        np.abs(r - la.transpose(r)).max() <= max(tol, 1e-12)
-        and np.abs(r.sum(axis=-1)).max() <= tol
-    )
-
-
-def is_strict_lower(x):
-    return np.abs(np.triu(x)).max() == 0.0
-
-
-def has_unit_rows(l, tol=VALIDATE_TOL):
-    """Rows of a Cholesky factor of a correlation matrix have unit L2 norm."""
-    norms = np.sqrt((np.asarray(l) ** 2).sum(axis=-1))
-    return np.abs(norms - 1.0).max() <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -234,30 +210,26 @@ def rowzero_from_coords(v, m):
     return out
 
 
+def hol_from_coords_adjoint(g):
+    """Adjoint of hol_from_coords under the Frobenius pairing; g need not be symmetric."""
+    return hol_coords(la.sym(g))
+
+
+def rowzero_from_coords_adjoint(g):
+    """Adjoint of rowzero_from_coords under the Frobenius pairing; g need not
+    be symmetric.
+
+    The leading block plus the completion's row-sum terms, folded onto the
+    lower triangle and divided by the coordinate scales.
+    """
+    g = np.asarray(g, dtype=np.float64)
+    m = g.shape[-1]
+    edge = g[..., : m - 1, m - 1] + g[..., m - 1, : m - 1]
+    h = g[..., : m - 1, : m - 1] - edge[..., :, None] + g[..., m - 1, m - 1][..., None, None]
+    i, j = np.tril_indices(m - 1)
+    return (h[..., i, j] + h[..., j, i]) / np.where(i == j, 2.0 * SQRT3, SQRT6)
+
+
 def rowzero_inner(a, b):
     """Inner product under which the row-zero coordinate basis is orthonormal."""
     return np.sum(rowzero_coords(a) * rowzero_coords(b), axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# orthonormal bases backing the FC layers
-# ---------------------------------------------------------------------------
-
-def hol_basis(m):
-    """Basis of hollow symmetric matrices, (E_ij + E_ji)/sqrt(2), i > j row-major."""
-    if m < 2:
-        raise ValueError("need m >= 2")
-    d = lt0_dim(m)
-    return hol_from_coords(np.eye(d), m)
-
-
-def rowzero_basis(m):
-    """Basis of row-zero symmetric matrices dual to the row-zero coordinates.
-
-    Each element is the zero-row-sum completion of a scaled principal-submatrix
-    unit, e.g. (E_ii - E_im - E_mi + E_mm)/sqrt(3) for a diagonal slot.
-    """
-    if m < 2:
-        raise ValueError("need m >= 2")
-    d = lt0_dim(m)
-    return rowzero_from_coords(np.eye(d), m)

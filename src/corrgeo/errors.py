@@ -48,6 +48,10 @@ class DampingFailure(CorrGeoError):
     """No damped step length preserved positivity and reduced the residual."""
 
 
+class NonFiniteLoss(CorrGeoError):
+    """Training produced a NaN or infinite loss."""
+
+
 class SingularH0(CorrGeoError):
     """The eigenbasis coupling matrix of the diagonal-shift solver is numerically singular."""
 

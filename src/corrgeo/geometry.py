@@ -17,7 +17,7 @@ The inverse caches hold X with K and K K^T (ecm, lecm), the (lam, U) dplus
 ends on (olm), or (lam, U) of X and expm(X) (lsm).  The differentials
 (``push``, ``push_inv``) and adjoints (``vjp``, ``inverse_vjp``) take the
 cache, never the point, so no base point is factored twice; ``coords``,
-``from_coords`` and ``coords_adjoint`` vectorize the prototype space.  The
+``from_coords`` and their adjoints vectorize the prototype space.  The
 lsm differentials are those of the full-mode scaling and reject a newton1
 cache, so the Riemannian operators solve lsm in full mode whatever
 ``dstar_mode`` they are given.
@@ -93,6 +93,7 @@ class TriangularChart:
     coords = staticmethod(dom.lt0_coords)
     from_coords = staticmethod(dom.lt0_from_coords)
     coords_adjoint = staticmethod(dom.lt0_from_coords)
+    from_coords_adjoint = staticmethod(dom.lt0_coords)
 
     def forward(self, c, solver):
         l = la.chol(c)
@@ -140,6 +141,7 @@ class OffLogChart:
     coords = staticmethod(dom.hol_coords)
     from_coords = staticmethod(dom.hol_from_coords)
     coords_adjoint = staticmethod(dom.hol_from_coords)
+    from_coords_adjoint = staticmethod(dom.hol_from_coords_adjoint)
 
     def forward(self, c, solver):
         logc, lam, u = _log_eig(c, "off-log")
@@ -176,6 +178,7 @@ class ScaledLogChart:
 
     coords = staticmethod(dom.rowzero_coords)
     from_coords = staticmethod(dom.rowzero_from_coords)
+    from_coords_adjoint = staticmethod(dom.rowzero_from_coords_adjoint)
 
     @staticmethod
     def coords_adjoint(cbar, m):
@@ -276,6 +279,11 @@ def prototype_coords(metric, x):
 
 def prototype_from_coords(metric, v, m):
     return _chart(metric).from_coords(v, m)
+
+
+def prototype_from_coords_adjoint(metric, g):
+    """Adjoint of prototype_from_coords under the Frobenius pairing; g need not be symmetric."""
+    return _chart(metric).from_coords_adjoint(np.asarray(g, dtype=np.float64))
 
 
 def prototype_coords_adjoint(metric, cbar, m):

@@ -104,15 +104,6 @@ def init_conv(metric, n, m, in_channels, field_size, stride, kernels, rng):
     return ConvParams(fc, in_channels, field_size, stride)
 
 
-def fc_param_count(p):
-    """Trainable scalar count, asserting the slot layout."""
-    if p.metric == "phcm":
-        return p.z.size + p.gamma.size
-    slots = dom.lt0_dim(p.m)
-    assert p.z.shape == (p.kernels, slots, p.channels, dom.lt0_dim(p.n))
-    return p.z.size + p.gamma.size
-
-
 # ---------------------------------------------------------------------------
 # hollow-parameter plumbing
 # ---------------------------------------------------------------------------
@@ -133,22 +124,14 @@ def diff_at_identity(metric, zmat):
     return zmat - la.diag_from_vec(zmat.sum(axis=-1))
 
 
-def metric_basis(metric, m):
-    """Prototype-space basis matrices defining the FC output coordinates."""
-    if metric in ("ecm", "lecm"):
-        return dom.lt0_from_coords(np.eye(dom.lt0_dim(m)), m)
-    if metric == "olm":
-        return dom.hol_basis(m)
-    return dom.rowzero_basis(m)
-
-
 # ---------------------------------------------------------------------------
 # flat-metric logits (shared by MLR and FC)
 #
 # The hyperplane normals W_k = diff_at_identity(Z_k) are never materialized:
 # the pairing <phi(X), W> collapses onto the strictly-lower coordinates
 # (doubled for the symmetric prototypes) plus, for the row-zero metric, a
-# diagonal term against the Z row sums.
+# diagonal term against the Z row sums.  Every contraction, forward and
+# backward, is one matmul of (B, C*d) against (K, C*d) rows.
 # ---------------------------------------------------------------------------
 
 _LOWER_LAYOUT = {}
@@ -184,6 +167,11 @@ def _gather_row_sums(sbar, n):
     return sbar[..., lay["i"]] + sbar[..., lay["j"]]
 
 
+def _rows(a):
+    """(N, ...) -> (N, prod(...)): the matrix side of a flat contraction."""
+    return a.reshape(a.shape[0], -1)
+
+
 def _flat_logits(px, z, gamma, metric, n):
     """Logits <phi(X_c), W_kc> summed over channels, minus gamma |W_k|.
 
@@ -192,17 +180,17 @@ def _flat_logits(px, z, gamma, metric, n):
     """
     low = dom.lt0_coords(px)
     cache = {"low": low, "z": z}
-    if metric in ("ecm", "lecm"):
-        inner = np.einsum("bcd,kcd->bk", low, z)
-        nrm2 = np.einsum("kcd,kcd->k", z, z)
-    elif metric == "olm":
-        inner = 2.0 * np.einsum("bcd,kcd->bk", low, z)
-        nrm2 = 2.0 * np.einsum("kcd,kcd->k", z, z)
-    else:  # lsm: W = Z - diag(Z 1)
+    zf = _rows(z)
+    inner = _rows(low) @ zf.T
+    nrm2 = (zf * zf).sum(axis=1)
+    if metric in ("olm", "lsm"):
+        inner, nrm2 = 2.0 * inner, 2.0 * nrm2
+    if metric == "lsm":  # W = Z - diag(Z 1)
         diag = la.diagvec(px)
         s = _z_row_sums(z, n)
-        inner = 2.0 * np.einsum("bcd,kcd->bk", low, z) - np.einsum("bci,kci->bk", diag, s)
-        nrm2 = 2.0 * np.einsum("kcd,kcd->k", z, z) + np.einsum("kci,kci->k", s, s)
+        sf = _rows(s)
+        inner = inner - _rows(diag) @ sf.T
+        nrm2 = nrm2 + (sf * sf).sum(axis=1)
         cache.update({"diag": diag, "s": s})
     norms = np.sqrt(nrm2)
     cache["norms"] = norms
@@ -217,22 +205,23 @@ def _flat_logits_vjp(cache, metric, n, grad_v):
     grad_gamma = -gsum * norms
     safe = np.where(norms > 0.0, norms, 1.0)
     coef = np.where(norms > 0.0, gsum * cache["gamma"] / safe, 0.0)
-    zv = np.einsum("bk,kcd->bcd", grad_v, z)
+    zv = (grad_v @ _rows(z)).reshape(low.shape)
+    glow = (grad_v.T @ _rows(low)).reshape(z.shape)
     if metric in ("ecm", "lecm"):
-        grad_z = np.einsum("bk,bcd->kcd", grad_v, low) - coef[:, None, None] * z
+        grad_z = glow - coef[:, None, None] * z
         grad_px = dom.lt0_from_coords(zv, n)
     elif metric == "olm":
-        grad_z = 2.0 * (np.einsum("bk,bcd->kcd", grad_v, low) - coef[:, None, None] * z)
+        grad_z = 2.0 * (glow - coef[:, None, None] * z)
         grad_px = hollow_from_lower(zv, n)
     else:
         diag, s = cache["diag"], cache["s"]
-        sbar = -np.einsum("bk,bci->kci", grad_v, diag)
+        sbar = -(grad_v.T @ _rows(diag)).reshape(s.shape)
         grad_z = (
-            2.0 * np.einsum("bk,bcd->kcd", grad_v, low)
+            2.0 * glow
             + _gather_row_sums(sbar, n)
             - coef[:, None, None] * (2.0 * z + _gather_row_sums(s, n))
         )
-        dv = np.einsum("bk,kci->bci", grad_v, s)
+        dv = (grad_v @ _rows(s)).reshape(diag.shape)
         grad_px = hollow_from_lower(zv, n) - la.diag_from_vec(dv)
     return grad_z, grad_gamma, grad_px
 
@@ -326,14 +315,9 @@ def fc_forward(x, params, solver=None):
     zflat = params.z.reshape(k * slots, c, dom.lt0_dim(n))
     v, lcache = _flat_logits(px, zflat, params.gamma.reshape(-1), params.metric, n)
     lcache["gamma"] = params.gamma.reshape(-1)
-    basis = metric_basis(params.metric, params.m)
-    vmat = v.reshape(b, k, slots)
-    big_v = np.einsum("bks,sij->bkij", vmat, basis)
+    big_v = geo.prototype_from_coords(params.metric, v.reshape(b, k, slots), params.m)
     y, icache = geo.inverse_forward(params.metric, big_v, solver)
-    return y, {
-        "kind": "flat", "pcache": pcache, "lcache": lcache,
-        "big_v": big_v, "icache": icache, "basis": basis,
-    }
+    return y, {"kind": "flat", "pcache": pcache, "lcache": lcache, "big_v": big_v, "icache": icache}
 
 
 def fc_vjp(params, cache, grad_y):
@@ -342,7 +326,7 @@ def fc_vjp(params, cache, grad_y):
     b = grad_y.shape[0]
     k, slots = params.z.shape[0], params.z.shape[1]
     gv_mat = geo.inverse_vjp(params.metric, cache["icache"], grad_y)
-    gv = np.einsum("bkij,sij->bks", gv_mat, cache["basis"]).reshape(b, k * slots)
+    gv = geo.prototype_from_coords_adjoint(params.metric, gv_mat).reshape(b, k * slots)
     gz, ggamma, gpx = _flat_logits_vjp(cache["lcache"], params.metric, params.n, gv)
     gx = geo.prototype_vjp(params.metric, cache["pcache"], gpx)
     grads = {"z": gz.reshape(params.z.shape), "gamma": ggamma.reshape(params.gamma.shape)}
@@ -493,7 +477,7 @@ def tangent_relu_vjp(cache, grad_y):
         return gx.reshape(grad_y.shape)
     n = grad_y.shape[-1]
     grect = geo.inverse_vjp(metric, cache["icache"], grad_y)
-    gcoords = np.einsum("...ij,kij->...k", grect, metric_basis(metric, n)) * cache["mask"]
+    gcoords = geo.prototype_from_coords_adjoint(metric, grect) * cache["mask"]
     gpx = geo.prototype_coords_adjoint(metric, gcoords, n)
     return geo.prototype_vjp(metric, cache["pcache"], gpx)
 

@@ -9,7 +9,7 @@ from . import data as datamod
 from . import domain as dom
 from . import io
 from . import layers as ly
-from .errors import ConfigError, DampingFailure, InvalidDimension, NoConvergence
+from .errors import ConfigError, CorrGeoError, InvalidDimension, NonFiniteLoss
 
 
 def build_from_config(cfg):
@@ -69,6 +69,14 @@ def _check_labels(labels, classes):
         )
 
 
+def _located(err, where):
+    """``err`` with ``where`` prefixed to its message, keeping its class and attributes."""
+    located = type(err).__new__(type(err))
+    located.__dict__.update(err.__dict__)
+    located.args = (f"{where}: {err}",)
+    return located
+
+
 def evaluate(net, samples, labels, batch_size=64):
     """Accuracy and per-class confusion counts over a dataset."""
     classes = net.mlr.classes
@@ -78,7 +86,10 @@ def evaluate(net, samples, labels, batch_size=64):
     for start in range(0, len(samples), batch_size):
         x = samples[start : start + batch_size]
         y = labels[start : start + batch_size]
-        pred = ly.predict(ly.network_forward(net, x))
+        try:
+            pred = ly.predict(ly.network_forward(net, x))
+        except CorrGeoError as e:
+            raise _located(e, f"evaluation batch {start // batch_size}") from e
         correct += int((pred == y).sum())
         np.add.at(confusion, (y, pred), 1)
     return correct / max(len(samples), 1), confusion
@@ -114,21 +125,20 @@ def train(cfg, data_dir, out_dir, log=print):
         for start in range(0, count, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             net.load_param_dict(params)
+            where = f"epoch {epoch}, batch {start // cfg.batch_size}"
             try:
                 loss, grads, _ = ly.forward_backward(net, samples[idx], labels[idx])
-            except NoConvergence as e:
-                raise NoConvergence(
-                    e.iterations, e.residual,
-                    f"epoch {epoch}, batch {start // cfg.batch_size}",
-                ) from e
-            except DampingFailure as e:
-                raise DampingFailure(
-                    f"epoch {epoch}, batch {start // cfg.batch_size}: {e}"
-                ) from e
+            except CorrGeoError as e:
+                raise _located(e, where) from e
+            if not np.isfinite(loss):
+                raise NonFiniteLoss(f"{where}: training loss is {loss}")
             losses.append(loss)
             opt.step(params, grads)
         net.load_param_dict(params)
-        acc, _ = evaluate(net, samples, labels)
+        try:
+            acc, _ = evaluate(net, samples, labels)
+        except CorrGeoError as e:
+            raise _located(e, f"epoch {epoch}") from e
         seconds = time.perf_counter() - t0
         with open(metrics_path, "a") as fh:
             fh.write(f"{epoch},{np.mean(losses):.6f},{acc:.6f},{seconds:.3f}\n")
@@ -200,7 +210,8 @@ def bench_forward(metric, n, repeats, rng, m_out=20, classes=10):
     # keep the log-spectrum bounded as n grows so inputs stay comfortably PD
     spread = 1.0 / np.sqrt(n)
     inputs = [dom.random_correlation(n, spread, rng)[None, None] for _ in range(repeats)]
-    # warm caches (basis tables) outside the timed region
+    # one untimed pass first, so one-off costs (imports, index tables, BLAS
+    # start-up) stay outside the timed region
     y, _ = ly.fc_forward(inputs[0], fc)
     ly.mlr_forward(y, mlr)
     times = []

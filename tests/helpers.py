@@ -1,11 +1,15 @@
 """Shared oracles: central finite differences, random test inputs,
-linear-algebra routines without a caller in the library and per-sample
-reference loops for the batched solver kernels."""
+linear-algebra routines without a caller in the library, per-sample
+reference loops for the batched solver kernels, and the structural
+validators, dense prototype bases and einsum contractions the layers once
+used."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from corrgeo import domain as dom
+from corrgeo import layers as ly
 from corrgeo import linalg as la
 from corrgeo.errors import NoConvergence, NotSymmetric
 
@@ -261,3 +265,119 @@ def dplus_history(h, tol=1e-12, max_iter=100):
             break
         d -= np.log(diag)
     return d, history
+
+
+# ---------------------------------------------------------------------------
+# structural validators, dense bases and einsum forms of the layer contractions
+# ---------------------------------------------------------------------------
+
+def is_hollow(v, tol=0.0):
+    v = np.asarray(v)
+    return (
+        np.abs(v - la.transpose(v)).max() <= max(tol, 1e-12)
+        and np.abs(la.diagvec(v)).max() <= tol
+    )
+
+
+def is_rowzero(r, tol=dom.VALIDATE_TOL):
+    r = np.asarray(r)
+    return (
+        np.abs(r - la.transpose(r)).max() <= max(tol, 1e-12)
+        and np.abs(r.sum(axis=-1)).max() <= tol
+    )
+
+
+def is_strict_lower(x):
+    return np.abs(np.triu(x)).max() == 0.0
+
+
+def has_unit_rows(l, tol=dom.VALIDATE_TOL):
+    """Rows of a Cholesky factor of a correlation matrix have unit L2 norm."""
+    norms = np.sqrt((np.asarray(l) ** 2).sum(axis=-1))
+    return np.abs(norms - 1.0).max() <= tol
+
+
+def hol_basis(m):
+    """Basis of hollow symmetric matrices, (E_ij + E_ji)/sqrt(2), i > j row-major."""
+    if m < 2:
+        raise ValueError("need m >= 2")
+    return dom.hol_from_coords(np.eye(dom.lt0_dim(m)), m)
+
+
+def rowzero_basis(m):
+    """Basis of row-zero symmetric matrices dual to the row-zero coordinates.
+
+    Each element is the zero-row-sum completion of a scaled principal-submatrix
+    unit, e.g. (E_ii - E_im - E_mi + E_mm)/sqrt(3) for a diagonal slot.
+    """
+    if m < 2:
+        raise ValueError("need m >= 2")
+    return dom.rowzero_from_coords(np.eye(dom.lt0_dim(m)), m)
+
+
+def metric_basis(metric, m):
+    """Prototype-space basis matrices defining the FC output coordinates."""
+    if metric in ("ecm", "lecm"):
+        return dom.lt0_from_coords(np.eye(dom.lt0_dim(m)), m)
+    if metric == "olm":
+        return hol_basis(m)
+    return rowzero_basis(m)
+
+
+def fc_param_count(p):
+    """Trainable scalar count, asserting the slot layout."""
+    if p.metric == "phcm":
+        return p.z.size + p.gamma.size
+    slots = dom.lt0_dim(p.m)
+    assert p.z.shape == (p.kernels, slots, p.channels, dom.lt0_dim(p.n))
+    return p.z.size + p.gamma.size
+
+
+def _norms_ref(z, metric, n):
+    nrm2 = np.einsum("kcd,kcd->k", z, z)
+    if metric in ("olm", "lsm"):
+        nrm2 = 2.0 * nrm2
+    if metric == "lsm":
+        s = ly._z_row_sums(z, n)
+        nrm2 = nrm2 + np.einsum("kci,kci->k", s, s)
+    return np.sqrt(nrm2)
+
+
+def flat_logits_ref(px, z, gamma, metric, n):
+    """The flat-metric logits by einsum: (B, K) from (B, C, n, n) prototype
+    values and (K, C, dz) normals."""
+    inner = np.einsum("bcd,kcd->bk", dom.lt0_coords(px), z)
+    if metric in ("olm", "lsm"):
+        inner = 2.0 * inner
+    if metric == "lsm":
+        inner = inner - np.einsum("bci,kci->bk", la.diagvec(px), ly._z_row_sums(z, n))
+    return inner - gamma * _norms_ref(z, metric, n)
+
+
+def flat_logits_vjp_ref(px, z, gamma, metric, n, grad_v):
+    """(grad_z, grad_gamma, grad_px) of flat_logits_ref by einsum."""
+    norms = _norms_ref(z, metric, n)
+    gsum = grad_v.sum(axis=0)
+    coef = np.where(norms > 0.0, gsum * gamma / np.where(norms > 0.0, norms, 1.0), 0.0)
+    zv = np.einsum("bk,kcd->bcd", grad_v, z)
+    glow = np.einsum("bk,bcd->kcd", grad_v, dom.lt0_coords(px))
+    if metric in ("ecm", "lecm"):
+        return glow - coef[:, None, None] * z, -gsum * norms, dom.lt0_from_coords(zv, n)
+    if metric == "olm":
+        return 2.0 * (glow - coef[:, None, None] * z), -gsum * norms, ly.hollow_from_lower(zv, n)
+    diag, s = la.diagvec(px), ly._z_row_sums(z, n)
+    sbar = -np.einsum("bk,bci->kci", grad_v, diag)
+    grad_z = (2.0 * glow + ly._gather_row_sums(sbar, n)
+              - coef[:, None, None] * (2.0 * z + ly._gather_row_sums(s, n)))
+    dv = np.einsum("bk,kci->bci", grad_v, s)
+    return grad_z, -gsum * norms, ly.hollow_from_lower(zv, n) - la.diag_from_vec(dv)
+
+
+def fc_expand_ref(metric, v, m):
+    """FC logits (..., slots) expanded against the dense basis: (..., m, m)."""
+    return np.einsum("...s,sij->...ij", v, metric_basis(metric, m))
+
+
+def fc_gather_ref(metric, g):
+    """Adjoint of fc_expand_ref: (..., m, m) -> (..., slots)."""
+    return np.einsum("...ij,sij->...s", g, metric_basis(metric, g.shape[-1]))

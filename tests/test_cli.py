@@ -3,7 +3,10 @@ import pytest
 
 from corrgeo import cli, data as datamod, io
 from corrgeo.config import RunConfig, parse_config_text
-from corrgeo.errors import ConfigError, InfeasibleSeparation, IoError
+from corrgeo.errors import (
+    ConfigError, DampingFailure, InfeasibleSeparation, IoError, NoConvergence, NonFiniteLoss,
+    NotPositiveDefinite,
+)
 from corrgeo import domain as dom
 from corrgeo import train as trainmod
 
@@ -315,3 +318,85 @@ class TestHyperplaneCli:
         rc = cli.main(["hyperplane", "--metric", "ecm", "--z", str(path),
                        "--gamma", "0.0", "--grid", "3", "--out", str(tmp_path / "o.csv")])
         assert rc == 2
+
+
+class TestTrainingFailures:
+    """Typed failures inside train.train name the epoch and batch they came
+    from and keep their class; the tiny setup has 2 batches per epoch."""
+
+    @staticmethod
+    def fail_at(monkeypatch, call, outcome):
+        """Make the ``call``-th forward_backward (0-based) raise or return ``outcome``."""
+        from corrgeo import layers as ly
+
+        monkeypatch.undo()  # a second patch wraps the original, not the first patch
+        inner = ly.forward_backward
+        calls = []
+
+        def patched(net, x, labels):
+            calls.append(1)
+            if len(calls) - 1 != call:
+                return inner(net, x, labels)
+            if isinstance(outcome, Exception):
+                raise outcome
+            _, grads, logits = inner(net, x, labels)
+            return outcome, grads, logits
+
+        monkeypatch.setattr(ly, "forward_backward", patched)
+
+    @pytest.mark.parametrize("err", [
+        NotPositiveDefinite("min eigenvalue -1.000e-03 <= 1e-12"),
+        NoConvergence(15, 6.3e-05, "dstar"),
+        DampingFailure("no damped step"),
+    ])
+    def test_error_names_epoch_and_batch(self, tmp_path, monkeypatch, capsys, err):
+        cfg, cfg_path = write_tiny_setup(tmp_path)
+        self.fail_at(monkeypatch, 3, err)
+        with pytest.raises(type(err)) as info:
+            trainmod.train(cfg, tmp_path / "data", tmp_path / "a", log=lambda _: None)
+        assert type(info.value) is type(err)
+        assert str(info.value) == f"epoch 1, batch 1: {err}"
+        assert info.value.__cause__ is err
+        if isinstance(err, NoConvergence):
+            assert (info.value.iterations, info.value.residual) == (15, 6.3e-05)
+        self.fail_at(monkeypatch, 3, err)
+        rc = cli.main(["train", "--config", str(cfg_path), "--data", str(tmp_path / "data"),
+                       "--out", str(tmp_path / "b")])
+        assert rc == 2
+        assert "epoch 1, batch 1: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("loss", [np.nan, np.inf])
+    def test_non_finite_loss(self, tmp_path, monkeypatch, capsys, loss):
+        cfg, cfg_path = write_tiny_setup(tmp_path)
+        self.fail_at(monkeypatch, 2, loss)
+        with pytest.raises(NonFiniteLoss, match=r"^epoch 1, batch 0: training loss is"):
+            trainmod.train(cfg, tmp_path / "data", tmp_path / "a", log=lambda _: None)
+        self.fail_at(monkeypatch, 2, loss)
+        rc = cli.main(["train", "--config", str(cfg_path), "--data", str(tmp_path / "data"),
+                       "--out", str(tmp_path / "b")])
+        assert rc == 2
+        assert "epoch 1, batch 0: training loss is" in capsys.readouterr().err
+
+    def test_evaluate_error_names_epoch_and_batch(self, tmp_path, monkeypatch):
+        from corrgeo import layers as ly
+
+        cfg, _ = write_tiny_setup(tmp_path)
+        inner = ly.network_forward
+        evals = []
+
+        def patched(net, x, tape=None):
+            if tape is None:  # evaluate's passes; training records a tape
+                evals.append(1)
+                if len(evals) == 2:
+                    raise NotPositiveDefinite("min eigenvalue 0")
+            return inner(net, x, tape)
+
+        monkeypatch.setattr(ly, "network_forward", patched)
+        # one evaluation batch per epoch: the second pass is epoch 1's
+        with pytest.raises(NotPositiveDefinite, match=r"^epoch 1: evaluation batch 0: min eigenvalue 0$"):
+            trainmod.train(cfg, tmp_path / "data", tmp_path / "a", log=lambda _: None)
+        evals.clear()
+        net = trainmod.build_from_config(cfg)
+        samples, labels = datamod.load_dataset(tmp_path / "data")
+        with pytest.raises(NotPositiveDefinite, match=r"^evaluation batch 1: "):
+            trainmod.evaluate(net, samples, labels, batch_size=8)

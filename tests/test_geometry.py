@@ -9,7 +9,7 @@ from corrgeo import linalg as la
 from corrgeo import solvers as sv
 from corrgeo.errors import UnsupportedMetric
 
-from helpers import central_fd_dir, rel_err
+from helpers import central_fd_dir, is_hollow, is_rowzero, is_strict_lower, rel_err
 
 LE = geo.LOG_EUCLIDEAN
 
@@ -76,11 +76,11 @@ class TestPrototypeMaps:
         c = rand_cor(6, 3)
         x = geo.to_prototype(metric, c)
         if metric in ("ecm", "lecm"):
-            assert dom.is_strict_lower(x)
+            assert is_strict_lower(x)
         elif metric == "olm":
-            assert dom.is_hollow(x, tol=1e-14)
+            assert is_hollow(x, tol=1e-14)
         else:
-            assert dom.is_rowzero(x, tol=1e-8)
+            assert is_rowzero(x, tol=1e-8)
 
 
 class TestPushforward:
@@ -196,6 +196,21 @@ class TestVjps:
             lhs = np.sum(fd * g)
             rhs = np.sum(geo.prototype_vjp("lsm", cache, g) * v)
             assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))
+
+
+class TestCoordinateAdjoints:
+    """<from_coords(v), G> = <v, from_coords_adjoint(G)> with G not symmetric:
+    the gather the FC pullback uses is the exact transpose of the scatter."""
+
+    @pytest.mark.parametrize("metric", LE)
+    @pytest.mark.parametrize("m", [2, 3, 7])
+    def test_pairing(self, metric, m):
+        rng = np.random.default_rng(m)
+        v = rng.standard_normal((4, dom.lt0_dim(m)))
+        g = rng.standard_normal((4, m, m))
+        lhs = np.sum(geo.prototype_from_coords(metric, v, m) * g, axis=(-2, -1))
+        rhs = np.sum(v * geo.prototype_from_coords_adjoint(metric, g), axis=-1)
+        assert np.abs(lhs - rhs).max() < 1e-14 * np.linalg.norm(v) * np.linalg.norm(g)
 
 
 class TestTriangularAdjoints:

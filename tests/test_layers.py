@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrgeo import domain as dom
 from corrgeo import geometry as geo
 from corrgeo import layers as ly
 from corrgeo.errors import NonFiniteInput
 
-from helpers import rel_err
+from helpers import (
+    fc_expand_ref, fc_gather_ref, fc_param_count, flat_logits_ref, flat_logits_vjp_ref,
+    metric_basis, rel_err,
+)
 
 METRICS5 = ["ecm", "lecm", "olm", "lsm", "phcm"]
 FLAT = ["ecm", "lecm", "olm", "lsm"]
@@ -53,7 +58,7 @@ class TestParams:
             fc = ly.init_fc(metric, n, m, c, 1, rng)
             slots = m * (m - 1) // 2
             expect = slots * (c * n * (n - 1) // 2 + 1)
-            assert ly.fc_param_count(fc) == expect
+            assert fc_param_count(fc) == expect
 
     def test_phcm_fc_param_count(self):
         n, m, c = 5, 4, 2
@@ -116,7 +121,7 @@ class TestFc:
 
     def test_lsm_assembly_hand_case(self):
         # a single nonzero first coordinate sqrt(3) fills the row-zero completion
-        basis = ly.metric_basis("lsm", 3)
+        basis = metric_basis("lsm", 3)
         v = np.zeros(3)
         v[0] = np.sqrt(3.0)
         big = np.einsum("s,sij->ij", v, basis)
@@ -181,6 +186,168 @@ class TestFc:
             assert np.abs(back - v.reshape(back.shape)).max() < 1e-8
             checked += 1
         assert checked >= 30
+
+
+class TestFlatContractions:
+    """The matmul logits and the coordinate scatter/gather against their
+    einsum and dense-basis forms."""
+
+    @pytest.mark.parametrize("metric", FLAT)
+    @pytest.mark.parametrize("b, c, k", [(6, 3, 4), (1, 2, 1), (1, 1, 3), (5, 2, 1)])
+    def test_logits_and_vjp_match_einsum(self, metric, b, c, k):
+        n = 5
+        rng = np.random.default_rng(100 * b + 10 * c + k)
+        px = geo.to_prototype(metric, batch_of_correlations(b, c, n, 40 + k))
+        z = rng.standard_normal((k, c, dom.lt0_dim(n)))
+        z[k - 1] = 0.0  # a zero normal takes the masked norm branch
+        gamma = rng.standard_normal(k)
+        grad_v = rng.standard_normal((b, k))
+        v, cache = ly._flat_logits(px, z, gamma, metric, n)
+        cache["gamma"] = gamma
+        assert v.shape == (b, k)
+        assert rel_err(v, flat_logits_ref(px, z, gamma, metric, n)) < 1e-12
+        got = ly._flat_logits_vjp(cache, metric, n, grad_v)
+        want = flat_logits_vjp_ref(px, z, gamma, metric, n, grad_v)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert rel_err(g, w) < 1e-12
+
+    @pytest.mark.parametrize("metric", FLAT)
+    @pytest.mark.parametrize("m", [2, 3, 6])
+    def test_scatter_gather_match_dense_basis(self, metric, m):
+        rng = np.random.default_rng(m)
+        v = rng.standard_normal((3, 2, dom.lt0_dim(m)))
+        g = rng.standard_normal((3, 2, m, m))
+        assert rel_err(geo.prototype_from_coords(metric, v, m), fc_expand_ref(metric, v, m)) < 1e-12
+        assert rel_err(geo.prototype_from_coords_adjoint(metric, g), fc_gather_ref(metric, g)) < 1e-12
+
+    @pytest.mark.parametrize("metric", FLAT)
+    def test_fc_matches_dense_pipeline(self, metric):
+        n, m, c, b = 5, 4, 2, 3
+        rng = np.random.default_rng(47)
+        params = ly.init_fc(metric, n, m, c, 2, rng)
+        params.z = rng.standard_normal(params.z.shape) * ly.init_std(n)
+        params.gamma = rng.standard_normal(params.gamma.shape) * 0.1
+        x = batch_of_correlations(b, c, n, 48)
+        y, cache = ly.fc_forward(x, params)
+        grad_y = rng.standard_normal(y.shape)
+        grads, gx = ly.fc_vjp(params, cache, grad_y)
+
+        solver = ly.DEFAULT_LAYER_SOLVER
+        px, pcache = geo.prototype_forward(metric, x, solver)
+        k, slots = params.z.shape[:2]
+        z = params.z.reshape(k * slots, c, -1)
+        gamma = params.gamma.reshape(-1)
+        v = flat_logits_ref(px, z, gamma, metric, n)
+        y_ref, icache = geo.inverse_forward(metric, fc_expand_ref(metric, v.reshape(b, k, slots), m))
+        assert rel_err(y, y_ref) < 1e-12
+        gv = fc_gather_ref(metric, geo.inverse_vjp(metric, icache, grad_y)).reshape(b, -1)
+        gz, ggamma, gpx = flat_logits_vjp_ref(px, z, gamma, metric, n, gv)
+        assert rel_err(grads["z"], gz.reshape(params.z.shape)) < 1e-12
+        assert rel_err(grads["gamma"], ggamma.reshape(params.gamma.shape)) < 1e-12
+        assert rel_err(gx, geo.prototype_vjp(metric, pcache, gpx)) < 1e-12
+
+
+def dot_product_gap(f, point, direction, w, pullback, h=1e-6):
+    """|<J u, w> - <u, J^T w>| and its norm scale, with J u a central
+    difference of f at ``point`` along ``direction`` (dicts of arrays) and
+    J^T w = pullback(w) keyed like them."""
+    step = lambda sgn: {key: val + sgn * h * direction[key] for key, val in point.items()}
+    ju = (f(step(1.0)) - f(step(-1.0))) / (2.0 * h)
+    jtw = pullback(w)
+    pair = sum(np.sum(direction[key] * jtw[key]) for key in point)
+    unorm = np.sqrt(sum(np.sum(u * u) for u in direction.values()))
+    jtwnorm = np.sqrt(sum(np.sum(g * g) for g in jtw.values()))
+    scale = np.linalg.norm(ju) * np.linalg.norm(w) + unorm * jtwnorm
+    return abs(np.sum(ju * w) - pair), scale
+
+
+def hollow_batch(shape, n, rng):
+    return np.stack([dom.random_hollow(n, rng) for _ in range(int(np.prod(shape)))]).reshape(shape + (n, n))
+
+
+class TestLayerAdjoints:
+    """Dot-product tests <J u, w> = <u, J^T w> for the olm and lsm layer
+    pullbacks, jointly in the input and the parameters; J u is a central
+    difference, so the bound is the difference's accuracy, not rounding."""
+
+    cases = settings(derandomize=True, deadline=None, database=None, max_examples=20)
+    inputs = given(
+        n=st.integers(3, 6),
+        b=st.integers(1, 3),
+        c=st.integers(1, 2),
+        k=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    TOL = 1e-6
+
+    @staticmethod
+    def point(rng, b, c, n):
+        x = np.stack([dom.random_correlation(n, 1.0 / np.sqrt(n), rng) for _ in range(b * c)])
+        return x.reshape(b, c, n, n), 0.1 * hollow_batch((b, c), n, rng)
+
+    @pytest.mark.parametrize("metric", ["olm", "lsm"])
+    @cases
+    @inputs
+    def test_fc(self, metric, n, b, c, k, seed):
+        rng = np.random.default_rng(seed)
+        m = 2 + k % 3
+        params = ly.init_fc(metric, n, m, c, k, rng)
+        params.z = rng.standard_normal(params.z.shape) * ly.init_std(n)
+        params.gamma = rng.standard_normal(params.gamma.shape) * 0.1
+        x, dx = self.point(rng, b, c, n)
+
+        def f(p):
+            return ly.fc_forward(p["x"], ly.FcParams(metric, n, m, c, k, p["z"], p["gamma"]))[0]
+
+        cache = ly.fc_forward(x, params)[1]
+
+        def pullback(w):
+            grads, gx = ly.fc_vjp(params, cache, w)
+            return {**grads, "x": gx}
+
+        point = {"x": x, "z": params.z, "gamma": params.gamma}
+        direction = {"x": dx, "z": rng.standard_normal(params.z.shape), "gamma": rng.standard_normal(params.gamma.shape)}
+        gap, scale = dot_product_gap(f, point, direction, rng.standard_normal((b, k, m, m)), pullback)
+        assert gap <= self.TOL * scale
+
+    @pytest.mark.parametrize("metric", ["olm", "lsm"])
+    @cases
+    @inputs
+    def test_mlr(self, metric, n, b, c, k, seed):
+        rng = np.random.default_rng(seed)
+        params = ly.init_mlr(metric, n, c, k, rng)
+        params.z = rng.standard_normal(params.z.shape) * ly.init_std(n)
+        params.gamma = rng.standard_normal(k) * 0.1
+        x, dx = self.point(rng, b, c, n)
+
+        def f(p):
+            return ly.mlr_forward(p["x"], ly.MlrParams(metric, n, c, k, p["z"], p["gamma"]))[0]
+
+        cache = ly.mlr_forward(x, params)[1]
+
+        def pullback(w):
+            grads, gx = ly.mlr_vjp(params, cache, w)
+            return {**grads, "x": gx}
+
+        point = {"x": x, "z": params.z, "gamma": params.gamma}
+        direction = {"x": dx, "z": rng.standard_normal(params.z.shape), "gamma": rng.standard_normal(k)}
+        gap, scale = dot_product_gap(f, point, direction, rng.standard_normal((b, k)), pullback)
+        assert gap <= self.TOL * scale
+
+    @pytest.mark.parametrize("metric", ["olm", "lsm"])
+    @cases
+    @inputs
+    def test_tangent_relu(self, metric, n, b, c, k, seed):
+        rng = np.random.default_rng(seed)
+        x, dx = self.point(rng, b, c, n)
+        x, dx = x.reshape(-1, n, n), dx.reshape(-1, n, n)
+        cache = ly.tangent_relu_forward(x, metric)[1]
+        gap, scale = dot_product_gap(
+            lambda p: ly.tangent_relu_forward(p["x"], metric)[0], {"x": x}, {"x": dx},
+            rng.standard_normal(x.shape), lambda w: {"x": ly.tangent_relu_vjp(cache, w)},
+        )
+        assert gap <= self.TOL * scale
 
 
 class TestConv:
