@@ -21,6 +21,8 @@ ANCHOR_ATTEMPTS = 1000
 # anchors and their perturbations stay clear of the elliptope boundary
 MIN_EIG_FLOOR = 1e-8
 SAMPLE_RETRIES = 50
+# olm inverse solves per batch in generate; 64 keeps the dplus temporaries small
+GENERATE_CHUNK = 64
 
 
 def anchor_spread(n):
@@ -54,27 +56,56 @@ def draw_anchors(classes, channels, n, separation, rng):
     return anchors
 
 
+def _draw_channel(base, n, spread, rng):
+    """One sample channel: bumps of ``base`` until one clears MIN_EIG_FLOOR
+    (after SAMPLE_RETRIES draws the last is kept)."""
+    for _retry in range(SAMPLE_RETRIES):
+        bump = spread * dom.random_hollow(n, rng)
+        cand = geo.from_prototype("olm", base + bump)
+        if np.linalg.eigvalsh(cand).min() >= MIN_EIG_FLOOR:
+            break
+    return cand
+
+
 def generate(classes, per_class, n, channels, spread, separation, seed):
-    """Returns (samples, labels) with samples of shape (classes*per_class, channels, n, n)."""
+    """Returns (samples, labels) with samples of shape (classes*per_class, channels, n, n).
+
+    Each (sample, channel) draws its bumps from one generator, in order, until
+    one clears the eigenvalue floor.  The first bump of each is drawn ahead
+    and solved in chunks of GENERATE_CHUNK.  From the first one that fails the
+    floor (or the first chunk that raises) on, the rest are drawn one by one
+    from the generator rewound and replayed up to that draw, so retries and
+    errors are those of that loop.
+    """
     rng = np.random.default_rng(seed)
     anchors = draw_anchors(classes, channels, n, separation, rng)
-    count = classes * per_class
-    samples = np.empty((count, channels, n, n))
-    labels = np.empty(count, dtype=np.int64)
-    idx = 0
-    for cls, anchor in enumerate(anchors):
-        base = [geo.to_prototype("olm", a) for a in anchor]
-        for _ in range(per_class):
-            for ch in range(channels):
-                for _retry in range(SAMPLE_RETRIES):
-                    bump = spread * dom.random_hollow(n, rng)
-                    cand = geo.from_prototype("olm", base[ch] + bump)
-                    if np.linalg.eigvalsh(cand).min() >= MIN_EIG_FLOOR:
-                        break
-                samples[idx, ch] = cand
-            labels[idx] = cls
-            idx += 1
-    return samples, labels
+    labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
+    protos = np.array([[geo.to_prototype("olm", a) for a in anchor] for anchor in anchors])
+    # class and channel of each draw, in draw order
+    cls, ch = np.repeat(labels, channels), np.tile(np.arange(channels), len(labels))
+    state = rng.bit_generator.state
+    samples = np.empty((len(cls), n, n))
+    redo = len(cls)
+    for start in range(0, len(cls), GENERATE_CHUNK):
+        stop = min(start + GENERATE_CHUNK, len(cls))
+        bumps = np.array([spread * dom.random_hollow(n, rng) for _ in range(start, stop)])
+        try:
+            cand = geo.from_prototype("olm", protos[cls[start:stop], ch[start:stop]] + bumps)
+        except CorrGeoError:
+            redo = start
+            break
+        samples[start:stop] = cand
+        low = np.flatnonzero(np.linalg.eigvalsh(cand).min(axis=-1) < MIN_EIG_FLOOR)
+        if low.size:
+            redo = start + int(low[0])
+            break
+    if redo < len(cls):
+        rng.bit_generator.state = state
+        for _ in range(redo):  # replay the draws that stand
+            dom.random_hollow(n, rng)
+        for k in range(redo, len(cls)):
+            samples[k] = _draw_channel(protos[cls[k], ch[k]], n, spread, rng)
+    return samples.reshape(len(labels), channels, n, n), labels
 
 
 def save_dataset(out_dir, samples, labels):

@@ -105,18 +105,6 @@ def cor_of_backward(sigma, grad_c):
     return la.sym(term - term2)
 
 
-def theta(c):
-    """Cholesky factor rescaled to unit diagonal (stacked)."""
-    l = la.chol(c)
-    return l / la.diagvec(l)[..., :, None]
-
-
-def theta_inv(k):
-    """Inverse of the unit-diagonal Cholesky map: cor_of(k k^T)."""
-    k = np.asarray(k, dtype=np.float64)
-    return cor_of(k @ la.transpose(k))
-
-
 # ---------------------------------------------------------------------------
 # random sampling
 # ---------------------------------------------------------------------------
@@ -228,8 +216,3 @@ def rowzero_from_coords_adjoint(g):
     h = g[..., : m - 1, : m - 1] - edge[..., :, None] + g[..., m - 1, m - 1][..., None, None]
     i, j = np.tril_indices(m - 1)
     return (h[..., i, j] + h[..., j, i]) / np.where(i == j, 2.0 * SQRT3, SQRT6)
-
-
-def rowzero_inner(a, b):
-    """Inner product under which the row-zero coordinate basis is orthonormal."""
-    return np.sum(rowzero_coords(a) * rowzero_coords(b), axis=-1)

@@ -47,10 +47,6 @@ def project_ball(y):
     return y
 
 
-def in_ball(y):
-    return np.sum(np.asarray(y) ** 2, axis=-1) < 1.0 - BALL_GUARD
-
-
 # ---------------------------------------------------------------------------
 # hemisphere <-> ball isometries
 # ---------------------------------------------------------------------------
@@ -87,24 +83,6 @@ def pb_to_hs_vjp(y, grad_h):
     glast = g[..., -1:]
     coef = np.sum(ghead * y, axis=-1, keepdims=True) + glast
     return 2.0 * ghead / u - (4.0 / u**2) * coef * y
-
-
-def hyperboloid_dist(h1, h2):
-    """Distance between hemisphere points through the hyperboloid model."""
-    h1 = np.asarray(h1, dtype=np.float64)
-    h2 = np.asarray(h2, dtype=np.float64)
-    z1 = np.concatenate([h1[..., :-1], np.ones(h1.shape[:-1] + (1,))], axis=-1) / h1[..., -1:]
-    z2 = np.concatenate([h2[..., :-1], np.ones(h2.shape[:-1] + (1,))], axis=-1) / h2[..., -1:]
-    arg = -(np.sum(z1[..., :-1] * z2[..., :-1], axis=-1) - z1[..., -1] * z2[..., -1])
-    return np.arccosh(np.maximum(arg, 1.0))
-
-
-def poincare_dist(p, q):
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    d2 = np.sum((p - q) ** 2, axis=-1)
-    den = (1.0 - np.sum(p * p, axis=-1)) * (1.0 - np.sum(q * q, axis=-1))
-    return np.arccosh(np.maximum(1.0 + 2.0 * d2 / den, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +195,6 @@ def pb_mlr_logit_vjp(x, z, gamma, grad_v):
     gx = np.where(zero, 0.0, gx)
     ggamma = np.where(znorm == 0.0, 0.0, ggamma)
     return gx, gz, ggamma
-
-
-def pb_fc(x, zs, gammas):
-    """Hyperbolic fully connected layer: y_k from logits via w = sinh(v).
-
-    x: (..., n); zs: (m, n); gammas: (m,).  Returns (..., m) ball points; the
-    construction keeps |y| < 1 for any logits.
-    """
-    v = np.stack([pb_mlr_logit(x, zs[k], gammas[k]) for k in range(len(zs))], axis=-1)
-    return pb_fc_from_logits(v)
 
 
 def pb_fc_from_logits(v):

@@ -24,7 +24,7 @@ from . import domain as dom
 from . import geometry as geo
 from . import hyperbolic as hyp
 from . import linalg as la
-from .errors import NonFiniteInput, ShapeMismatch
+from .errors import ConfigError, NonFiniteInput, ShapeMismatch
 
 DEFAULT_LAYER_SOLVER = {"dstar_mode": "newton1"}
 
@@ -114,23 +114,13 @@ def hollow_from_lower(z, n):
     return low + la.transpose(low)
 
 
-def diff_at_identity(metric, zmat):
-    """Differential of the prototype map at I applied to a hollow matrix."""
-    if metric in ("ecm", "lecm"):
-        return la.strict_lower(zmat)
-    if metric == "olm":
-        return zmat
-    # lsm
-    return zmat - la.diag_from_vec(zmat.sum(axis=-1))
-
-
 # ---------------------------------------------------------------------------
 # flat-metric logits (shared by MLR and FC)
 #
-# The hyperplane normals W_k = diff_at_identity(Z_k) are never materialized:
-# the pairing <phi(X), W> collapses onto the strictly-lower coordinates
-# (doubled for the symmetric prototypes) plus, for the row-zero metric, a
-# diagonal term against the Z row sums.  Every contraction, forward and
+# The hyperplane normals W_k, the chart's differential at I applied to the
+# hollow Z_k, are never materialized: the pairing <phi(X), W> collapses onto
+# the strictly-lower coordinates (doubled for the symmetric prototypes) plus,
+# for the row-zero metric, a diagonal term against the Z row sums.  Every contraction, forward and
 # backward, is one matmul of (B, C*d) against (K, C*d) rows.
 # ---------------------------------------------------------------------------
 
@@ -198,21 +188,18 @@ def _flat_logits(px, z, gamma, metric, n):
     return v, cache
 
 
-def _flat_logits_vjp(cache, metric, n, grad_v):
-    """Returns (grad_z, grad_gamma, grad_px)."""
+def _flat_logits_vjp(cache, metric, n, grad_v, input_adjoint=True):
+    """Returns (grad_z, grad_gamma, grad_px); grad_px is None without the input adjoint."""
     low, z, norms = cache["low"], cache["z"], cache["norms"]
     gsum = grad_v.sum(axis=0)
     grad_gamma = -gsum * norms
     safe = np.where(norms > 0.0, norms, 1.0)
     coef = np.where(norms > 0.0, gsum * cache["gamma"] / safe, 0.0)
-    zv = (grad_v @ _rows(z)).reshape(low.shape)
     glow = (grad_v.T @ _rows(low)).reshape(z.shape)
     if metric in ("ecm", "lecm"):
         grad_z = glow - coef[:, None, None] * z
-        grad_px = dom.lt0_from_coords(zv, n)
     elif metric == "olm":
         grad_z = 2.0 * (glow - coef[:, None, None] * z)
-        grad_px = hollow_from_lower(zv, n)
     else:
         diag, s = cache["diag"], cache["s"]
         sbar = -(grad_v.T @ _rows(diag)).reshape(s.shape)
@@ -221,9 +208,111 @@ def _flat_logits_vjp(cache, metric, n, grad_v):
             + _gather_row_sums(sbar, n)
             - coef[:, None, None] * (2.0 * z + _gather_row_sums(s, n))
         )
-        dv = (grad_v @ _rows(s)).reshape(diag.shape)
-        grad_px = hollow_from_lower(zv, n) - la.diag_from_vec(dv)
+    if not input_adjoint:
+        return grad_z, grad_gamma, None
+    zv = (grad_v @ _rows(z)).reshape(low.shape)
+    if metric in ("ecm", "lecm"):
+        return grad_z, grad_gamma, dom.lt0_from_coords(zv, n)
+    grad_px = hollow_from_lower(zv, n)
+    if metric == "lsm":
+        dv = (grad_v @ _rows(cache["s"])).reshape(cache["diag"].shape)
+        grad_px = grad_px - la.diag_from_vec(dv)
     return grad_z, grad_gamma, grad_px
+
+
+# ---------------------------------------------------------------------------
+# layer inputs: the chart value
+#
+# Every layer first maps its correlation inputs through its metric's chart:
+# into the prototype space under a flat metric, to the Poincare parts of the
+# Cholesky rows under phcm.  The network's first map depends on the data
+# only, so training maps a dataset once and slices the result, and no
+# pullback forms the adjoint of the network input.
+# ---------------------------------------------------------------------------
+
+@dataclass(slots=True)
+class ChartInput:
+    """Correlation inputs after an optional matrix power and a metric's chart.
+
+    ``value`` is (B, C, n, n) prototype values under a flat metric and
+    (B, C, n(n-1)/2) under phcm: each channel's Poincare parts of dimension
+    1, ..., n-1, concatenated.  ``cache`` is the chart's cache, kept where the
+    input adjoint runs through the chart.  Indexing slices the value (samples
+    first, then channels) and drops the cache.
+    """
+
+    value: np.ndarray
+    metric: str
+    n: int
+    power: float
+    solver: dict
+    cache: object = None
+
+    def __len__(self):
+        return len(self.value)
+
+    def __getitem__(self, idx):
+        return ChartInput(self.value[idx], self.metric, self.n, self.power, self.solver)
+
+    @property
+    def channels(self):
+        return self.value.shape[1]
+
+
+def _batch(x):
+    """x as a float (B, C, n, n) stack; a (B, n, n) stack is one channel."""
+    x = np.asarray(x, dtype=np.float64)
+    return x[:, None] if x.ndim == 3 else x
+
+
+def map_input(x, metric, solver=None, power=1.0, keep_cache=False):
+    """ChartInput of a (B, C, n, n) batch: the power activation unless p = 1,
+    then the chart of ``metric``, whose cache is kept on request."""
+    solver = {**DEFAULT_LAYER_SOLVER, **(solver or {})}
+    x = _batch(x)
+    if power != 1.0:
+        x = dom.cor_of(power_activation(x, power))
+    if metric == "phcm":
+        parts, cache = hyp.cor_to_ppb(x)
+        value = np.concatenate(parts, axis=-1)
+    else:
+        value, cache = geo.prototype_forward(metric, x, solver)
+    return ChartInput(value, metric, x.shape[-1], power, solver, cache if keep_cache else None)
+
+
+def _parts(value, n):
+    """The Poincare parts of dimension 1, ..., n-1 along the last axis of ``value``."""
+    return [value[..., r * (r - 1) // 2 : r * (r + 1) // 2] for r in range(1, n)]
+
+
+def _ball_parts(inp):
+    """Channel-major list of the (B, r) Poincare parts of a phcm ChartInput."""
+    per_dim = _parts(inp.value, inp.n)
+    return [p[:, ch] for ch in range(inp.channels) for p in per_dim]
+
+
+def _layer_input(x, metric, channels, n, solver):
+    """A layer's ChartInput; a raw batch is mapped here, keeping the chart's cache."""
+    if isinstance(x, ChartInput):
+        if x.metric != metric:
+            raise ConfigError(f"input mapped under {x.metric}, layer metric {metric}")
+        got = (x.channels, x.n)
+    else:
+        x = _batch(x)
+        got = (x.shape[1], x.shape[-1])
+    if got != (channels, n):
+        raise ShapeMismatch(f"input ({got[0]} ch, {got[1]}) vs params ({channels} ch, {n})")
+    return x if isinstance(x, ChartInput) else map_input(x, metric, solver, keep_cache=True)
+
+
+def _input_adjoint(inp, grad):
+    """Adjoint of a layer's input from that of its chart value: through the
+    chart where the layer mapped the input itself, else of the value."""
+    if inp.cache is None:
+        return grad
+    if inp.metric == "phcm":
+        return hyp.cor_to_ppb_vjp(inp.cache, _parts(grad, inp.n))
+    return geo.prototype_vjp(inp.metric, inp.cache, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +320,14 @@ def _flat_logits_vjp(cache, metric, n, grad_v):
 # ---------------------------------------------------------------------------
 
 def mlr_forward(x, params, solver=None):
-    """Class logits for a batch of (B, C, n, n) correlation channels."""
+    """Class logits for a batch of (B, C, n, n) correlation channels or its ChartInput."""
     solver = {**DEFAULT_LAYER_SOLVER, **(solver or {})}
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 3:
-        x = x[:, None]
-    b, c, n, _ = x.shape
-    if (c, n) != (params.channels, params.n):
-        raise ShapeMismatch(f"input ({c} ch, {n}) vs params ({params.channels} ch, {params.n})")
+    inp = _layer_input(x, params.metric, params.channels, params.n, solver)
     if params.metric == "phcm":
-        return _phcm_mlr_forward(x, params)
-    px, pcache = geo.prototype_forward(params.metric, x, solver)
-    v, lcache = _flat_logits(px, params.z, params.gamma, params.metric, n)
+        return _phcm_mlr_forward(inp, params)
+    v, lcache = _flat_logits(inp.value, params.z, params.gamma, params.metric, params.n)
     lcache["gamma"] = params.gamma
-    return v, {"kind": "flat", "pcache": pcache, "lcache": lcache}
+    return v, {"kind": "flat", "input": inp, "lcache": lcache}
 
 
 def mlr_vjp(params, cache, grad_v):
@@ -252,47 +335,27 @@ def mlr_vjp(params, cache, grad_v):
     if cache["kind"] == "phcm":
         return _phcm_mlr_vjp(params, cache, grad_v)
     gz, ggamma, gpx = _flat_logits_vjp(cache["lcache"], params.metric, params.n, grad_v)
-    gx = geo.prototype_vjp(params.metric, cache["pcache"], gpx)
-    return {"z": gz, "gamma": ggamma}, gx
+    return {"z": gz, "gamma": ggamma}, _input_adjoint(cache["input"], gpx)
 
 
-def _channels_to_parts(x):
-    """All Poincare parts of a (B, C, n, n) stack, channel-major ordering."""
-    b, c, n, _ = x.shape
-    parts = []
-    factors = []
-    for ch in range(c):
-        p, l = hyp.cor_to_ppb(x[:, ch])
-        parts.extend(p)
-        factors.append(l)
-    return parts, factors
+def _parts_adjoint(inp, parts, grad_pt):
+    """Input adjoint of the beta-concatenated ball point of ``parts``."""
+    grad_parts = hyp.beta_concat_vjp(parts, grad_pt)
+    return _input_adjoint(inp, np.concatenate(grad_parts, axis=-1).reshape(inp.value.shape))
 
 
-def _parts_grads_to_channels(x, factors, grad_parts):
-    b, c, n, _ = x.shape
-    per = n - 1
-    gx = np.zeros_like(x)
-    for ch in range(c):
-        gx[:, ch] = hyp.cor_to_ppb_vjp(factors[ch], grad_parts[ch * per : (ch + 1) * per])
-    return gx
-
-
-def _phcm_mlr_forward(x, params):
-    parts, factors = _channels_to_parts(x)
+def _phcm_mlr_forward(inp, params):
+    parts = _ball_parts(inp)
     pt = hyp.beta_concat(parts)
     v = hyp.pb_mlr_logit(pt[:, None, :], params.z, params.gamma)
-    return v, {"kind": "phcm", "x": x, "parts": parts, "factors": factors, "pt": pt}
+    return v, {"kind": "phcm", "input": inp, "parts": parts, "pt": pt}
 
 
 def _phcm_mlr_vjp(params, cache, grad_v):
-    pt, parts, x = cache["pt"], cache["parts"], cache["x"]
+    pt = cache["pt"]
     gx_pt, gz, ggamma = hyp.pb_mlr_logit_vjp(pt[:, None, :], params.z, params.gamma, grad_v)
-    grad_pt = gx_pt.sum(axis=1)
-    grad_z = gz.sum(axis=0)
-    grad_gamma = ggamma.sum(axis=0)
-    grad_parts = hyp.beta_concat_vjp(parts, grad_pt)
-    gx = _parts_grads_to_channels(x, cache["factors"], grad_parts)
-    return {"z": grad_z, "gamma": grad_gamma}, gx
+    gx = _parts_adjoint(cache["input"], cache["parts"], gx_pt.sum(axis=1))
+    return {"z": gz.sum(axis=0), "gamma": ggamma.sum(axis=0)}, gx
 
 
 # ---------------------------------------------------------------------------
@@ -300,46 +363,40 @@ def _phcm_mlr_vjp(params, cache, grad_v):
 # ---------------------------------------------------------------------------
 
 def fc_forward(x, params, solver=None):
-    """(B, C, n, n) -> (B, kernels, m, m) correlation outputs."""
+    """(B, C, n, n) correlations or their ChartInput -> (B, kernels, m, m) correlation outputs."""
     solver = {**DEFAULT_LAYER_SOLVER, **(solver or {})}
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 3:
-        x = x[:, None]
-    b, c, n, _ = x.shape
-    if (c, n) != (params.channels, params.n):
-        raise ShapeMismatch(f"input ({c} ch, {n}) vs params ({params.channels} ch, {params.n})")
+    inp = _layer_input(x, params.metric, params.channels, params.n, solver)
     if params.metric == "phcm":
-        return _phcm_fc_forward(x, params)
-    px, pcache = geo.prototype_forward(params.metric, x, solver)
+        return _phcm_fc_forward(inp, params)
+    b, c = inp.value.shape[:2]
     k, slots = params.z.shape[0], params.z.shape[1]
-    zflat = params.z.reshape(k * slots, c, dom.lt0_dim(n))
-    v, lcache = _flat_logits(px, zflat, params.gamma.reshape(-1), params.metric, n)
+    zflat = params.z.reshape(k * slots, c, dom.lt0_dim(params.n))
+    v, lcache = _flat_logits(inp.value, zflat, params.gamma.reshape(-1), params.metric, params.n)
     lcache["gamma"] = params.gamma.reshape(-1)
     big_v = geo.prototype_from_coords(params.metric, v.reshape(b, k, slots), params.m)
     y, icache = geo.inverse_forward(params.metric, big_v, solver)
-    return y, {"kind": "flat", "pcache": pcache, "lcache": lcache, "big_v": big_v, "icache": icache}
+    return y, {"kind": "flat", "input": inp, "lcache": lcache, "big_v": big_v, "icache": icache}
 
 
-def fc_vjp(params, cache, grad_y):
+def fc_vjp(params, cache, grad_y, input_adjoint=True):
+    """Parameter gradients and the input adjoint, which is None with ``input_adjoint`` off."""
     if cache["kind"] == "phcm":
-        return _phcm_fc_vjp(params, cache, grad_y)
+        return _phcm_fc_vjp(params, cache, grad_y, input_adjoint)
     b = grad_y.shape[0]
     k, slots = params.z.shape[0], params.z.shape[1]
     gv_mat = geo.inverse_vjp(params.metric, cache["icache"], grad_y)
     gv = geo.prototype_from_coords_adjoint(params.metric, gv_mat).reshape(b, k * slots)
-    gz, ggamma, gpx = _flat_logits_vjp(cache["lcache"], params.metric, params.n, gv)
-    gx = geo.prototype_vjp(params.metric, cache["pcache"], gpx)
+    gz, ggamma, gpx = _flat_logits_vjp(cache["lcache"], params.metric, params.n, gv, input_adjoint)
     grads = {"z": gz.reshape(params.z.shape), "gamma": ggamma.reshape(params.gamma.shape)}
-    return grads, gx
+    return grads, (_input_adjoint(cache["input"], gpx) if input_adjoint else None)
 
 
 def _phcm_split_dims(m, kernels):
     return hyp.poly_dims(m) * kernels
 
 
-def _phcm_fc_forward(x, params):
-    b = x.shape[0]
-    parts, factors = _channels_to_parts(x)
+def _phcm_fc_forward(inp, params):
+    parts = _ball_parts(inp)
     pt = hyp.beta_concat(parts)
     v = hyp.pb_mlr_logit(pt[:, None, :], params.z, params.gamma)
     y_ball = hyp.pb_fc_from_logits(v)
@@ -354,12 +411,12 @@ def _phcm_fc_forward(x, params):
         factors_out.append(l)
     y = np.stack(outs, axis=1)
     return y, {
-        "kind": "phcm", "x": x, "parts": parts, "factors": factors, "pt": pt,
+        "kind": "phcm", "input": inp, "parts": parts, "pt": pt,
         "v": v, "y_ball": y_ball, "out_parts": out_parts, "factors_out": factors_out,
     }
 
 
-def _phcm_fc_vjp(params, cache, grad_y):
+def _phcm_fc_vjp(params, cache, grad_y, input_adjoint):
     per = params.m - 1
     grad_out_parts = []
     for kk in range(params.kernels):
@@ -375,10 +432,10 @@ def _phcm_fc_vjp(params, cache, grad_y):
     gx_pt, gz, ggamma = hyp.pb_mlr_logit_vjp(
         cache["pt"][:, None, :], params.z, params.gamma, gv
     )
-    grad_pt = gx_pt.sum(axis=1)
-    grad_parts = hyp.beta_concat_vjp(cache["parts"], grad_pt)
-    gx = _parts_grads_to_channels(cache["x"], cache["factors"], grad_parts)
-    return {"z": gz.sum(axis=0), "gamma": ggamma.sum(axis=0)}, gx
+    grads = {"z": gz.sum(axis=0), "gamma": ggamma.sum(axis=0)}
+    if not input_adjoint:
+        return grads, None
+    return grads, _parts_adjoint(cache["input"], cache["parts"], gx_pt.sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -386,32 +443,34 @@ def _phcm_fc_vjp(params, cache, grad_y):
 # ---------------------------------------------------------------------------
 
 def conv_forward(x, params, solver=None):
-    """(B, C, n, n) -> (B, n_fields * kernels, m, m), field-major channel order."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 3:
-        x = x[:, None]
-    if x.shape[1] != params.in_channels:
-        raise ShapeMismatch(f"expected {params.in_channels} channels, got {x.shape[1]}")
+    """(B, C, n, n) correlations or their ChartInput -> (B, n_fields * kernels, m, m),
+    field-major channel order.  A raw input is mapped once for all its fields."""
+    solver = {**DEFAULT_LAYER_SOLVER, **(solver or {})}
+    inp = _layer_input(x, params.fc.metric, params.in_channels, params.fc.n, solver)
     fields = []
     caches = []
     for start in range(0, params.in_channels - params.field_size + 1, params.stride):
-        y, cache = fc_forward(x[:, start : start + params.field_size], params.fc, solver)
+        y, cache = fc_forward(inp[:, start : start + params.field_size], params.fc, solver)
         fields.append(y)
         caches.append((start, cache))
     y = np.concatenate(fields, axis=1)
-    return y, {"caches": caches, "x_shape": x.shape}
+    return y, {"caches": caches, "input": inp}
 
 
-def conv_vjp(params, cache, grad_y):
+def conv_vjp(params, cache, grad_y, input_adjoint=True):
+    """Parameter gradients and the input adjoint, which is None with ``input_adjoint`` off."""
     k = params.fc.kernels
-    gx = np.zeros(cache["x_shape"])
+    inp = cache["input"]
+    gvalue = np.zeros_like(inp.value) if input_adjoint else None
     gz = np.zeros_like(params.fc.z)
     ggamma = np.zeros_like(params.fc.gamma)
     for idx, (start, fcache) in enumerate(cache["caches"]):
-        grads, gfield = fc_vjp(params.fc, fcache, grad_y[:, idx * k : (idx + 1) * k])
+        grads, gfield = fc_vjp(params.fc, fcache, grad_y[:, idx * k : (idx + 1) * k], input_adjoint)
         gz += grads["z"]
         ggamma += grads["gamma"]
-        gx[:, start : start + params.field_size] += gfield
+        if input_adjoint:
+            gvalue[:, start : start + params.field_size] += gfield
+    gx = _input_adjoint(inp, gvalue) if input_adjoint else None
     return {"z": gz, "gamma": ggamma}, gx
 
 
@@ -564,19 +623,34 @@ def build_network(conv_metric, mlr_metric, n_in, channels, field_size, stride,
     return Network(conv, mlr, power, activation, solver or {})
 
 
-def network_forward(net, x, tape=None):
-    """Logits for a (B, C, n, n) batch; records pullbacks on the tape."""
+def network_input(net, x):
+    """The input of ``net`` as a ChartInput under its conv metric, power and solver.
+
+    A raw (B, C, n, n) batch is checked and mapped; a ChartInput must have
+    been mapped for a network with the same conv metric, power and solver.
+    """
+    if isinstance(x, ChartInput):
+        want = (net.conv.fc.metric, net.power, {**DEFAULT_LAYER_SOLVER, **(net.solver or {})})
+        if (x.metric, x.power, x.solver) != want:
+            raise ConfigError(
+                f"input mapped under metric {x.metric}, power {x.power}, solver {x.solver}; "
+                f"the network has metric {want[0]}, power {want[1]}, solver {want[2]}"
+            )
+        return x
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise NonFiniteInput("network input has NaN or infinite entries")
-    if net.power != 1.0:
-        x = dom.cor_of(power_activation(x, net.power))
-    y, conv_cache = conv_forward(x, net.conv, net.solver)
+    return map_input(x, net.conv.fc.metric, net.solver, net.power)
+
+
+def network_forward(net, x, tape=None):
+    """Logits for a (B, C, n, n) batch or its ``network_input``; records
+    pullbacks on the tape.  The input is data, so no pullback forms its adjoint."""
+    y, conv_cache = conv_forward(network_input(net, x), net.conv, net.solver)
     if tape is not None:
         def conv_back(g, grads, cache=conv_cache):
-            pgrads, gx = conv_vjp(net.conv, cache, g)
+            pgrads, _ = conv_vjp(net.conv, cache, g, input_adjoint=False)
             _accumulate(grads, "conv", pgrads)
-            return gx
         tape.record(conv_back)
     if net.activation == "tangent_relu":
         bsz, ch = y.shape[0], y.shape[1]

@@ -156,10 +156,6 @@ def sym_exp(s):
     return sym_fun("exp", s)
 
 
-def sym_log(s):
-    return sym_fun("log", s)
-
-
 def sym_pow(s, p):
     return sym_fun("power", s, p=p)
 

@@ -15,8 +15,6 @@ pairs with differentiating through the single step (see
 ``dstar_newton1_backward``).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
@@ -28,20 +26,6 @@ DPLUS_MAX_ITER = 100
 DSTAR_TOL = 1e-10
 DSTAR_MAX_ITER = 50
 H0_COND_LIMIT = 1e12
-
-
-@dataclass
-class DplusResult:
-    d: np.ndarray          # diagonal entries, so D = diag(d)
-    iterations: int
-    residual: float        # max |diag(exp(D + H)) - 1|
-
-
-@dataclass
-class DstarResult:
-    x: np.ndarray          # positive vector, so D* = diag(x)
-    iterations: int
-    residual: float        # max |C x - 1/x|; the stop test scales tol by max(1, |x|)
 
 
 # ---------------------------------------------------------------------------
@@ -68,18 +52,6 @@ def dplus_batch(h, tol=DPLUS_TOL, max_iter=DPLUS_MAX_ITER):
     return d.reshape(shape), iters, res, lam.reshape(shape), u.reshape(shape + shape[-1:])
 
 
-def dplus(h, tol=DPLUS_TOL, max_iter=DPLUS_MAX_ITER):
-    """Solve for the unit-diagonal shift of a single hollow symmetric matrix."""
-    d, iters, res, _, _ = dplus_batch(np.asarray(h, dtype=np.float64)[None], tol, max_iter)
-    return DplusResult(d=d[0], iterations=int(iters[0]), residual=float(res[0]))
-
-
-def off_exp_batch(h, tol=DPLUS_TOL, max_iter=DPLUS_MAX_ITER):
-    """exp(diag(d) + h) for the solved shift d: hollow symmetric -> correlation."""
-    _, _, _, lam, u = dplus_batch(h, tol, max_iter)
-    return la.from_eig(np.exp(lam), u)
-
-
 def dstar_batch(c, mode="full", tol=DSTAR_TOL, max_iter=DSTAR_MAX_ITER):
     """Batched positive-diagonal solve: (x, iterations, residuals, newton1 alpha or None)."""
     cb = _as_batch(c)
@@ -103,18 +75,6 @@ def dstar_batch(c, mode="full", tol=DSTAR_TOL, max_iter=DSTAR_MAX_ITER):
         raise ValueError(f"unknown dstar mode {mode!r}")
     shape = np.asarray(c).shape[:-2] + (cb.shape[-1],)
     return x.reshape(shape), iters, res, alpha
-
-
-def dstar(c, mode="full", tol=DSTAR_TOL, max_iter=DSTAR_MAX_ITER):
-    """Solve for the row-sum-normalizing diagonal of a single correlation matrix."""
-    x, iters, res, _ = dstar_batch(np.asarray(c, dtype=np.float64)[None], mode, tol, max_iter)
-    return DstarResult(x=x[0], iterations=int(iters[0]), residual=float(res[0]))
-
-
-def scaled_spd_batch(c, mode="full", tol=DSTAR_TOL, max_iter=DSTAR_MAX_ITER):
-    """diag(x) C diag(x) with the solved x; unit row sums in full mode."""
-    x = dstar_batch(c, mode, tol, max_iter)[0]
-    return np.asarray(c, dtype=np.float64) * x[..., :, None] * x[..., None, :], x
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +104,6 @@ def dplus_backward_batch(h, grad_y, eig=None, tol=DPLUS_TOL, max_iter=DPLUS_MAX_
     return la.offmat(np.asarray(grad_y) - corr)
 
 
-def dplus_backward(h, grad_y, tol=DPLUS_TOL, max_iter=DPLUS_MAX_ITER):
-    h = np.asarray(h, dtype=np.float64)
-    return dplus_backward_batch(h[None], np.asarray(grad_y)[None], None, tol, max_iter)[0]
-
-
 def dstar_backward_batch(c, grad_sigma, x=None, tol=DSTAR_TOL, max_iter=DSTAR_MAX_ITER):
     """Adjoint of c -> diag(x) c diag(x) at the full-mode fixed point.
 
@@ -166,12 +121,6 @@ def dstar_backward_batch(c, grad_sigma, x=None, tol=DSTAR_TOL, max_iter=DSTAR_MA
     rank1 = mv[..., :, None] * np.ones(n)  # mv 1^T
     inner = g - la.sym(rank1)
     return x[..., :, None] * inner * x[..., None, :]
-
-
-def dstar_backward(c, grad_sigma, x=None, tol=DSTAR_TOL, max_iter=DSTAR_MAX_ITER):
-    c = np.asarray(c, dtype=np.float64)
-    xb = None if x is None else np.asarray(x)[None]
-    return dstar_backward_batch(c[None], np.asarray(grad_sigma)[None], xb, tol, max_iter)[0]
 
 
 def dstar_newton1_backward_batch(c, grad_sigma, x, alpha):

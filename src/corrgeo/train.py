@@ -1,6 +1,7 @@
 """Training/evaluation driver, gradient checking, and forward benchmarks."""
 
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -77,14 +78,37 @@ def _located(err, where):
     return located
 
 
+def map_dataset(net, samples, batch_size):
+    """``ly.network_input`` of a whole dataset, mapped ``batch_size`` samples
+    at a time so that the chart's temporaries stay batch-sized.
+
+    A chart error keeps its class and names the samples it came from.  A
+    dataset already mapped is checked against ``net`` and returned.
+    """
+    if isinstance(samples, ly.ChartInput):
+        return ly.network_input(net, samples)
+    chunks = []
+    for start in range(0, len(samples), batch_size):
+        stop = min(start + batch_size, len(samples))
+        try:
+            chunks.append(ly.network_input(net, samples[start:stop]))
+        except CorrGeoError as e:
+            raise _located(e, f"input chart, samples {start}-{stop - 1}") from e
+    if not chunks:
+        return samples
+    return replace(chunks[0], value=np.concatenate([c.value for c in chunks]))
+
+
 def evaluate(net, samples, labels, batch_size=64):
-    """Accuracy and per-class confusion counts over a dataset."""
+    """Accuracy and per-class confusion counts over a dataset, raw or mapped
+    by ``map_dataset``."""
     classes = net.mlr.classes
     _check_labels(labels, classes)
+    inputs = map_dataset(net, samples, batch_size)
     confusion = np.zeros((classes, classes), dtype=np.int64)
     correct = 0
-    for start in range(0, len(samples), batch_size):
-        x = samples[start : start + batch_size]
+    for start in range(0, len(inputs), batch_size):
+        x = inputs[start : start + batch_size]
         y = labels[start : start + batch_size]
         try:
             pred = ly.predict(ly.network_forward(net, x))
@@ -107,6 +131,8 @@ def train(cfg, data_dir, out_dir, log=print):
         )
     _check_labels(labels, cfg.classes)
     net = build_from_config(cfg)
+    # the power activation and the conv chart depend on the data only
+    inputs = map_dataset(net, samples, cfg.batch_size)
     params = {k: v.copy() for k, v in net.param_dict().items()}
     opt = make_optimizer(cfg, params)
     order_rng = np.random.default_rng(cfg.seed + 1)
@@ -127,7 +153,7 @@ def train(cfg, data_dir, out_dir, log=print):
             net.load_param_dict(params)
             where = f"epoch {epoch}, batch {start // cfg.batch_size}"
             try:
-                loss, grads, _ = ly.forward_backward(net, samples[idx], labels[idx])
+                loss, grads, _ = ly.forward_backward(net, inputs[idx], labels[idx])
             except CorrGeoError as e:
                 raise _located(e, where) from e
             if not np.isfinite(loss):
@@ -136,7 +162,7 @@ def train(cfg, data_dir, out_dir, log=print):
             opt.step(params, grads)
         net.load_param_dict(params)
         try:
-            acc, _ = evaluate(net, samples, labels)
+            acc, _ = evaluate(net, inputs, labels)
         except CorrGeoError as e:
             raise _located(e, f"epoch {epoch}") from e
         seconds = time.perf_counter() - t0

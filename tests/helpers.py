@@ -1,16 +1,19 @@
 """Shared oracles: central finite differences, random test inputs,
-linear-algebra routines without a caller in the library, per-sample
-reference loops for the batched solver kernels, and the structural
-validators, dense prototype bases and einsum contractions the layers once
-used."""
+linear-algebra routines without a caller in the library, single-sample
+solver entry points and hyperbolic distances the library does not call,
+per-sample reference loops for the batched solver kernels, and the
+structural validators, dense prototype bases and einsum contractions the
+layers once used."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from corrgeo import domain as dom
+from corrgeo import hyperbolic as hyp
 from corrgeo import layers as ly
 from corrgeo import linalg as la
+from corrgeo import solvers as sv
 from corrgeo.errors import NoConvergence, NotSymmetric
 
 
@@ -161,6 +164,126 @@ def tri_diff_block(name, a, xi):
     for c in coeffs[-2::-1]:
         out = out @ big + c * np.eye(2 * n)
     return out[..., :n, n:]
+
+
+def sym_log(s):
+    return la.sym_fun("log", s)
+
+
+def theta(c):
+    """Cholesky factor rescaled to unit diagonal (stacked)."""
+    l = la.chol(c)
+    return l / la.diagvec(l)[..., :, None]
+
+
+def theta_inv(k):
+    """Inverse of the unit-diagonal Cholesky map: cor_of(k k^T)."""
+    k = np.asarray(k, dtype=np.float64)
+    return dom.cor_of(k @ la.transpose(k))
+
+
+def rowzero_inner(a, b):
+    """Inner product under which the row-zero coordinate basis is orthonormal."""
+    return np.sum(dom.rowzero_coords(a) * dom.rowzero_coords(b), axis=-1)
+
+
+def diff_at_identity(metric, zmat):
+    """Differential of the prototype map at I applied to a hollow matrix."""
+    if metric in ("ecm", "lecm"):
+        return la.strict_lower(zmat)
+    if metric == "olm":
+        return zmat
+    # lsm
+    return zmat - la.diag_from_vec(zmat.sum(axis=-1))
+
+
+# ---------------------------------------------------------------------------
+# single-sample solver entry points over the batched solvers
+# ---------------------------------------------------------------------------
+
+@dataclass
+class DplusResult:
+    d: np.ndarray          # diagonal entries, so D = diag(d)
+    iterations: int
+    residual: float        # max |diag(exp(D + H)) - 1|
+
+
+@dataclass
+class DstarResult:
+    x: np.ndarray          # positive vector, so D* = diag(x)
+    iterations: int
+    residual: float        # max |C x - 1/x|; the stop test scales tol by max(1, |x|)
+
+
+def dplus(h, tol=sv.DPLUS_TOL, max_iter=sv.DPLUS_MAX_ITER):
+    """Solve for the unit-diagonal shift of a single hollow symmetric matrix."""
+    d, iters, res, _, _ = sv.dplus_batch(np.asarray(h, dtype=np.float64)[None], tol, max_iter)
+    return DplusResult(d=d[0], iterations=int(iters[0]), residual=float(res[0]))
+
+
+def off_exp_batch(h, tol=sv.DPLUS_TOL, max_iter=sv.DPLUS_MAX_ITER):
+    """exp(diag(d) + h) for the solved shift d: hollow symmetric -> correlation."""
+    _, _, _, lam, u = sv.dplus_batch(h, tol, max_iter)
+    return la.from_eig(np.exp(lam), u)
+
+
+def dstar(c, mode="full", tol=sv.DSTAR_TOL, max_iter=sv.DSTAR_MAX_ITER):
+    """Solve for the row-sum-normalizing diagonal of a single correlation matrix."""
+    x, iters, res, _ = sv.dstar_batch(np.asarray(c, dtype=np.float64)[None], mode, tol, max_iter)
+    return DstarResult(x=x[0], iterations=int(iters[0]), residual=float(res[0]))
+
+
+def scaled_spd_batch(c, mode="full", tol=sv.DSTAR_TOL, max_iter=sv.DSTAR_MAX_ITER):
+    """diag(x) C diag(x) with the solved x; unit row sums in full mode."""
+    x = sv.dstar_batch(c, mode, tol, max_iter)[0]
+    return np.asarray(c, dtype=np.float64) * x[..., :, None] * x[..., None, :], x
+
+
+def dplus_backward(h, grad_y, tol=sv.DPLUS_TOL, max_iter=sv.DPLUS_MAX_ITER):
+    h = np.asarray(h, dtype=np.float64)
+    return sv.dplus_backward_batch(h[None], np.asarray(grad_y)[None], None, tol, max_iter)[0]
+
+
+def dstar_backward(c, grad_sigma, x=None, tol=sv.DSTAR_TOL, max_iter=sv.DSTAR_MAX_ITER):
+    c = np.asarray(c, dtype=np.float64)
+    xb = None if x is None else np.asarray(x)[None]
+    return sv.dstar_backward_batch(c[None], np.asarray(grad_sigma)[None], xb, tol, max_iter)[0]
+
+
+# ---------------------------------------------------------------------------
+# Poincare-ball oracles
+# ---------------------------------------------------------------------------
+
+def in_ball(y):
+    return np.sum(np.asarray(y) ** 2, axis=-1) < 1.0 - hyp.BALL_GUARD
+
+
+def hyperboloid_dist(h1, h2):
+    """Distance between hemisphere points through the hyperboloid model."""
+    h1 = np.asarray(h1, dtype=np.float64)
+    h2 = np.asarray(h2, dtype=np.float64)
+    z1 = np.concatenate([h1[..., :-1], np.ones(h1.shape[:-1] + (1,))], axis=-1) / h1[..., -1:]
+    z2 = np.concatenate([h2[..., :-1], np.ones(h2.shape[:-1] + (1,))], axis=-1) / h2[..., -1:]
+    arg = -(np.sum(z1[..., :-1] * z2[..., :-1], axis=-1) - z1[..., -1] * z2[..., -1])
+    return np.arccosh(np.maximum(arg, 1.0))
+
+
+def poincare_dist(p, q):
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    d2 = np.sum((p - q) ** 2, axis=-1)
+    den = (1.0 - np.sum(p * p, axis=-1)) * (1.0 - np.sum(q * q, axis=-1))
+    return np.arccosh(np.maximum(1.0 + 2.0 * d2 / den, 1.0))
+
+
+def pb_fc(x, zs, gammas):
+    """Hyperbolic fully connected layer: y_k from logits via w = sinh(v).
+
+    x: (..., n); zs: (m, n); gammas: (m,).  Returns (..., m) ball points; the
+    construction keeps |y| < 1 for any logits.
+    """
+    v = np.stack([hyp.pb_mlr_logit(x, zs[k], gammas[k]) for k in range(len(zs))], axis=-1)
+    return hyp.pb_fc_from_logits(v)
 
 
 # ---------------------------------------------------------------------------
@@ -381,3 +504,34 @@ def fc_expand_ref(metric, v, m):
 def fc_gather_ref(metric, g):
     """Adjoint of fc_expand_ref: (..., m, m) -> (..., slots)."""
     return np.einsum("...ij,sij->...s", g, metric_basis(metric, g.shape[-1]))
+
+
+# ---------------------------------------------------------------------------
+# the sample-by-sample dataset generator
+# ---------------------------------------------------------------------------
+
+def generate_ref(classes, per_class, n, channels, spread, separation, seed):
+    """data.generate drawn and solved one (sample, channel) at a time."""
+    from corrgeo import data as datamod
+    from corrgeo import geometry as geo
+
+    rng = np.random.default_rng(seed)
+    anchors = datamod.draw_anchors(classes, channels, n, separation, rng)
+    samples = np.empty((classes * per_class, channels, n, n))
+    labels = np.empty(classes * per_class, dtype=np.int64)
+    retries = 0
+    idx = 0
+    for cls, anchor in enumerate(anchors):
+        base = [geo.to_prototype("olm", a) for a in anchor]
+        for _ in range(per_class):
+            for ch in range(channels):
+                for retry in range(datamod.SAMPLE_RETRIES):
+                    bump = spread * dom.random_hollow(n, rng)
+                    cand = geo.from_prototype("olm", base[ch] + bump)
+                    if np.linalg.eigvalsh(cand).min() >= datamod.MIN_EIG_FLOOR:
+                        break
+                retries += retry
+                samples[idx, ch] = cand
+            labels[idx] = cls
+            idx += 1
+    return samples, labels, retries

@@ -17,7 +17,10 @@ from corrgeo import solvers as sv
 from corrgeo import train as trainmod
 from corrgeo.config import RunConfig
 
-from helpers import fd_grad_sym, random_hollow, random_spd, rel_err, sym_adjoint_as_fd
+from helpers import (
+    dplus, dplus_backward, dstar, dstar_backward, fd_grad_sym, hyperboloid_dist, off_exp_batch,
+    poincare_dist, random_hollow, random_spd, rel_err, scaled_spd_batch, sym_adjoint_as_fd,
+)
 
 LE = ("ecm", "lecm", "olm", "lsm")
 ALL5 = ("ecm", "lecm", "olm", "lsm", "phcm")
@@ -66,16 +69,16 @@ def test_criterion_02_solver_correctness():
     worst_row = 0.0
     for n in (4, 8, 16):
         cs = cor_batch(200, n, seed0=7000 * n)
-        sigma, x = sv.scaled_spd_batch(cs, "full")
+        sigma, x = scaled_spd_batch(cs, "full")
         worst_row = max(worst_row, np.abs(sigma.sum(axis=-1) - 1.0).max())
         assert x.min() > 0.0
     assert worst_row <= 1e-8
 
     h = 1.0
-    res = sv.dplus(np.array([[0.0, h], [h, 0.0]]))
+    res = dplus(np.array([[0.0, h], [h, 0.0]]))
     assert np.abs(res.d - (-np.log(np.cosh(h)))).max() <= 1e-10
     r = 0.5
-    res2 = sv.dstar(np.array([[1.0, r], [r, 1.0]]), "full")
+    res2 = dstar(np.array([[1.0, r], [r, 1.0]]), "full")
     assert np.abs(res2.x - (1 + r) ** -0.5).max() <= 1e-10
     print(f"\n[PASS] criterion 2: solvers (unit diag {worst_diag:.2e}, row sums "
           f"{worst_row:.2e}, closed forms ok)")
@@ -90,16 +93,16 @@ def test_criterion_03_gradient_suite():
     w = la.sym(rng.standard_normal((5, 5)))
     d = sv.dplus_batch(h[None])[0]
     grad_y = la.sym_fun_diff("exp", h + np.diag(d[0]), w)
-    got = sym_adjoint_as_fd(sv.dplus_backward(h, grad_y))
-    fd = fd_grad_sym(lambda m: np.sum(sv.off_exp_batch(m[None], max_iter=300)[0] * w), h)
+    got = sym_adjoint_as_fd(dplus_backward(h, grad_y))
+    fd = fd_grad_sym(lambda m: np.sum(off_exp_batch(m[None], max_iter=300)[0] * w), h)
     np.fill_diagonal(fd, 0.0)
     assert rel_err(got, fd) < 1e-5
 
     c = dom.random_correlation(5, 1.0, rng=31)
     g = la.sym(rng.standard_normal((5, 5)))
-    got = sym_adjoint_as_fd(sv.dstar_backward(c, g))
+    got = sym_adjoint_as_fd(dstar_backward(c, g))
     np.fill_diagonal(got, 0.0)
-    fd = fd_grad_sym(lambda m: np.sum(sv.scaled_spd_batch(m[None], "full", tol=1e-13)[0][0] * g), c)
+    fd = fd_grad_sym(lambda m: np.sum(scaled_spd_batch(m[None], "full", tol=1e-13)[0][0] * g), c)
     np.fill_diagonal(fd, 0.0)
     assert rel_err(got, fd) < 1e-5
 
@@ -199,7 +202,7 @@ def test_criterion_06_isometries():
         h2 = w / np.linalg.norm(w)
         p1, p2 = hyp.hs_to_pb(h1), hyp.hs_to_pb(h2)
         worst_rt = max(worst_rt, np.abs(hyp.pb_to_hs(p1) - h1).max())
-        worst_dist = max(worst_dist, abs(hyp.hyperboloid_dist(h1, h2) - hyp.poincare_dist(p1, p2)))
+        worst_dist = max(worst_dist, abs(hyperboloid_dist(h1, h2) - poincare_dist(p1, p2)))
     assert worst_rt <= 1e-12
     assert worst_dist <= 1e-9
 

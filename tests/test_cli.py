@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from corrgeo.errors import (
 )
 from corrgeo import domain as dom
 from corrgeo import train as trainmod
+
+from helpers import generate_ref
 
 
 class TestTensorFiles:
@@ -107,6 +111,26 @@ class TestDatagen:
         for sample in back:
             for ch in sample:
                 assert dom.is_valid_correlation(ch)
+
+    @pytest.mark.parametrize("args", [
+        (3, 30, 5, 2, 0.3, 1.5, 9),     # 180 draws in three chunks, no retry
+        (2, 10, 5, 2, 3.0, 1.0, 0),     # retries
+        (2, 10, 5, 1, 4.0, 1.0, 3),     # retries
+    ])
+    def test_batched_generate_matches_sequential(self, args):
+        samples, labels = datamod.generate(*args)
+        ref_samples, ref_labels, retries = generate_ref(*args)
+        assert np.array_equal(samples, ref_samples) and np.array_equal(labels, ref_labels)
+        assert labels.dtype == ref_labels.dtype
+        assert (retries > 0) == (args[4] > 1.0)
+
+    def test_batched_generate_raises_as_sequential(self):
+        args = (2, 5, 5, 1, 5.0, 1.0, 3)
+        with pytest.raises(NoConvergence) as ref:
+            generate_ref(*args)
+        with pytest.raises(NoConvergence) as got:
+            datamod.generate(*args)
+        assert str(got.value) == str(ref.value)
 
     def test_anchor_separation_enforced(self):
         from corrgeo import geometry as geo
@@ -400,3 +424,53 @@ class TestTrainingFailures:
         samples, labels = datamod.load_dataset(tmp_path / "data")
         with pytest.raises(NotPositiveDefinite, match=r"^evaluation batch 1: "):
             trainmod.evaluate(net, samples, labels, batch_size=8)
+
+    def test_input_chart_error_names_samples(self, tmp_path, monkeypatch, capsys):
+        """The dataset is mapped once, batch_size samples at a time, before
+        training (16 samples, batches of 8) and on entry to evaluate."""
+        from corrgeo import layers as ly
+
+        cfg, cfg_path = write_tiny_setup(tmp_path)
+        err = NoConvergence(15, 6.3e-05, "dstar")
+        inner = ly.map_input
+        calls = []
+
+        def patched(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise err
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(ly, "map_input", patched)
+        with pytest.raises(NoConvergence) as info:
+            trainmod.train(cfg, tmp_path / "data", tmp_path / "a", log=lambda _: None)
+        assert type(info.value) is NoConvergence
+        assert str(info.value) == f"input chart, samples 8-15: {err}"
+        assert info.value.__cause__ is err
+        assert (info.value.iterations, info.value.residual) == (15, 6.3e-05)
+        calls.clear()
+        rc = cli.main(["train", "--config", str(cfg_path), "--data", str(tmp_path / "data"),
+                       "--out", str(tmp_path / "b")])
+        assert rc == 2
+        assert "input chart, samples 8-15: " in capsys.readouterr().err
+        calls.clear()
+        net = trainmod.build_from_config(cfg)
+        samples, labels = datamod.load_dataset(tmp_path / "data")
+        with pytest.raises(NoConvergence, match=r"^input chart, samples 5-9: dstar: "):
+            trainmod.evaluate(net, samples, labels, batch_size=5)
+
+    def test_mapped_input_needs_its_network(self, tmp_path):
+        from corrgeo import layers as ly
+
+        cfg, _ = write_tiny_setup(tmp_path)
+        samples, labels = datamod.load_dataset(tmp_path / "data")
+        net = trainmod.build_from_config(cfg)
+        inputs = trainmod.map_dataset(net, samples, cfg.batch_size)
+        loss, _, _ = ly.forward_backward(net, inputs[:4], labels[:4])
+        assert np.isfinite(loss)
+        for other in (replace(cfg, conv_metric="olm"), replace(cfg, power=0.5)):
+            other_net = trainmod.build_from_config(other)
+            with pytest.raises(ConfigError, match=r"^input mapped under metric ecm, power 1.0"):
+                ly.forward_backward(other_net, inputs[:4], labels[:4])
+            with pytest.raises(ConfigError):
+                trainmod.evaluate(other_net, inputs, labels)

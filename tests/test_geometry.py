@@ -9,7 +9,7 @@ from corrgeo import linalg as la
 from corrgeo import solvers as sv
 from corrgeo.errors import UnsupportedMetric
 
-from helpers import central_fd_dir, is_hollow, is_rowzero, is_strict_lower, rel_err
+from helpers import central_fd_dir, is_hollow, is_rowzero, is_strict_lower, rel_err, sym_log
 
 LE = geo.LOG_EUCLIDEAN
 
@@ -47,7 +47,7 @@ class TestPrototypeMaps:
         r = 0.5
         c = np.array([[1.0, r], [r, 1.0]])
         x = geo.to_prototype("lsm", c)
-        expect = la.sym_log(c / (1.0 + r))
+        expect = sym_log(c / (1.0 + r))
         assert rel_err(x, expect) < 1e-9
         assert np.abs(x.sum(axis=1)).max() < 1e-10
 
@@ -246,6 +246,48 @@ class TestTriangularAdjoints:
         rng = np.random.default_rng(seed)
         c = rand_cor(n, rng, spread / np.sqrt(n))
         w = np.tril(rng.standard_normal((n, n)), -1)
+        big_g = la.sym(rng.standard_normal((n, n)))
+        x, cache = geo.prototype_forward(metric, c)
+        icache = geo.inverse_forward(metric, x)[1]
+        jw = geo.pushforward_inv(metric, cache, w)
+        jtg = geo.inverse_vjp(metric, icache, big_g)
+        scale = np.linalg.norm(jw) * np.linalg.norm(big_g) + np.linalg.norm(w) * np.linalg.norm(jtg)
+        assert abs(np.sum(jw * big_g) - np.sum(w * jtg)) < 1e-12 * scale
+
+
+class TestSpectralAdjoints:
+    """Dot-product tests for the olm and lsm charts, as for ecm/lecm above:
+    <push(v), g> = <v, vjp(g)> and <push_inv(w), G> = <w, inverse_vjp(G)>,
+    with w in the chart's prototype space (hollow, or row-zero) and the lsm
+    chart solved in full mode."""
+
+    cases = TestTriangularAdjoints.cases
+    inputs = TestTriangularAdjoints.inputs
+
+    @pytest.mark.parametrize("metric", ["olm", "lsm"])
+    @cases
+    @inputs
+    def test_push_vjp(self, metric, n, spread, seed):
+        rng = np.random.default_rng(seed)
+        c = rand_cor(n, rng, spread / np.sqrt(n))
+        v = dom.random_hollow(n, rng)
+        g = rng.standard_normal((n, n))
+        cache = geo.prototype_forward(metric, c)[1]
+        jv = geo.pushforward(metric, cache, v)
+        jtg = geo.prototype_vjp(metric, cache, g)
+        scale = np.linalg.norm(jv) * np.linalg.norm(g) + np.linalg.norm(v) * np.linalg.norm(jtg)
+        assert abs(np.sum(jv * g) - np.sum(v * jtg)) < 1e-12 * scale
+
+    @pytest.mark.parametrize("metric", ["olm", "lsm"])
+    @cases
+    @inputs
+    def test_push_inv_inverse_vjp(self, metric, n, spread, seed):
+        rng = np.random.default_rng(seed)
+        c = rand_cor(n, rng, spread / np.sqrt(n))
+        if metric == "olm":
+            w = dom.random_hollow(n, rng)
+        else:
+            w = dom.rowzero_from_coords(rng.standard_normal(dom.lt0_dim(n)), n)
         big_g = la.sym(rng.standard_normal((n, n)))
         x, cache = geo.prototype_forward(metric, c)
         icache = geo.inverse_forward(metric, x)[1]

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from corrgeo import domain as dom
 from corrgeo import geometry as geo
 from corrgeo import layers as ly
+from corrgeo import train as trainmod
 from corrgeo.errors import NonFiniteInput
 
 from helpers import (
-    fc_expand_ref, fc_gather_ref, fc_param_count, flat_logits_ref, flat_logits_vjp_ref,
-    metric_basis, rel_err,
+    diff_at_identity, fc_expand_ref, fc_gather_ref, fc_param_count, flat_logits_ref,
+    flat_logits_vjp_ref, metric_basis, rel_err,
 )
 
 METRICS5 = ["ecm", "lecm", "olm", "lsm", "phcm"]
@@ -87,7 +88,7 @@ class TestMlr:
         x = np.broadcast_to(np.eye(4), (1, 2, 4, 4)).copy()
         v, _ = ly.mlr_forward(x, params)
         zmat = ly.hollow_from_lower(params.z, 4)
-        w = ly.diff_at_identity(metric, zmat)
+        w = diff_at_identity(metric, zmat)
         norms = np.sqrt(np.einsum("kcij,kcij->k", w, w))
         assert rel_err(v[0], -params.gamma * norms) < 1e-9
 
@@ -491,3 +492,77 @@ class TestNetworkGradients:
         x = batch_of_correlations(2, 2, 4, 32)
         logits = ly.network_forward(net, x)
         assert np.isfinite(logits).all()
+
+
+def forward_backward_with_input_adjoint(net, x, labels):
+    """forward_backward on a tape whose conv pullback also forms the adjoint
+    of the (powered) network input: (grads, that adjoint)."""
+    x = np.asarray(x, dtype=np.float64)
+    if net.power != 1.0:
+        x = dom.cor_of(ly.power_activation(x, net.power))
+    tape = ly.Tape()
+    y, conv_cache = ly.conv_forward(x, net.conv, net.solver)
+
+    def conv_back(g, grads):
+        pgrads, gx = ly.conv_vjp(net.conv, conv_cache, g)
+        grads.update({f"conv.{k}": v for k, v in pgrads.items()})
+        return gx
+
+    tape.record(conv_back)
+    if net.activation == "tangent_relu":
+        shape = y.shape
+        act, act_cache = ly.tangent_relu_forward(y.reshape(-1, *shape[2:]), net.mlr.metric, net.solver)
+        y = act.reshape(shape)
+        tape.record(lambda g, grads: ly.tangent_relu_vjp(act_cache, g.reshape(-1, *shape[2:])).reshape(shape))
+    logits, mlr_cache = ly.mlr_forward(y, net.mlr, net.solver)
+
+    def mlr_back(g, grads):
+        pgrads, gx = ly.mlr_vjp(net.mlr, mlr_cache, g)
+        grads.update({f"mlr.{k}": v for k, v in pgrads.items()})
+        return gx
+
+    tape.record(mlr_back)
+    grads = {}
+    gx = tape.backward(ly.softmax_xent(logits, labels)[1], grads)
+    return grads, gx
+
+
+class TestDataSideWork:
+    """The network input is data: its pullback forms no input adjoint, and a
+    dataset mapped once and sliced gives what mapping each batch gives."""
+
+    @pytest.mark.parametrize("metric", METRICS5)
+    @pytest.mark.parametrize("variant", ["plain", "power", "tangent_relu"])
+    def test_parameter_gradients_bitwise(self, metric, variant):
+        net = tiny_network(metric, metric, seed=35)
+        if variant == "power":
+            net.power = 0.5
+        elif variant == "tangent_relu":
+            net.activation = "tangent_relu"
+        x = batch_of_correlations(3, 2, 4, 36)
+        labels = np.array([0, 2, 1])
+        _, grads, _ = ly.forward_backward(net, x, labels)
+        ref, gx = forward_backward_with_input_adjoint(net, x, labels)
+        assert set(grads) == set(ref)
+        for key in ref:
+            assert np.array_equal(grads[key], ref[key]), key
+        assert gx.shape == x.shape and np.isfinite(gx).all()
+
+    @pytest.mark.parametrize("metric", METRICS5)
+    @pytest.mark.parametrize("mode", ["newton1", "full"])
+    def test_sliced_dataset_logits_bitwise(self, metric, mode):
+        """11 samples in batches of 4; 3 channels in overlapping fields of 2."""
+        rng = np.random.default_rng(37)
+        net = ly.build_network(
+            metric, metric, n_in=4, channels=3, field_size=2, stride=1, kernels=1,
+            m_hidden=3, classes=3, rng=rng, power=0.5, solver={"dstar_mode": mode},
+        )
+        x = batch_of_correlations(11, 3, 4, 38, spread=0.5)
+        inputs = trainmod.map_dataset(net, x, 4)
+        assert isinstance(inputs, ly.ChartInput) and len(inputs) == 11
+        order = rng.permutation(11)
+        for start in range(0, 11, 4):
+            idx = order[start : start + 4]
+            sliced = ly.network_forward(net, inputs[idx])
+            assert np.array_equal(sliced, ly.network_forward(net, x[idx]))
+        assert np.array_equal(ly.network_forward(net, inputs), ly.network_forward(net, x))

@@ -6,7 +6,10 @@ from corrgeo import linalg as la
 from corrgeo import solvers as sv
 from corrgeo.errors import SingularH0
 
-from helpers import dplus_history, fd_grad_sym, random_hollow, rel_err, sym_adjoint_as_fd
+from helpers import (
+    dplus, dplus_backward, dplus_history, dstar, dstar_backward, fd_grad_sym, off_exp_batch,
+    random_hollow, rel_err, scaled_spd_batch, sym_adjoint_as_fd,
+)
 
 
 def scaled_hollow(n, rng, cap=2.0):
@@ -19,7 +22,7 @@ def scaled_hollow(n, rng, cap=2.0):
 
 class TestDplus:
     def test_zero_input(self):
-        res = sv.dplus(np.zeros((3, 3)))
+        res = dplus(np.zeros((3, 3)))
         assert np.array_equal(res.d, np.zeros(3))
         assert res.iterations == 1
         assert res.residual == 0.0
@@ -27,7 +30,7 @@ class TestDplus:
     def test_two_by_two_closed_form(self):
         h = 1.0
         hol = np.array([[0.0, h], [h, 0.0]])
-        res = sv.dplus(hol)
+        res = dplus(hol)
         assert np.abs(res.d - (-np.log(np.cosh(h)))).max() < 1e-10
 
     def test_residual_sweep(self):
@@ -35,7 +38,7 @@ class TestDplus:
         for n in (4, 8, 16):
             for _ in range(20):
                 h = scaled_hollow(n, rng)
-                res = sv.dplus(h, max_iter=200)
+                res = dplus(h, max_iter=200)
                 assert res.residual < 1e-12
                 c = la.sym_exp(h + np.diag(res.d))
                 assert np.abs(la.diagvec(c) - 1.0).max() < 1e-12
@@ -45,7 +48,7 @@ class TestDplus:
         rng = np.random.default_rng(5)
         for _ in range(20):
             h = scaled_hollow(6, rng)
-            res = sv.dplus(h)
+            res = dplus(h)
             assert res.residual < 1e-12
             assert res.iterations <= 60
 
@@ -67,7 +70,7 @@ class TestDplus:
         hs = np.stack([scaled_hollow(5, rng) for _ in range(7)])
         d, iters, res, _, _ = sv.dplus_batch(hs)
         for k in range(7):
-            single = sv.dplus(hs[k])
+            single = dplus(hs[k])
             assert np.allclose(d[k], single.d, atol=1e-14)
 
 
@@ -75,14 +78,14 @@ class TestDplusBackward:
     def test_zero_cotangent(self):
         rng = np.random.default_rng(3)
         h = scaled_hollow(4, rng)
-        out = sv.dplus_backward(h, np.zeros((4, 4)))
+        out = dplus_backward(h, np.zeros((4, 4)))
         assert np.abs(out).max() == 0.0
 
     def test_two_by_two_tanh_derivative(self):
         h = 0.7
 
         def loss(hol):
-            return sv.off_exp_batch(hol[None])[0][0, 1]
+            return off_exp_batch(hol[None])[0][0, 1]
 
         hol = np.array([[0.0, h], [h, 0.0]])
         d = sv.dplus_batch(hol[None])[0]
@@ -90,7 +93,7 @@ class TestDplusBackward:
         grad_c = np.zeros((2, 2))
         grad_c[0, 1] = 1.0
         grad_y = la.sym_fun_diff("exp", s, la.sym(grad_c))
-        g = sv.dplus_backward(hol, grad_y)
+        g = dplus_backward(hol, grad_y)
         # loss = tanh(h) along the symmetric pair, so <G, E01 + E10> = sech(h)^2
         analytic = np.cosh(h) ** -2
         assert abs(2 * g[0, 1] - analytic) < 1e-8
@@ -102,12 +105,12 @@ class TestDplusBackward:
         w = la.sym(rng.standard_normal((5, 5)))
 
         def loss(hol):
-            return np.sum(sv.off_exp_batch(hol[None])[0] * w)
+            return np.sum(off_exp_batch(hol[None])[0] * w)
 
         d = sv.dplus_batch(h[None])[0]
         s = h + np.diag(d[0])
         grad_y = la.sym_fun_diff("exp", s, w)
-        g = sv.dplus_backward(h, grad_y)
+        g = dplus_backward(h, grad_y)
         fd = fd_grad_sym(loss, h)
         np.fill_diagonal(fd, 0.0)
         assert rel_err(sym_adjoint_as_fd(g), fd) < 1e-5
@@ -128,14 +131,14 @@ class TestDplusBackward:
 
 class TestDstar:
     def test_identity(self):
-        res = sv.dstar(np.eye(4))
+        res = dstar(np.eye(4))
         assert np.array_equal(res.x, np.ones(4))
         assert res.residual == 0.0
 
     def test_two_by_two_closed_form(self):
         r = 0.5
         c = np.array([[1.0, r], [r, 1.0]])
-        res = sv.dstar(c)
+        res = dstar(c)
         assert np.abs(res.x - (1 + r) ** -0.5).max() < 1e-10
         sigma = np.diag(res.x) @ c @ np.diag(res.x)
         assert np.abs(sigma.sum(axis=1) - 1.0).max() < 1e-10
@@ -143,7 +146,7 @@ class TestDstar:
     def test_row_sum_sweep(self):
         for seed in range(30):
             c = dom.random_correlation(6, 1.0, rng=seed)
-            sigma, x = sv.scaled_spd_batch(c[None], "full")
+            sigma, x = scaled_spd_batch(c[None], "full")
             assert np.abs(sigma[0].sum(axis=1) - 1.0).max() < 1e-8
             assert x.min() > 0.0
 
@@ -175,7 +178,7 @@ class TestDstar:
 
     def test_newton1_positive_no_guarantee(self):
         c = dom.random_correlation(6, 1.5, rng=8)
-        res = sv.dstar(c, mode="newton1")
+        res = dstar(c, mode="newton1")
         assert res.x.min() > 0.0
         assert res.iterations == 1
 
@@ -183,7 +186,7 @@ class TestDstar:
 class TestDstarBackward:
     def test_zero_cotangent(self):
         c = dom.random_correlation(4, 1.0, rng=9)
-        out = sv.dstar_backward(c, np.zeros((4, 4)))
+        out = dstar_backward(c, np.zeros((4, 4)))
         assert np.abs(out).max() == 0.0
 
     def test_identity_base(self):
@@ -191,10 +194,10 @@ class TestDstarBackward:
         g = la.sym(rng.standard_normal((4, 4)))
 
         def loss(c):
-            sigma, _ = sv.scaled_spd_batch(dom.cor_of(c)[None], "full", tol=1e-13)
+            sigma, _ = scaled_spd_batch(dom.cor_of(c)[None], "full", tol=1e-13)
             return np.sum(sigma[0] * g)
 
-        got = sv.dstar_backward(np.eye(4), g)
+        got = dstar_backward(np.eye(4), g)
         fd = fd_grad_sym(loss, np.eye(4))
         np.fill_diagonal(fd, 0.0)
         offdiag = sym_adjoint_as_fd(got)
@@ -207,10 +210,10 @@ class TestDstarBackward:
         g = la.sym(rng.standard_normal((5, 5)))
 
         def loss(cm):
-            sigma, _ = sv.scaled_spd_batch(dom.cor_of(cm)[None], "full", tol=1e-13)
+            sigma, _ = scaled_spd_batch(dom.cor_of(cm)[None], "full", tol=1e-13)
             return np.sum(sigma[0] * g)
 
-        got = sv.dstar_backward(c, g)
+        got = dstar_backward(c, g)
         fd = fd_grad_sym(loss, c)
         np.fill_diagonal(fd, 0.0)
         offdiag = sym_adjoint_as_fd(got)
@@ -224,7 +227,7 @@ class TestDstarBackward:
 
         def loss(cm):
             cn = dom.cor_of(cm)
-            sigma, _ = sv.scaled_spd_batch(cn[None], "newton1")
+            sigma, _ = scaled_spd_batch(cn[None], "newton1")
             return np.sum(sigma[0] * g)
 
         x, _, _, alpha = sv.dstar_batch(c[None], "newton1")
