@@ -382,30 +382,15 @@ def frechet_mean(metric, cs, solver=None):
 # poly-hyperbolic distance
 # ---------------------------------------------------------------------------
 
-def _hemisphere_to_hyperboloid(row):
-    """(x_1..x_k, x_last) on the unit hemisphere -> hyperboloid coordinates."""
-    return np.concatenate([row[..., :-1], np.ones(row.shape[:-1] + (1,))], axis=-1) / row[..., -1:]
-
-
-def lorentz_inner(a, b):
-    return np.sum(a[..., :-1] * b[..., :-1], axis=-1) - a[..., -1] * b[..., -1]
-
-
 def phcm_dist(c, c2):
     """Geodesic distance of the product-of-hemispheres geometry.
 
-    Accumulates arccosh terms over the Cholesky rows mapped to the
-    hyperboloid; arguments inside rounding distance of 1 are clamped.
+    Row r of each Cholesky factor is a hemisphere point, and the hyperboloid
+    pairing of the two rows r is (1 - <L1[r, :r], L2[r, :r]>) / (L1[r, r] L2[r, r]);
+    the distance is the root sum of squares of the rows' arccosh terms, with
+    arguments inside rounding distance of 1 clamped.
     """
-    c = np.asarray(c, dtype=np.float64)
-    l1 = la.chol(c)
+    l1 = la.chol(np.asarray(c, dtype=np.float64))
     l2 = la.chol(np.asarray(c2, dtype=np.float64))
-    n = l1.shape[-1]
-    total = np.zeros(c.shape[:-2])
-    for i in range(1, n):
-        z1 = _hemisphere_to_hyperboloid(l1[..., i, : i + 1])
-        z2 = _hemisphere_to_hyperboloid(l2[..., i, : i + 1])
-        arg = -lorentz_inner(z1, z2)
-        arg = np.maximum(arg, 1.0)
-        total = total + np.arccosh(arg) ** 2
-    return np.sqrt(total)
+    arg = (1.0 - np.tril(l1 * l2, -1).sum(axis=-1)) / (la.diagvec(l1) * la.diagvec(l2))
+    return np.sqrt(np.sum(np.arccosh(np.maximum(arg, 1.0)) ** 2, axis=-1))

@@ -8,13 +8,22 @@ logit and FC layer, and beta-scaled concatenation/splitting, all with
 explicit reverse-mode companions (``*_vjp``).
 
 Points are arrays with the vector dimension last; leading axes are batch.
+A point of several balls is one array of its parts laid end to end, and a
+``Segments`` layout names the parts: the radial maps and the projection act
+on each part on its own, through per-part sums (``np.add.reduceat`` on the
+part starts) repeated back over the part's coordinates.  A poly-ball point
+of an n x n correlation matrix has parts of dimension 1, ..., n-1, which is
+exactly ``domain.lt0_coords`` order: part r is ``L[r, :r] / (1 + L[r, r])``.
 """
 
+import functools
 import logging
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import domain as dom
 from . import linalg as la
 from .errors import DimensionMismatch
 
@@ -34,16 +43,67 @@ def beta_fn(alpha):
     return math.exp(math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5))
 
 
-def project_ball(y):
-    """Radially rescale points that have drifted into the boundary guard band."""
+# ---------------------------------------------------------------------------
+# part layouts
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class Segments:
+    """Layout of a point made of balls laid end to end along the last axis.
+
+    ``sizes`` and ``starts`` are the parts' dimensions and offsets; ``beta``
+    is each coordinate's beta-concatenation scale B(D/2, 1/2) / B(d/2, 1/2),
+    D the total and d its part's dimension.
+    """
+
+    sizes: np.ndarray
+    starts: np.ndarray
+    beta: np.ndarray
+
+    def dot(self, a, b):
+        """Per-part inner products, (..., parts)."""
+        return np.add.reduceat(a * b, self.starts, axis=-1)
+
+    def spread(self, s):
+        """Per-part values (..., parts) repeated over their coordinates."""
+        return np.repeat(s, self.sizes, axis=-1)
+
+
+@functools.lru_cache(maxsize=64)
+def segments(dims):
+    """The Segments of parts of the given dimensions (a tuple), in order."""
+    if not dims or min(dims) < 1:
+        raise DimensionMismatch(f"part dimensions {dims} must be positive")
+    sizes = np.array(dims)
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    bn = beta_fn(sum(dims))
+    beta = np.repeat([bn / beta_fn(d) for d in dims], sizes)
+    for a in (sizes, starts, beta):
+        a.setflags(write=False)
+    return Segments(sizes, starts, beta)
+
+
+def poly_segments(n, copies=1):
+    """Layout of ``copies`` poly-ball points of n x n matrices laid end to end."""
+    return segments(tuple(poly_dims(n)) * copies)
+
+
+def _layout(y, seg):
+    """``seg``, or the whole last axis of ``y`` as one ball."""
+    return seg if seg is not None else segments((np.shape(y)[-1],))
+
+
+def project_ball(y, seg=None):
+    """Radially rescale each part that has drifted into the boundary guard band."""
     y = np.asarray(y, dtype=np.float64)
-    sq = np.sum(y * y, axis=-1, keepdims=True)
+    seg = _layout(y, seg)
+    sq = seg.dot(y, y)
     limit = 1.0 - BALL_GUARD
     bad = sq >= limit
     if bad.any():
         log.debug("rescaled %d poincare point(s) off the boundary", int(bad.sum()))
         scale = np.where(bad, np.sqrt(limit / np.maximum(sq, limit)), 1.0)
-        return y * scale
+        return y * seg.spread(scale)
     return y
 
 
@@ -57,15 +117,6 @@ def hs_to_pb(x):
     return project_ball(x[..., :-1] / (1.0 + x[..., -1:]))
 
 
-def hs_to_pb_vjp(x, grad_p):
-    x = np.asarray(x, dtype=np.float64)
-    g = np.asarray(grad_p, dtype=np.float64)
-    denom = 1.0 + x[..., -1:]
-    head = g / denom
-    last = -np.sum(g * x[..., :-1], axis=-1, keepdims=True) / denom**2
-    return np.concatenate([head, last], axis=-1)
-
-
 def pb_to_hs(y):
     """Ball point to hemisphere point (2y, 1 - |y|^2) / (1 + |y|^2)."""
     y = np.asarray(y, dtype=np.float64)
@@ -74,19 +125,8 @@ def pb_to_hs(y):
     return np.concatenate([2.0 * y / u, (1.0 - sq) / u], axis=-1)
 
 
-def pb_to_hs_vjp(y, grad_h):
-    y = np.asarray(y, dtype=np.float64)
-    g = np.asarray(grad_h, dtype=np.float64)
-    sq = np.sum(y * y, axis=-1, keepdims=True)
-    u = 1.0 + sq
-    ghead = g[..., :-1]
-    glast = g[..., -1:]
-    coef = np.sum(ghead * y, axis=-1, keepdims=True) + glast
-    return 2.0 * ghead / u - (4.0 / u**2) * coef * y
-
-
 # ---------------------------------------------------------------------------
-# origin log/exp with stable small-radius expansions
+# origin log/exp with stable small-radius expansions, per part
 # ---------------------------------------------------------------------------
 
 _SMALL = 1e-6
@@ -101,28 +141,29 @@ def _tanh_over_r(r):
     return np.where(r < _SMALL, 1.0 - r * r / 3.0, np.tanh(r) / np.where(r == 0, 1.0, r))
 
 
-def pb_log0(y):
-    """Origin logarithm: atanh(|y|) y / |y|."""
+def pb_log0(y, seg=None):
+    """Origin logarithm of each part: atanh(|y|) y / |y|."""
     y = np.asarray(y, dtype=np.float64)
-    r = np.sqrt(np.sum(y * y, axis=-1, keepdims=True))
-    return _atanh_over_r(r) * y
+    seg = _layout(y, seg)
+    return seg.spread(_atanh_over_r(np.sqrt(seg.dot(y, y)))) * y
 
 
-def pb_exp0(v):
-    """Origin exponential: tanh(|v|) v / |v|."""
+def pb_exp0(v, seg=None):
+    """Origin exponential of each part: tanh(|v|) v / |v|."""
     v = np.asarray(v, dtype=np.float64)
-    r = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
-    return project_ball(_tanh_over_r(r) * v)
+    seg = _layout(v, seg)
+    return project_ball(seg.spread(_tanh_over_r(np.sqrt(seg.dot(v, v)))) * v, seg)
 
 
-def _radial_vjp(y, grad, phi, dphi_over_r):
-    """vjp of y -> phi(|y|) y: phi*grad + (phi'(r)/r) <y, grad> y."""
-    r = np.sqrt(np.sum(y * y, axis=-1, keepdims=True))
-    dot = np.sum(y * grad, axis=-1, keepdims=True)
-    return phi(r) * grad + dphi_over_r(r) * dot * y
+def _radial_vjp(y, grad, seg, phi, dphi_over_r):
+    """vjp of y -> phi(|y|) y per part: phi*grad + (phi'(r)/r) <y, grad> y."""
+    seg = _layout(y, seg)
+    r = np.sqrt(seg.dot(y, y))
+    dot = seg.dot(y, grad)
+    return seg.spread(phi(r)) * grad + seg.spread(dphi_over_r(r) * dot) * y
 
 
-def pb_log0_vjp(y, grad):
+def pb_log0_vjp(y, grad, seg=None):
     y = np.asarray(y, dtype=np.float64)
 
     def dphi_over_r(r):
@@ -130,10 +171,10 @@ def pb_log0_vjp(y, grad):
         exact = (1.0 / (1.0 - safe**2) - np.arctanh(safe) / safe) / safe**2
         return np.where(r < _SMALL, 2.0 / 3.0 + 0.8 * r * r, exact)
 
-    return _radial_vjp(y, np.asarray(grad, dtype=np.float64), _atanh_over_r, dphi_over_r)
+    return _radial_vjp(y, np.asarray(grad, dtype=np.float64), seg, _atanh_over_r, dphi_over_r)
 
 
-def pb_exp0_vjp(v, grad):
+def pb_exp0_vjp(v, grad, seg=None):
     v = np.asarray(v, dtype=np.float64)
 
     def dphi_over_r(r):
@@ -142,58 +183,50 @@ def pb_exp0_vjp(v, grad):
         exact = ((1.0 - th * th) / safe - th / safe**2) / safe
         return np.where(r < _SMALL, -2.0 / 3.0 + (8.0 / 15.0) * r * r, exact)
 
-    return _radial_vjp(v, np.asarray(grad, dtype=np.float64), _tanh_over_r, dphi_over_r)
+    return _radial_vjp(v, np.asarray(grad, dtype=np.float64), seg, _tanh_over_r, dphi_over_r)
 
 
 # ---------------------------------------------------------------------------
 # hyperbolic MLR logit and FC layer
 # ---------------------------------------------------------------------------
 
-def pb_mlr_logit(x, z, gamma):
-    """Signed-margin logit 2|z| asinh(lam <x,[z]> cosh(2 gamma) - (lam-1) sinh(2 gamma)).
-
-    x: (..., n) ball points; z: (..., n) direction; gamma: scalar (...,).
-    A zero direction yields a zero logit by convention.
-    """
+def _logit_terms(x, z, gamma):
+    """|z|, |z| with zeros read as 1, the conformal factor, <x, z/|z|> and the cosh/sinh of 2 gamma."""
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     gamma = np.asarray(gamma, dtype=np.float64)
     znorm = np.sqrt(np.sum(z * z, axis=-1))
-    zhat = z / np.where(znorm[..., None] == 0.0, 1.0, znorm[..., None])
-    lam = 2.0 / (1.0 - np.sum(x * x, axis=-1))
-    arg = lam * np.sum(x * zhat, axis=-1) * np.cosh(2.0 * gamma) - (lam - 1.0) * np.sinh(2.0 * gamma)
-    return 2.0 * znorm * np.arcsinh(arg)
+    safe = np.where(znorm == 0.0, 1.0, znorm)
+    lam = (2.0 / (1.0 - np.sum(x * x, axis=-1)))[:, None]
+    return znorm, safe, lam, (x @ z.T) / safe, np.cosh(2.0 * gamma), np.sinh(2.0 * gamma)
+
+
+def pb_mlr_logit(x, z, gamma):
+    """Signed-margin logits 2|z| asinh(lam <x,[z]> cosh(2 gamma) - (lam-1) sinh(2 gamma)).
+
+    x: (B, D) ball points; z: (K, D) directions; gamma: (K,).  Returns (B, K).
+    A zero direction yields a zero logit by convention.
+    """
+    znorm, _, lam, dot, ch, sh = _logit_terms(x, z, gamma)
+    return 2.0 * znorm * np.arcsinh(lam * dot * ch - (lam - 1.0) * sh)
 
 
 def pb_mlr_logit_vjp(x, z, gamma, grad_v):
-    """Adjoints (grad_x, grad_z, grad_gamma) of the logit."""
+    """Adjoints (grad_x (B, D), grad_z (K, D), grad_gamma (K,)) of the logits,
+    summed over the directions and over the batch."""
     x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    gamma = np.asarray(gamma, dtype=np.float64)
-    gv = np.asarray(grad_v, dtype=np.float64)
-    znorm = np.sqrt(np.sum(z * z, axis=-1))
-    safe = np.where(znorm == 0.0, 1.0, znorm)
-    zhat = z / safe[..., None]
-    xsq = np.sum(x * x, axis=-1)
-    lam = 2.0 / (1.0 - xsq)
-    dot = np.sum(x * zhat, axis=-1)
-    ch, sh = np.cosh(2.0 * gamma), np.sinh(2.0 * gamma)
+    znorm, safe, lam, dot, ch, sh = _logit_terms(x, z, gamma)
+    zhat = np.asarray(z, dtype=np.float64) / safe[:, None]
+    gv = np.where(znorm == 0.0, 0.0, np.asarray(grad_v, dtype=np.float64))
     arg = lam * dot * ch - (lam - 1.0) * sh
     asc = 1.0 / np.sqrt(1.0 + arg * arg)
-    front = 2.0 * znorm * asc
+    a = gv * 2.0 * znorm * asc
     # d arg / dx = lam^2 (dot ch - sh) x + lam ch zhat
-    gx = gv[..., None] * front[..., None] * (
-        (lam * lam * (dot * ch - sh))[..., None] * x + (lam * ch)[..., None] * zhat
-    )
-    gz = gv[..., None] * (
-        2.0 * np.arcsinh(arg)[..., None] * zhat
-        + (2.0 * asc * lam * ch)[..., None] * (x - dot[..., None] * zhat) / safe[..., None] * znorm[..., None]
-    )
-    ggamma = gv * front * (2.0 * lam * dot * sh - 2.0 * (lam - 1.0) * ch)
-    zero = (znorm == 0.0)[..., None]
-    gz = np.where(zero, 0.0, gz)
-    gx = np.where(zero, 0.0, gx)
-    ggamma = np.where(znorm == 0.0, 0.0, ggamma)
+    gx = (lam * lam) * np.sum(a * (dot * ch - sh), axis=1, keepdims=True) * x + lam * ((a * ch) @ zhat)
+    # d v / dz = 2 asinh(arg) zhat + 2 asc lam ch (x - dot zhat)
+    w = gv * 2.0 * asc * lam * ch
+    gz = np.sum(gv * 2.0 * np.arcsinh(arg) - w * dot, axis=0)[:, None] * zhat + w.T @ x
+    ggamma = np.sum(a * (2.0 * lam * dot * sh - 2.0 * (lam - 1.0) * ch), axis=0)
     return gx, gz, ggamma
 
 
@@ -216,31 +249,31 @@ def pb_fc_from_logits_vjp(v, grad_y):
 # beta-scaled concatenation and split
 # ---------------------------------------------------------------------------
 
+def seg_concat(y, seg):
+    """Beta-concatenation of the parts of ``y``: one ball point of dimension D."""
+    return pb_exp0(seg.beta * pb_log0(y, seg))
+
+
+def seg_concat_vjp(y, seg, grad):
+    u = seg.beta * pb_log0(y, seg)
+    return pb_log0_vjp(y, seg.beta * pb_exp0_vjp(u, grad), seg)
+
+
+def seg_split(y, seg):
+    """Inverse of seg_concat: the parts of the ball point ``y`` laid out by ``seg``."""
+    return pb_exp0(pb_log0(y) / seg.beta, seg)
+
+
+def seg_split_vjp(y, seg, grad):
+    u = pb_log0(y) / seg.beta
+    return pb_log0_vjp(y, pb_exp0_vjp(u, grad, seg) / seg.beta)
+
+
 def beta_concat(parts):
     """Concatenate ball points with beta-function norm stabilization."""
     if not parts:
         raise DimensionMismatch("need at least one part")
-    dims = [p.shape[-1] for p in parts]
-    n = sum(dims)
-    bn = beta_fn(n)
-    scaled = [bn / beta_fn(d) * pb_log0(p) for p, d in zip(parts, dims)]
-    return pb_exp0(np.concatenate(scaled, axis=-1))
-
-
-def beta_concat_vjp(parts, grad_y):
-    dims = [p.shape[-1] for p in parts]
-    n = sum(dims)
-    bn = beta_fn(n)
-    scaled = [bn / beta_fn(d) * pb_log0(p) for p, d in zip(parts, dims)]
-    u = np.concatenate(scaled, axis=-1)
-    gu = pb_exp0_vjp(u, grad_y)
-    grads = []
-    off = 0
-    for p, d in zip(parts, dims):
-        gpart = gu[..., off : off + d] * (bn / beta_fn(d))
-        grads.append(pb_log0_vjp(p, gpart))
-        off += d
-    return grads
+    return seg_concat(np.concatenate(parts, axis=-1), segments(tuple(p.shape[-1] for p in parts)))
 
 
 def beta_split(y, dims):
@@ -248,77 +281,71 @@ def beta_split(y, dims):
     y = np.asarray(y, dtype=np.float64)
     if sum(dims) != y.shape[-1]:
         raise DimensionMismatch(f"dims {dims} do not sum to {y.shape[-1]}")
-    n = y.shape[-1]
-    bn = beta_fn(n)
-    u = pb_log0(y)
-    parts = []
-    off = 0
-    for d in dims:
-        parts.append(pb_exp0(beta_fn(d) / bn * u[..., off : off + d]))
-        off += d
-    return parts
-
-
-def beta_split_vjp(y, dims, grad_parts):
-    y = np.asarray(y, dtype=np.float64)
-    n = y.shape[-1]
-    bn = beta_fn(n)
-    u = pb_log0(y)
-    gu = np.zeros_like(u)
-    off = 0
-    for d, gp in zip(dims, grad_parts):
-        seg = beta_fn(d) / bn * u[..., off : off + d]
-        gu[..., off : off + d] = pb_exp0_vjp(seg, gp) * (beta_fn(d) / bn)
-        off += d
-    return pb_log0_vjp(y, gu)
+    return np.split(seg_split(y, segments(tuple(dims))), np.cumsum(dims)[:-1], axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # correlation <-> poly-Poincare
 # ---------------------------------------------------------------------------
 
-def cor_to_ppb(c):
-    """Cholesky rows of a correlation matrix mapped to Poincare parts.
+def _poly_n(d):
+    """n of a poly-ball point of dimension d = n(n-1)/2."""
+    n = (1 + math.isqrt(1 + 8 * d)) // 2
+    if d < 1 or dom.lt0_dim(n) != d:
+        raise DimensionMismatch(f"dimension {d} is not n(n-1)/2 for an n >= 2")
+    return n
 
-    Returns a list of n-1 arrays with trailing dimensions 1, ..., n-1.
+
+def cor_to_ppb(c):
+    """Cholesky rows of a correlation matrix mapped to one poly-ball point.
+
+    Returns (y, L): y (..., n(n-1)/2) holds the parts of dimension 1..n-1,
+    part r = L[r, :r] / (1 + L[r, r]); L is the Cholesky factor.
     """
     l = la.chol(c)
     n = l.shape[-1]
-    return [hs_to_pb(l[..., i, : i + 1]) for i in range(1, n)], l
+    seg = poly_segments(n)
+    y = dom.lt0_coords(l) / seg.spread(1.0 + la.diagvec(l)[..., 1:])
+    return project_ball(y, seg), l
 
 
-def ppb_to_cor(parts, with_factor=False):
-    """Rebuild the correlation matrix from Poincare parts (inverse of cor_to_ppb)."""
-    n = len(parts) + 1
-    lead = parts[0].shape[:-1]
-    l = np.zeros(lead + (n, n))
-    l[..., 0, 0] = 1.0
-    for i, p in enumerate(parts, start=1):
-        if p.shape[-1] != i:
-            raise DimensionMismatch(f"part {i} has dimension {p.shape[-1]}, expected {i}")
-        l[..., i, : i + 1] = pb_to_hs(p)
-    c = l @ la.transpose(l)
+def ppb_to_cor(y):
+    """Correlation matrix and Cholesky factor of a poly-ball point (inverse of cor_to_ppb).
+
+    Row r of the factor is the hemisphere point (2 y_r, 1 - |y_r|^2) / (1 + |y_r|^2).
+    """
+    y = np.asarray(y, dtype=np.float64)
+    n = _poly_n(y.shape[-1])
+    seg = poly_segments(n)
+    sq = seg.dot(y, y)
+    u = 1.0 + sq
+    l = dom.lt0_from_coords(2.0 * y / seg.spread(u), n)
     idx = np.arange(n)
+    l[..., 0, 0] = 1.0
+    l[..., idx[1:], idx[1:]] = (1.0 - sq) / u
+    c = l @ la.transpose(l)
     c[..., idx, idx] = 1.0
-    if with_factor:
-        return c, l
-    return c
+    return c, l
 
 
-def cor_to_ppb_vjp(l, grad_parts):
+def cor_to_ppb_vjp(l, grad_y):
     """Adjoint of cor_to_ppb given the Cholesky factor of the input."""
     n = l.shape[-1]
-    gl = np.zeros_like(l)
-    for i, gp in enumerate(grad_parts, start=1):
-        gl[..., i, : i + 1] = hs_to_pb_vjp(l[..., i, : i + 1], gp)
+    seg = poly_segments(n)
+    g = np.asarray(grad_y, dtype=np.float64)
+    denom = 1.0 + la.diagvec(l)[..., 1:]
+    gl = dom.lt0_from_coords(g / seg.spread(denom), n)
+    idx = np.arange(1, n)
+    gl[..., idx, idx] = -seg.dot(g, dom.lt0_coords(l)) / denom**2
     return la.chol_backward(l, gl)
 
 
-def ppb_to_cor_vjp(parts, l, grad_c):
+def ppb_to_cor_vjp(y, l, grad_c):
     """Adjoint of ppb_to_cor; grad_c pairs with symmetric perturbations."""
-    g = la.sym(np.asarray(grad_c, dtype=np.float64))
-    gl = 2.0 * g @ l
-    grads = []
-    for i, p in enumerate(parts, start=1):
-        grads.append(pb_to_hs_vjp(p, gl[..., i, : i + 1]))
-    return grads
+    y = np.asarray(y, dtype=np.float64)
+    seg = poly_segments(l.shape[-1])
+    gl = 2.0 * la.sym(np.asarray(grad_c, dtype=np.float64)) @ l
+    ghead = dom.lt0_coords(gl)
+    u = 1.0 + seg.dot(y, y)
+    coef = seg.dot(ghead, y) + la.diagvec(gl)[..., 1:]
+    return 2.0 * ghead / seg.spread(u) - seg.spread((4.0 / u**2) * coef) * y

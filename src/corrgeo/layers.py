@@ -235,10 +235,10 @@ class ChartInput:
     """Correlation inputs after an optional matrix power and a metric's chart.
 
     ``value`` is (B, C, n, n) prototype values under a flat metric and
-    (B, C, n(n-1)/2) under phcm: each channel's Poincare parts of dimension
-    1, ..., n-1, concatenated.  ``cache`` is the chart's cache, kept where the
-    input adjoint runs through the chart.  Indexing slices the value (samples
-    first, then channels) and drops the cache.
+    (B, C, n(n-1)/2) under phcm: each channel's poly-ball point, its Poincare
+    parts of dimension 1, ..., n-1 laid end to end.  ``cache`` is the chart's
+    cache, kept where the input adjoint runs through the chart.  Indexing
+    slices the value (samples first, then channels) and drops the cache.
     """
 
     value: np.ndarray
@@ -273,22 +273,10 @@ def map_input(x, metric, solver=None, power=1.0, keep_cache=False):
     if power != 1.0:
         x = dom.cor_of(power_activation(x, power))
     if metric == "phcm":
-        parts, cache = hyp.cor_to_ppb(x)
-        value = np.concatenate(parts, axis=-1)
+        value, cache = hyp.cor_to_ppb(x)
     else:
         value, cache = geo.prototype_forward(metric, x, solver)
     return ChartInput(value, metric, x.shape[-1], power, solver, cache if keep_cache else None)
-
-
-def _parts(value, n):
-    """The Poincare parts of dimension 1, ..., n-1 along the last axis of ``value``."""
-    return [value[..., r * (r - 1) // 2 : r * (r + 1) // 2] for r in range(1, n)]
-
-
-def _ball_parts(inp):
-    """Channel-major list of the (B, r) Poincare parts of a phcm ChartInput."""
-    per_dim = _parts(inp.value, inp.n)
-    return [p[:, ch] for ch in range(inp.channels) for p in per_dim]
 
 
 def _layer_input(x, metric, channels, n, solver):
@@ -311,7 +299,7 @@ def _input_adjoint(inp, grad):
     if inp.cache is None:
         return grad
     if inp.metric == "phcm":
-        return hyp.cor_to_ppb_vjp(inp.cache, _parts(grad, inp.n))
+        return hyp.cor_to_ppb_vjp(inp.cache, grad)
     return geo.prototype_vjp(inp.metric, inp.cache, grad)
 
 
@@ -338,24 +326,30 @@ def mlr_vjp(params, cache, grad_v):
     return {"z": gz, "gamma": ggamma}, _input_adjoint(cache["input"], gpx)
 
 
-def _parts_adjoint(inp, parts, grad_pt):
-    """Input adjoint of the beta-concatenated ball point of ``parts``."""
-    grad_parts = hyp.beta_concat_vjp(parts, grad_pt)
-    return _input_adjoint(inp, np.concatenate(grad_parts, axis=-1).reshape(inp.value.shape))
+def _phcm_point(inp):
+    """(B, C*n(n-1)/2) channel parts of a phcm ChartInput, their layout and
+    their beta-concatenated ball point."""
+    x = inp.value.reshape(len(inp), -1)
+    seg = hyp.poly_segments(inp.n, inp.channels)
+    return x, seg, hyp.seg_concat(x, seg)
+
+
+def _point_adjoint(cache, grad_pt):
+    """Input adjoint of a layer from that of its beta-concatenated ball point."""
+    inp = cache["input"]
+    grad = hyp.seg_concat_vjp(cache["x"], cache["seg"], grad_pt)
+    return _input_adjoint(inp, grad.reshape(inp.value.shape))
 
 
 def _phcm_mlr_forward(inp, params):
-    parts = _ball_parts(inp)
-    pt = hyp.beta_concat(parts)
-    v = hyp.pb_mlr_logit(pt[:, None, :], params.z, params.gamma)
-    return v, {"kind": "phcm", "input": inp, "parts": parts, "pt": pt}
+    x, seg, pt = _phcm_point(inp)
+    v = hyp.pb_mlr_logit(pt, params.z, params.gamma)
+    return v, {"kind": "phcm", "input": inp, "x": x, "seg": seg, "pt": pt}
 
 
 def _phcm_mlr_vjp(params, cache, grad_v):
-    pt = cache["pt"]
-    gx_pt, gz, ggamma = hyp.pb_mlr_logit_vjp(pt[:, None, :], params.z, params.gamma, grad_v)
-    gx = _parts_adjoint(cache["input"], cache["parts"], gx_pt.sum(axis=1))
-    return {"z": gz.sum(axis=0), "gamma": ggamma.sum(axis=0)}, gx
+    gx, gz, ggamma = hyp.pb_mlr_logit_vjp(cache["pt"], params.z, params.gamma, grad_v)
+    return {"z": gz, "gamma": ggamma}, _point_adjoint(cache, gx)
 
 
 # ---------------------------------------------------------------------------
@@ -391,51 +385,28 @@ def fc_vjp(params, cache, grad_y, input_adjoint=True):
     return grads, (_input_adjoint(cache["input"], gpx) if input_adjoint else None)
 
 
-def _phcm_split_dims(m, kernels):
-    return hyp.poly_dims(m) * kernels
-
-
 def _phcm_fc_forward(inp, params):
-    parts = _ball_parts(inp)
-    pt = hyp.beta_concat(parts)
-    v = hyp.pb_mlr_logit(pt[:, None, :], params.z, params.gamma)
+    """One ball logit per kernel and output slot; the (B, kernels * dm) FC
+    point splits into each kernel's poly-ball point of an m x m output."""
+    x, seg, pt = _phcm_point(inp)
+    v = hyp.pb_mlr_logit(pt, params.z, params.gamma)
     y_ball = hyp.pb_fc_from_logits(v)
-    dims = _phcm_split_dims(params.m, params.kernels)
-    out_parts = hyp.beta_split(y_ball, dims)
-    per = params.m - 1
-    outs = []
-    factors_out = []
-    for kk in range(params.kernels):
-        c, l = hyp.ppb_to_cor(out_parts[kk * per : (kk + 1) * per], with_factor=True)
-        outs.append(c)
-        factors_out.append(l)
-    y = np.stack(outs, axis=1)
+    out_seg = hyp.poly_segments(params.m, params.kernels)
+    out = hyp.seg_split(y_ball, out_seg).reshape(len(v), params.kernels, -1)
+    y, l_out = hyp.ppb_to_cor(out)
     return y, {
-        "kind": "phcm", "input": inp, "parts": parts, "pt": pt,
-        "v": v, "y_ball": y_ball, "out_parts": out_parts, "factors_out": factors_out,
+        "kind": "phcm", "input": inp, "x": x, "seg": seg, "pt": pt, "v": v,
+        "y_ball": y_ball, "out_seg": out_seg, "out": out, "l_out": l_out,
     }
 
 
 def _phcm_fc_vjp(params, cache, grad_y, input_adjoint):
-    per = params.m - 1
-    grad_out_parts = []
-    for kk in range(params.kernels):
-        gparts = hyp.ppb_to_cor_vjp(
-            cache["out_parts"][kk * per : (kk + 1) * per],
-            cache["factors_out"][kk],
-            grad_y[:, kk],
-        )
-        grad_out_parts.extend(gparts)
-    dims = _phcm_split_dims(params.m, params.kernels)
-    g_ball = hyp.beta_split_vjp(cache["y_ball"], dims, grad_out_parts)
+    g_out = hyp.ppb_to_cor_vjp(cache["out"], cache["l_out"], grad_y)
+    g_ball = hyp.seg_split_vjp(cache["y_ball"], cache["out_seg"], g_out.reshape(len(g_out), -1))
     gv = hyp.pb_fc_from_logits_vjp(cache["v"], g_ball)
-    gx_pt, gz, ggamma = hyp.pb_mlr_logit_vjp(
-        cache["pt"][:, None, :], params.z, params.gamma, gv
-    )
-    grads = {"z": gz.sum(axis=0), "gamma": ggamma.sum(axis=0)}
-    if not input_adjoint:
-        return grads, None
-    return grads, _parts_adjoint(cache["input"], cache["parts"], gx_pt.sum(axis=1))
+    gx, gz, ggamma = hyp.pb_mlr_logit_vjp(cache["pt"], params.z, params.gamma, gv)
+    grads = {"z": gz, "gamma": ggamma}
+    return grads, (_point_adjoint(cache, gx) if input_adjoint else None)
 
 
 # ---------------------------------------------------------------------------
@@ -495,21 +466,19 @@ def tangent_relu_forward(x, metric, solver=None):
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[-1]
     if metric == "phcm":
-        shape = x.shape[:-2]
-        flat = x.reshape((-1, n, n))
-        parts, factors = hyp.cor_to_ppb(flat)
-        pt = hyp.beta_concat(parts)
+        seg = hyp.poly_segments(n)
+        parts, factors = hyp.cor_to_ppb(x)
+        pt = hyp.seg_concat(parts, seg)
         tan = hyp.pb_log0(pt)
         mask = tan > 0.0
         rect = hyp.pb_exp0(tan * mask)
-        out_parts = hyp.beta_split(rect, hyp.poly_dims(n))
-        y = hyp.ppb_to_cor(out_parts)
+        out = hyp.seg_split(rect, seg)
+        y, l_out = hyp.ppb_to_cor(out)
         cache = {
-            "metric": metric, "flat": flat, "parts": parts, "factors": factors,
-            "pt": pt, "tan": tan, "mask": mask, "rect": rect, "out_parts": out_parts,
-            "shape": shape,
+            "metric": metric, "seg": seg, "parts": parts, "factors": factors, "pt": pt,
+            "tan": tan, "mask": mask, "rect": rect, "out": out, "l_out": l_out,
         }
-        return y.reshape(x.shape), cache
+        return y, cache
     # the rectification needs the exact diffeomorphism pair, so the scaled-log
     # map always runs in full mode here even when training uses newton1
     solver = {**DEFAULT_LAYER_SOLVER, **(solver or {}), "dstar_mode": "full"}
@@ -524,16 +493,12 @@ def tangent_relu_forward(x, metric, solver=None):
 def tangent_relu_vjp(cache, grad_y):
     metric = cache["metric"]
     if metric == "phcm":
-        n = cache["flat"].shape[-1]
-        g = np.asarray(grad_y, dtype=np.float64).reshape(cache["flat"].shape)
-        lmat = hyp.ppb_to_cor(cache["out_parts"], with_factor=True)[1]
-        gparts = hyp.ppb_to_cor_vjp(cache["out_parts"], lmat, g)
-        grect = hyp.beta_split_vjp(cache["rect"], hyp.poly_dims(n), gparts)
+        seg = cache["seg"]
+        gout = hyp.ppb_to_cor_vjp(cache["out"], cache["l_out"], grad_y)
+        grect = hyp.seg_split_vjp(cache["rect"], seg, gout)
         gtan = hyp.pb_exp0_vjp(cache["tan"] * cache["mask"], grect) * cache["mask"]
         gpt = hyp.pb_log0_vjp(cache["pt"], gtan)
-        gparts_in = hyp.beta_concat_vjp(cache["parts"], gpt)
-        gx = hyp.cor_to_ppb_vjp(cache["factors"], gparts_in)
-        return gx.reshape(grad_y.shape)
+        return hyp.cor_to_ppb_vjp(cache["factors"], hyp.seg_concat_vjp(cache["parts"], seg, gpt))
     n = grad_y.shape[-1]
     grect = geo.inverse_vjp(metric, cache["icache"], grad_y)
     gcoords = geo.prototype_from_coords_adjoint(metric, grect) * cache["mask"]

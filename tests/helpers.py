@@ -1,6 +1,7 @@
 """Shared oracles: central finite differences, random test inputs,
 linear-algebra routines without a caller in the library, single-sample
 solver entry points and hyperbolic distances the library does not call,
+the broadcast Poincare logit and list-of-parts poly-ball maps,
 per-sample reference loops for the batched solver kernels, and the
 structural validators, dense prototype bases and einsum contractions the
 layers once used."""
@@ -282,8 +283,153 @@ def pb_fc(x, zs, gammas):
     x: (..., n); zs: (m, n); gammas: (m,).  Returns (..., m) ball points; the
     construction keeps |y| < 1 for any logits.
     """
-    v = np.stack([hyp.pb_mlr_logit(x, zs[k], gammas[k]) for k in range(len(zs))], axis=-1)
+    v = np.stack([pb_mlr_logit_ref(x, zs[k], gammas[k]) for k in range(len(zs))], axis=-1)
     return hyp.pb_fc_from_logits(v)
+
+
+def hs_to_pb_vjp(x, grad_p):
+    x = np.asarray(x, dtype=np.float64)
+    g = np.asarray(grad_p, dtype=np.float64)
+    denom = 1.0 + x[..., -1:]
+    head = g / denom
+    last = -np.sum(g * x[..., :-1], axis=-1, keepdims=True) / denom**2
+    return np.concatenate([head, last], axis=-1)
+
+
+def pb_to_hs_vjp(y, grad_h):
+    y = np.asarray(y, dtype=np.float64)
+    g = np.asarray(grad_h, dtype=np.float64)
+    sq = np.sum(y * y, axis=-1, keepdims=True)
+    u = 1.0 + sq
+    ghead = g[..., :-1]
+    glast = g[..., -1:]
+    coef = np.sum(ghead * y, axis=-1, keepdims=True) + glast
+    return 2.0 * ghead / u - (4.0 / u**2) * coef * y
+
+
+# ---------------------------------------------------------------------------
+# the broadcast Poincare logit and the list-of-parts poly-ball maps the
+# layers once used: oracles for the matmul and segment forms
+# ---------------------------------------------------------------------------
+
+def pb_mlr_logit_ref(x, z, gamma):
+    """Logit of broadcast x (..., n), z (..., n), gamma (...) through a
+    (..., n) product summed over the last axis."""
+    x = np.asarray(x, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    gamma = np.asarray(gamma, dtype=np.float64)
+    znorm = np.sqrt(np.sum(z * z, axis=-1))
+    zhat = z / np.where(znorm[..., None] == 0.0, 1.0, znorm[..., None])
+    lam = 2.0 / (1.0 - np.sum(x * x, axis=-1))
+    arg = lam * np.sum(x * zhat, axis=-1) * np.cosh(2.0 * gamma) - (lam - 1.0) * np.sinh(2.0 * gamma)
+    return 2.0 * znorm * np.arcsinh(arg)
+
+
+def pb_mlr_logit_vjp_ref(x, z, gamma, grad_v):
+    """Broadcast adjoints (grad_x, grad_z, grad_gamma) of pb_mlr_logit_ref, not summed."""
+    x = np.asarray(x, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    gamma = np.asarray(gamma, dtype=np.float64)
+    gv = np.asarray(grad_v, dtype=np.float64)
+    znorm = np.sqrt(np.sum(z * z, axis=-1))
+    safe = np.where(znorm == 0.0, 1.0, znorm)
+    zhat = z / safe[..., None]
+    xsq = np.sum(x * x, axis=-1)
+    lam = 2.0 / (1.0 - xsq)
+    dot = np.sum(x * zhat, axis=-1)
+    ch, sh = np.cosh(2.0 * gamma), np.sinh(2.0 * gamma)
+    arg = lam * dot * ch - (lam - 1.0) * sh
+    asc = 1.0 / np.sqrt(1.0 + arg * arg)
+    front = 2.0 * znorm * asc
+    gx = gv[..., None] * front[..., None] * (
+        (lam * lam * (dot * ch - sh))[..., None] * x + (lam * ch)[..., None] * zhat
+    )
+    gz = gv[..., None] * (
+        2.0 * np.arcsinh(arg)[..., None] * zhat
+        + (2.0 * asc * lam * ch)[..., None] * (x - dot[..., None] * zhat) / safe[..., None] * znorm[..., None]
+    )
+    ggamma = gv * front * (2.0 * lam * dot * sh - 2.0 * (lam - 1.0) * ch)
+    zero = (znorm == 0.0)[..., None]
+    gz = np.where(zero, 0.0, gz)
+    gx = np.where(zero, 0.0, gx)
+    ggamma = np.where(znorm == 0.0, 0.0, ggamma)
+    return gx, gz, ggamma
+
+
+def beta_concat_ref(parts):
+    dims = [p.shape[-1] for p in parts]
+    bn = hyp.beta_fn(sum(dims))
+    scaled = [bn / hyp.beta_fn(d) * hyp.pb_log0(p) for p, d in zip(parts, dims)]
+    return hyp.pb_exp0(np.concatenate(scaled, axis=-1))
+
+
+def beta_concat_vjp_ref(parts, grad_y):
+    dims = [p.shape[-1] for p in parts]
+    bn = hyp.beta_fn(sum(dims))
+    scaled = [bn / hyp.beta_fn(d) * hyp.pb_log0(p) for p, d in zip(parts, dims)]
+    gu = hyp.pb_exp0_vjp(np.concatenate(scaled, axis=-1), grad_y)
+    grads = []
+    off = 0
+    for p, d in zip(parts, dims):
+        grads.append(hyp.pb_log0_vjp(p, gu[..., off : off + d] * (bn / hyp.beta_fn(d))))
+        off += d
+    return grads
+
+
+def beta_split_ref(y, dims):
+    y = np.asarray(y, dtype=np.float64)
+    bn = hyp.beta_fn(y.shape[-1])
+    u = hyp.pb_log0(y)
+    parts = []
+    off = 0
+    for d in dims:
+        parts.append(hyp.pb_exp0(hyp.beta_fn(d) / bn * u[..., off : off + d]))
+        off += d
+    return parts
+
+
+def beta_split_vjp_ref(y, dims, grad_parts):
+    y = np.asarray(y, dtype=np.float64)
+    bn = hyp.beta_fn(y.shape[-1])
+    u = hyp.pb_log0(y)
+    gu = np.zeros_like(u)
+    off = 0
+    for d, gp in zip(dims, grad_parts):
+        seg = hyp.beta_fn(d) / bn * u[..., off : off + d]
+        gu[..., off : off + d] = hyp.pb_exp0_vjp(seg, gp) * (hyp.beta_fn(d) / bn)
+        off += d
+    return hyp.pb_log0_vjp(y, gu)
+
+
+def cor_to_ppb_ref(c):
+    """(list of the n-1 Poincare parts of the Cholesky rows, Cholesky factor)."""
+    l = la.chol(c)
+    return [hyp.hs_to_pb(l[..., i, : i + 1]) for i in range(1, l.shape[-1])], l
+
+
+def ppb_to_cor_ref(parts):
+    """(correlation matrix, Cholesky factor) of a list of Poincare parts."""
+    n = len(parts) + 1
+    l = np.zeros(parts[0].shape[:-1] + (n, n))
+    l[..., 0, 0] = 1.0
+    for i, p in enumerate(parts, start=1):
+        l[..., i, : i + 1] = hyp.pb_to_hs(p)
+    c = l @ la.transpose(l)
+    idx = np.arange(n)
+    c[..., idx, idx] = 1.0
+    return c, l
+
+
+def cor_to_ppb_vjp_ref(l, grad_parts):
+    gl = np.zeros_like(l)
+    for i, gp in enumerate(grad_parts, start=1):
+        gl[..., i, : i + 1] = hs_to_pb_vjp(l[..., i, : i + 1], gp)
+    return la.chol_backward(l, gl)
+
+
+def ppb_to_cor_vjp_ref(parts, l, grad_c):
+    gl = 2.0 * la.sym(np.asarray(grad_c, dtype=np.float64)) @ l
+    return [pb_to_hs_vjp(p, gl[..., i, : i + 1]) for i, p in enumerate(parts, start=1)]
 
 
 # ---------------------------------------------------------------------------

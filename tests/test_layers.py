@@ -268,7 +268,7 @@ def hollow_batch(shape, n, rng):
 
 
 class TestLayerAdjoints:
-    """Dot-product tests <J u, w> = <u, J^T w> for the olm and lsm layer
+    """Dot-product tests <J u, w> = <u, J^T w> for the olm, lsm and phcm layer
     pullbacks, jointly in the input and the parameters; J u is a central
     difference, so the bound is the difference's accuracy, not rounding."""
 
@@ -287,7 +287,7 @@ class TestLayerAdjoints:
         x = np.stack([dom.random_correlation(n, 1.0 / np.sqrt(n), rng) for _ in range(b * c)])
         return x.reshape(b, c, n, n), 0.1 * hollow_batch((b, c), n, rng)
 
-    @pytest.mark.parametrize("metric", ["olm", "lsm"])
+    @pytest.mark.parametrize("metric", ["olm", "lsm", "phcm"])
     @cases
     @inputs
     def test_fc(self, metric, n, b, c, k, seed):
@@ -312,7 +312,7 @@ class TestLayerAdjoints:
         gap, scale = dot_product_gap(f, point, direction, rng.standard_normal((b, k, m, m)), pullback)
         assert gap <= self.TOL * scale
 
-    @pytest.mark.parametrize("metric", ["olm", "lsm"])
+    @pytest.mark.parametrize("metric", ["olm", "lsm", "phcm"])
     @cases
     @inputs
     def test_mlr(self, metric, n, b, c, k, seed):
@@ -336,7 +336,7 @@ class TestLayerAdjoints:
         gap, scale = dot_product_gap(f, point, direction, rng.standard_normal((b, k)), pullback)
         assert gap <= self.TOL * scale
 
-    @pytest.mark.parametrize("metric", ["olm", "lsm"])
+    @pytest.mark.parametrize("metric", ["olm", "lsm", "phcm"])
     @cases
     @inputs
     def test_tangent_relu(self, metric, n, b, c, k, seed):
