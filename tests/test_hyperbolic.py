@@ -237,7 +237,9 @@ class TestBetaOps:
 
 
 def split_parts(y, n):
-    """The Poincare parts of dimension 1, ..., n-1 of a poly-ball point."""
+    """The Poincare parts of dimension 1, ..., n-1 of a poly-ball point,
+    whose last axis must hold exactly n(n-1)/2 coordinates."""
+    assert np.shape(y)[-1] == n * (n - 1) // 2, np.shape(y)
     return np.split(y, np.cumsum(hyp.poly_dims(n))[:-1], axis=-1)
 
 
@@ -250,7 +252,7 @@ class TestCorPpb:
     def test_two_by_two_hand_value(self):
         r = 0.6
         y, _ = hyp.cor_to_ppb(np.array([[1.0, r], [r, 1.0]]))
-        assert len(split_parts(y, 2)) == 1
+        assert y.shape == (1,)  # one part, of dimension 1
         assert abs(y[0] - 1.0 / 3.0) < 1e-12
 
     def test_roundtrip(self):
