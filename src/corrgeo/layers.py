@@ -133,11 +133,7 @@ def _lower_layout(n):
         i, j = np.tril_indices(n, -1)
         order = np.argsort(j, kind="stable")
         col_start = np.searchsorted(j[order], np.arange(n - 1))
-        row_start = np.array([r * (r - 1) // 2 for r in range(1, n)])
-        _LOWER_LAYOUT[n] = {
-            "i": i, "j": j, "row_start": row_start,
-            "order": order, "col_start": col_start,
-        }
+        _LOWER_LAYOUT[n] = {"i": i, "j": j, "order": order, "col_start": col_start}
     return _LOWER_LAYOUT[n]
 
 
@@ -146,7 +142,8 @@ def _z_row_sums(z, n):
     lay = _lower_layout(n)
     s = np.zeros(z.shape[:-1] + (n,))
     if n > 1:
-        s[..., 1:] += np.add.reduceat(z, lay["row_start"], axis=-1)
+        # the lower slots of rows 1..n-1 are laid out as the parts of a poly-ball point
+        s[..., 1:] += np.add.reduceat(z, hyp.poly_segments(n).starts, axis=-1)
         s[..., : n - 1] += np.add.reduceat(z[..., lay["order"]], lay["col_start"], axis=-1)
     return s
 
