@@ -169,7 +169,7 @@ def _flat_logits(px, z, gamma, metric, n):
     cache = {"low": low, "z": z}
     zf = _rows(z)
     inner = _rows(low) @ zf.T
-    nrm2 = (zf * zf).sum(axis=1)
+    nrm2 = np.einsum("kd,kd->k", zf, zf)  # one pass, no (K, C*d) temporary
     if metric in ("olm", "lsm"):
         inner, nrm2 = 2.0 * inner, 2.0 * nrm2
     if metric == "lsm":  # W = Z - diag(Z 1)
