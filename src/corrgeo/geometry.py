@@ -111,9 +111,7 @@ class TriangularChart:
         l, t = cache["l"], cache["t"]
         g = self.log_adjoint(t, g)
         abar = la.half_lower(la.transpose(t) @ g) - 0.5 * la.dmat(g @ la.transpose(t))
-        lt = la.transpose(l)
-        w = la.transpose(np.linalg.solve(lt, la.transpose(np.linalg.solve(lt, abar))))
-        return la.sym(w)
+        return la.sym(la.inner_solve_spd(la.transpose(l), abar))
 
     def inverse_vjp(self, cache, g):
         gk = 2.0 * dom.cor_of_backward(cache["sigma"], g) @ cache["k"]
@@ -159,7 +157,7 @@ class OffLogChart:
     def inverse_vjp(self, cache, g):
         lam, u = cache["lam"], cache["u"]
         gs = la.daleckii_krein(u, la.loewner(lam, np.exp, np.exp), la.sym(g))
-        return sv.dplus_backward_batch(cache["x"], gs, eig=(lam, u))
+        return sv.dplus_backward_batch(gs, (lam, u))
 
     def push(self, cache, v):
         return la.offmat(la.daleckii_krein(cache["u"], _log_loewner(cache["lam"]), v))

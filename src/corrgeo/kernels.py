@@ -2,7 +2,7 @@
 
 The implicit diagonal solvers dominate the runtime of the permutation-invariant
 geometries.  Each iterative kernel works on the set of still-active samples at
-once, with a per-sample stop test and damping schedule, so a sample's result
+once, with a per-sample stop test and backtracking, so a sample's result
 (iterations included) does not depend on the rest of its batch.
 """
 
@@ -14,68 +14,85 @@ from . import linalg as la
 # records it in its environment line
 USE_NUMBA = False
 
-# damping schedule: alpha in {1, 1/2, ..., 2**-20}
+# backtracking schedule: alpha in {1, 1/2, ..., 2**-20}
 _MAX_HALVINGS = 20
+# sufficient decrease of dstar's Armijo test (Nocedal & Wright, 2006, ch. 3)
+_ARMIJO_C = 1e-4
+
+
+def _backtrack(x, step, accept):
+    """Per sample, the first trial x + alpha step, alpha = 1, 1/2, ..., 2**-20, that accept takes.
+
+    ``accept(idx, trial)`` gets the indices of the samples still searching and
+    their trials, and returns which it takes.  Returns (x, ok, alpha); a
+    sample no alpha satisfies keeps its x, gets ok False and alpha 0.
+    """
+    out = x.copy()
+    pending = np.ones(len(x), dtype=bool)
+    taken = np.zeros(len(x))
+    alpha = 1.0
+    for _ in range(_MAX_HALVINGS + 1):
+        idx = np.flatnonzero(pending)
+        if idx.size == 0:
+            break
+        trial = x[idx] + alpha * step[idx]
+        good = accept(idx, trial)
+        idx = idx[good]
+        out[idx], pending[idx], taken[idx] = trial[good], False, alpha
+        alpha *= 0.5
+    return out, ~pending, taken
+
+
+def _dplus_eval(h, idx, d):
+    """(lam, u, e, max|e - 1|) at S = diag(d) + h[idx] = U diag(lam) U^T, e = diag(exp(S))."""
+    s = h[idx]
+    eye = np.arange(h.shape[-1])
+    s[:, eye, eye] += d
+    lam, u = np.linalg.eigh(s)
+    # far from the solution exp can overflow; the residual is then inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = ((u * u) @ np.exp(lam)[..., None])[..., 0]
+        return lam, u, e, np.abs(e - 1.0).max(axis=1)
 
 
 def dplus_solve(h, tol, max_iter):
     """Find diagonal vectors d with unit-diagonal exp(diag(d) + h), batched.
 
-    Safeguarded Newton from d = 0 on log(e) = 0, e = diag(exp(S)) and
-    S = diag(d) + h = U diag(lam) U^T.  The Jacobian of d -> e is the SPD
-    H0 = h0_build(U, loewner(lam, exp, exp)), so a step solves
-    H0 delta = -e log(e).  A Newton iterate whose residual max|e - 1| is not
-    below that of its base point is discarded for the fixed-point step
-    d <- d - log(e) of Archakov & Hansen (2021) from the base point.  Each
-    evaluation of S (one eigh) counts as an iteration.
+    Backtracking Newton from d = 0 on log(e) = 0, e = diag(exp(diag(d) + h)):
+    the Jacobian of d -> e is the SPD H0 = h0_build(U, loewner(lam, exp,
+    exp)), and a trial is taken once its residual max|e - 1| is below its
+    base point's.  Each evaluation (one eigh) counts as an iteration.
 
     Returns (d, iterations, residuals, lam, u) with (lam, u) the
-    eigendecomposition of the last evaluated S; a residual above tol (or not
-    finite) means the iteration budget ran out for that sample or exp
-    overflowed at a point it could not step back from.
+    eigendecomposition of diag(d) + h at the returned d; a residual above tol
+    (or not finite) means the budget ran out, no step length lowered the
+    residual, or exp overflowed at d = 0.
     """
     h = np.asarray(h, dtype=np.float64)
-    b, n = h.shape[0], h.shape[1]
-    d = np.zeros((b, n))
-    iters = np.zeros(b, dtype=np.int64)
-    res = np.full(b, np.inf)
-    lam = np.zeros((b, n))
-    u = np.zeros((b, n, n))
-    # per sample: residual of the last accepted point and its fixed-point step
-    base_res = np.full(b, np.inf)
-    fixed = np.zeros((b, n))
-    newton = np.zeros(b, dtype=bool)  # d is a Newton iterate not yet accepted
-    active = np.arange(b)
-    eye = np.arange(n)
-    for _ in range(max_iter):
-        if active.size == 0:
-            break
-        s = h[active]
-        s[:, eye, eye] += d[active]
-        lam_a, u_a = np.linalg.eigh(s)
-        lam[active], u[active] = lam_a, u_a
-        # a Newton iterate far off can overflow; its residual is then inf or
-        # NaN and the iterate is rejected below
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = ((u_a * u_a) @ np.exp(lam_a)[..., None])[..., 0]
-        r = np.abs(e - 1.0).max(axis=1)
-        iters[active] += 1
-        res[active] = r
-        go = ~(r <= tol)  # a NaN residual keeps its sample going
-        active, lam_a, u_a, e, r = active[go], lam_a[go], u_a[go], e[go], r[go]
-        back = newton[active] & ~(r < base_res[active])  # NaN counts as no lower
-        d[active[back]] = fixed[active[back]]
-        newton[active[back]] = False
-        # an accepted point whose residual overflowed gives no finite step:
-        # its sample stops there with the residual above tol
-        ok = ~back & np.isfinite(r)
-        acc, e = active[ok], e[ok]
-        log_e = np.log(e)
-        base_res[acc], fixed[acc] = r[ok], d[acc] - log_e
-        h0 = h0_build(u_a[ok], la.loewner(lam_a[ok], np.exp, np.exp))
-        d[acc] += np.linalg.solve(h0, -(e * log_e)[..., None])[..., 0]
-        newton[acc] = True
-        active = active[back | ok]
+    d = np.zeros(h.shape[:2])
+    lam, u, e, res = _dplus_eval(h, np.arange(len(h)), d)
+    iters = np.ones(len(h), dtype=np.int64)
+    # an overflowed residual gives no finite step: the sample stops there
+    active = np.flatnonzero(np.isfinite(res) & (res > tol))
+    while active.size:
+        h0 = h0_build(u[active], la.loewner(lam[active], np.exp, np.exp))
+        with np.errstate(over="ignore", invalid="ignore"):  # accept rejects such a step
+            step = np.linalg.solve(h0, -(e[active] * np.log(e[active]))[..., None])[..., 0]
+
+        def accept(idx, trial):
+            # an overflowed step gives no point to evaluate
+            good = (iters[active[idx]] < max_iter) & np.isfinite(trial).all(axis=-1)
+            k = active[idx[good]]
+            iters[k] += 1
+            lam_t, u_t, e_t, r = _dplus_eval(h, k, trial[good])
+            lower = r < res[k]
+            k = k[lower]
+            lam[k], u[k], e[k], res[k] = lam_t[lower], u_t[lower], e_t[lower], r[lower]
+            good[good] = lower
+            return good
+
+        d[active], ok, _ = _backtrack(d[active], step, accept)
+        active = active[ok & (res[active] > tol)]
     return d, iters, res, lam, u
 
 
@@ -89,51 +106,37 @@ def _newton_step(c, x, f):
     return np.linalg.solve(jac, -f[..., None])[..., 0]
 
 
-def _damped_update(c, x, fnorm, step):
-    """Per sample, take the first alpha that keeps x positive and lowers max|f| below fnorm.
+def _lowers_fnorm(c, fnorm, idx, trial):
+    """Acceptance test for _backtrack: the trial is positive and lowers max|f| below fnorm[idx]."""
+    good = (trial > 0.0).all(axis=-1)
+    k = np.flatnonzero(good)
+    good[k] = np.abs(_residual(c[idx[k]], trial[k])).max(axis=-1) < fnorm[idx[k]]
+    return good
 
-    Returns (x, ok, taken); a sample no alpha helps keeps its x, gets ok False
-    and taken 0, and every other sample's taken is its alpha.
-    """
-    out = x.copy()
-    pending = np.ones(len(x), dtype=bool)
-    taken = np.zeros(len(x))
-    alpha = 1.0
-    for _ in range(_MAX_HALVINGS + 1):
-        idx = np.flatnonzero(pending)
-        if idx.size == 0:
-            break
-        trial = x[idx] + alpha * step[idx]
-        positive = (trial > 0.0).all(axis=-1)
-        idx, trial = idx[positive], trial[positive]
-        better = np.abs(_residual(c[idx], trial)).max(axis=-1) < fnorm[idx]
-        out[idx[better]] = trial[better]
-        pending[idx[better]] = False
-        taken[idx[better]] = alpha
-        alpha *= 0.5
-    return out, ~pending, taken
+
+def _potential(c, x):
+    """phi(x) = x^T c x / 2 - sum(log x), convex on x > 0, with gradient c x - 1/x."""
+    return 0.5 * (x * (c @ x[..., None])[..., 0]).sum(axis=-1) - np.log(x).sum(axis=-1)
 
 
 def _polish(c, x, f, fnorm):
     """One undamped Newton step, kept where it stays positive and does not raise max|f|."""
-    x, fnorm = x.copy(), fnorm.copy()
-    idx = np.flatnonzero(fnorm != 0.0)
-    trial = x[idx] + _newton_step(c[idx], x[idx], f[idx])
-    positive = (trial > 0.0).all(axis=-1)
-    idx, trial = idx[positive], trial[positive]
-    tnorm = np.abs(_residual(c[idx], trial)).max(axis=-1)
-    keep = tnorm <= fnorm[idx]
-    x[idx[keep]] = trial[keep]
-    fnorm[idx[keep]] = tnorm[keep]
-    return x, fnorm
+    trial = x + _newton_step(c, x, f)
+    tnorm = np.abs(_residual(c, trial)).max(axis=-1)
+    keep = (trial > 0.0).all(axis=-1) & (tnorm <= fnorm)
+    return np.where(keep[:, None], trial, x), np.where(keep, tnorm, fnorm)
 
 
 def dstar_full(c, tol, max_iter):
-    """Damped-Newton solve of c @ x = 1/x for positive x, batched.
+    """Backtracking-Newton solve of c @ x = 1/x for positive x, batched.
 
-    Returns (x, iterations, residuals, damping_failed).  The residual is the
-    max-norm of c @ x - 1/x; iteration stops once it falls below tol, after
-    which one guarded undamped Newton step polishes x to the rounding floor.
+    A positive trial is taken if it lowers max|f|, f = c @ x - 1/x, or meets
+    Armijo on the potential whose gradient is f (Marshall & Olkin, 1968); the
+    max-norm test alone stalls on near-singular c, Armijo at the rounding floor.
+
+    Returns (x, iterations, residuals, damping_failed) with residual max|f|;
+    iteration stops once it falls below tol, after which one guarded
+    undamped Newton step polishes x to the rounding floor.
     """
     c = np.asarray(c, dtype=np.float64)
     b, n = c.shape[0], c.shape[1]
@@ -155,7 +158,18 @@ def dstar_full(c, tol, max_iter):
             fin = active[done]
             x[fin], res[fin] = _polish(ca[done], xa[done], f[done], r[done])
             active, ca, xa, f, r = active[~done], ca[~done], xa[~done], f[~done], r[~done]
-        x[active], ok, _ = _damped_update(ca, xa, r, _newton_step(ca, xa, f))
+
+        def accept(idx, trial):
+            good = _lowers_fnorm(ca, r, idx, trial)
+            # phi only for the positive trials the max-norm test rejects
+            k = np.flatnonzero(~good & (trial > 0.0).all(axis=-1))
+            if k.size:
+                i = idx[k]
+                decrease = _ARMIJO_C * (f[i] * (trial[k] - xa[i])).sum(axis=-1)
+                good[k] = _potential(ca[i], trial[k]) <= _potential(ca[i], xa[i]) + decrease
+            return good
+
+        x[active], ok, _ = _backtrack(xa, _newton_step(ca, xa, f), accept)
         # stalled at the rounding floor; fail only above threshold
         stalled = active[~ok]
         failed[stalled] = res[stalled] > tol * np.maximum(1.0, np.abs(x[stalled]).max(axis=-1))
@@ -167,22 +181,20 @@ def dstar_full(c, tol, max_iter):
 def dstar_newton1(c):
     """A single damped Newton step from x = 1, batched.
 
-    Returns (x, alpha, damping_failed) with alpha the step length taken, 1
-    where x = 1 already solves the system; positivity of x is guaranteed
-    whenever the step succeeds.
+    Its length is the first alpha = 1, 1/2, ... that keeps x positive and
+    lowers max|c @ x - 1/x|.  Returns (x, alpha, damping_failed) with alpha
+    the step length taken, 1 where x = 1 already solves the system.
     """
     c = np.asarray(c, dtype=np.float64)
-    b, n = c.shape[0], c.shape[1]
-    x = np.ones((b, n))
-    alpha = np.ones(b)
+    x = np.ones(c.shape[:2])
     f = _residual(c, x)
     fnorm = np.abs(f).max(axis=-1)
+    alpha, ok = np.ones(len(c)), np.ones(len(c), dtype=bool)
     idx = np.flatnonzero(fnorm != 0.0)
-    ci, xi = c[idx], x[idx]
-    x[idx], ok, alpha[idx] = _damped_update(ci, xi, fnorm[idx], _newton_step(ci, xi, f[idx]))
-    failed = np.zeros(b, dtype=bool)
-    failed[idx] = ~ok
-    return x, alpha, failed
+    ci, fi = c[idx], fnorm[idx]
+    step = _newton_step(ci, x[idx], f[idx])
+    x[idx], ok[idx], alpha[idx] = _backtrack(x[idx], step, lambda i, t: _lowers_fnorm(ci, fi, i, t))
+    return x, alpha, ~ok
 
 
 def h0_build(u, lw):

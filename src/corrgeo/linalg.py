@@ -189,9 +189,7 @@ def chol_backward(l, grad_l):
         raise SingularFactor("cholesky factor diagonal at or below threshold")
     pmat = half_lower(transpose(l) @ grad_l)
     m = pmat + transpose(pmat)
-    lt = transpose(l)
-    w = transpose(np.linalg.solve(lt, transpose(np.linalg.solve(lt, m))))
-    return 0.5 * sym(w)
+    return 0.5 * sym(inner_solve_spd(transpose(l), m))
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,13 @@
 
 Two solvers, each with an exact reverse-mode rule:
 
-* ``dplus``: the diagonal d making exp(diag(d) + H) unit-diagonal, by Newton
-  from d = 0, falling back to the fixed point d <- d - log(diag(exp(diag(d) +
-  H))) where a Newton iterate does not lower the residual.  The solve returns
-  the eigendecomposition of the final diag(d) + H for reuse downstream.
+* ``dplus``: the diagonal d making exp(diag(d) + H) unit-diagonal, by
+  backtracking Newton from d = 0 on the residual max|diag(exp(diag(d) + H)) - 1|
+  (Archakov & Hansen, 2021).  The solve returns the eigendecomposition of the
+  final diag(d) + H for reuse downstream.
 * ``dstar``: the positive vector x with (diag(x) C diag(x)) 1 = 1, i.e. the
-  zero of f(x) = C x - 1/x, by damped Newton from x = 1 (``full``) or a single
-  damped Newton step (``newton1``).
+  zero of f(x) = C x - 1/x (Marshall & Olkin, 1968), by backtracking Newton
+  from x = 1 (``full``) or a single damped Newton step (``newton1``).
 
 ``full`` mode pairs with the exact analytic gradients below; ``newton1``
 pairs with differentiating through the single step (see
@@ -58,21 +58,19 @@ def dstar_batch(c, mode="full", tol=DSTAR_TOL, max_iter=DSTAR_MAX_ITER):
     alpha = None
     if mode == "full":
         x, iters, res, failed = kernels.dstar_full(cb, tol, max_iter)
-        if failed.any():
-            raise DampingFailure("no damped step length reduced the residual")
-        scale = np.maximum(1.0, np.abs(x).max(axis=-1))
-        if (res > tol * scale).any():
-            worst = int(np.argmax(res / scale))
-            raise NoConvergence(int(iters[worst]), float(res[worst]), "dstar")
     elif mode == "newton1":
         x, alpha, failed = kernels.dstar_newton1(cb)
-        if failed.any():
-            raise DampingFailure("no damped step length reduced the residual")
         iters = np.ones(len(x), dtype=np.int64)
         res = np.abs(np.einsum("bij,bj->bi", cb, x) - 1.0 / x).max(axis=1)
         alpha = alpha.reshape(np.shape(c)[:-2])
     else:
         raise ValueError(f"unknown dstar mode {mode!r}")
+    if failed.any():
+        raise DampingFailure("no damped step length reduced the residual")
+    scale = np.maximum(1.0, np.abs(x).max(axis=-1))
+    if alpha is None and (res > tol * scale).any():
+        worst = int(np.argmax(res / scale))
+        raise NoConvergence(int(iters[worst]), float(res[worst]), "dstar")
     shape = np.asarray(c).shape[:-2] + (cb.shape[-1],)
     return x.reshape(shape), iters, res, alpha
 
@@ -81,17 +79,14 @@ def dstar_batch(c, mode="full", tol=DSTAR_TOL, max_iter=DSTAR_MAX_ITER):
 # exact reverse-mode rules
 # ---------------------------------------------------------------------------
 
-def dplus_backward_batch(h, grad_y, eig=None, tol=DPLUS_TOL, max_iter=DPLUS_MAX_ITER):
+def dplus_backward_batch(grad_y, eig):
     """Adjoint of h -> diag(dplus(h)) + h given the adjoint of that sum.
 
     ``eig`` is the eigendecomposition (lam, u) of diag(d) + h at the solved
-    shift, as returned by ``dplus_batch``; it is solved for when omitted.
-    Returns a hollow symmetric adjoint (pairs with symmetric hollow dh).
+    shift, as returned by ``dplus_batch``.  Returns a hollow symmetric
+    adjoint (pairs with symmetric hollow dh).
     """
-    if eig is None:
-        _, _, _, lam, u = dplus_batch(h, tol, max_iter)
-    else:
-        lam, u = eig
+    lam, u = eig
     lw = la.loewner(lam, np.exp, np.exp)
     h0 = kernels.h0_build(u, lw)
     # H0 is SPD, so its condition number is its eigenvalue ratio
@@ -104,14 +99,13 @@ def dplus_backward_batch(h, grad_y, eig=None, tol=DPLUS_TOL, max_iter=DPLUS_MAX_
     return la.offmat(np.asarray(grad_y) - corr)
 
 
-def dstar_backward_batch(c, grad_sigma, x=None, tol=DSTAR_TOL, max_iter=DSTAR_MAX_ITER):
-    """Adjoint of c -> diag(x) c diag(x) at the full-mode fixed point.
+def dstar_backward_batch(c, grad_sigma, x):
+    """Adjoint of c -> diag(x) c diag(x) at the full-mode solution x.
 
-    Returns the symmetric adjoint of c.
+    ``x`` is the solve ``dstar_batch`` returned in full mode.  Returns the
+    symmetric adjoint of c.
     """
     c = np.asarray(c, dtype=np.float64)
-    if x is None:
-        x = dstar_batch(c, "full", tol, max_iter)[0]
     sigma = c * x[..., :, None] * x[..., None, :]
     g = np.asarray(grad_sigma, dtype=np.float64)
     vtil = la.diagvec(sigma @ g + g @ sigma)

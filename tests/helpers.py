@@ -241,14 +241,16 @@ def scaled_spd_batch(c, mode="full", tol=sv.DSTAR_TOL, max_iter=sv.DSTAR_MAX_ITE
 
 
 def dplus_backward(h, grad_y, tol=sv.DPLUS_TOL, max_iter=sv.DPLUS_MAX_ITER):
-    h = np.asarray(h, dtype=np.float64)
-    return sv.dplus_backward_batch(h[None], np.asarray(grad_y)[None], None, tol, max_iter)[0]
+    """dplus_backward_batch for one sample, at its solved shift."""
+    _, _, _, lam, u = sv.dplus_batch(np.asarray(h, dtype=np.float64)[None], tol, max_iter)
+    return sv.dplus_backward_batch(np.asarray(grad_y)[None], (lam, u))[0]
 
 
-def dstar_backward(c, grad_sigma, x=None, tol=sv.DSTAR_TOL, max_iter=sv.DSTAR_MAX_ITER):
-    c = np.asarray(c, dtype=np.float64)
-    xb = None if x is None else np.asarray(x)[None]
-    return sv.dstar_backward_batch(c[None], np.asarray(grad_sigma)[None], xb, tol, max_iter)[0]
+def dstar_backward(c, grad_sigma, tol=sv.DSTAR_TOL, max_iter=sv.DSTAR_MAX_ITER):
+    """dstar_backward_batch for one sample, at its full-mode solve."""
+    c = np.asarray(c, dtype=np.float64)[None]
+    x = sv.dstar_batch(c, "full", tol, max_iter)[0]
+    return sv.dstar_backward_batch(c, np.asarray(grad_sigma)[None], x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +439,20 @@ def ppb_to_cor_vjp_ref(parts, l, grad_c):
 # ---------------------------------------------------------------------------
 
 MAX_HALVINGS = 20
+ARMIJO_C = 1e-4
 
 
 def _dstar_residual(c, x):
     return c @ x - 1.0 / x
 
 
-def damped_update_ref(c, x, f, step):
+def _potential_ref(c, x):
+    return 0.5 * (x * (c @ x)).sum() - np.log(x).sum()
+
+
+def damped_update_ref(c, x, f, step, armijo=False):
+    """First alpha = 1, 1/2, ..., 2**-20 whose positive trial lowers max|f|, or
+    (with armijo, dstar's full mode) meets Armijo on the potential instead."""
     fnorm = np.abs(f).max()
     alpha = 1.0
     for _ in range(MAX_HALVINGS + 1):
@@ -451,6 +460,10 @@ def damped_update_ref(c, x, f, step):
         if np.all(trial > 0.0):
             if np.abs(_dstar_residual(c, trial)).max() < fnorm:
                 return trial, True, alpha
+            if armijo:
+                decrease = ARMIJO_C * (f * (trial - x)).sum()
+                if _potential_ref(c, trial) <= _potential_ref(c, x) + decrease:
+                    return trial, True, alpha
         alpha *= 0.5
     return x, False, 0.0
 
@@ -468,7 +481,7 @@ def _polish_ref(c, x, f, fnorm):
 
 
 def dstar_full_ref(c, tol, max_iter):
-    """Damped Newton for c @ x = 1/x, one sample at a time: (x, iters, res, failed)."""
+    """Backtracking Newton for c @ x = 1/x, one sample at a time: (x, iters, res, failed)."""
     c = np.asarray(c, dtype=np.float64)
     b, n = c.shape[0], c.shape[1]
     x = np.ones((b, n))
@@ -485,7 +498,7 @@ def dstar_full_ref(c, tol, max_iter):
                 break
             jac = c[k] + np.diag(1.0 / xk**2)
             step = np.linalg.solve(jac, -f)
-            xk, ok, _ = damped_update_ref(c[k], xk, f, step)
+            xk, ok, _ = damped_update_ref(c[k], xk, f, step, armijo=True)
             if not ok:
                 failed[k] = res[k] > tol * max(1.0, np.abs(xk).max())
                 break

@@ -116,6 +116,10 @@ class TestDatagen:
         (3, 30, 5, 2, 0.3, 1.5, 9),     # 180 draws in three chunks, no retry
         (2, 10, 5, 2, 3.0, 1.0, 0),     # retries
         (2, 10, 5, 1, 4.0, 1.0, 3),     # retries
+        # far bumps whose dplus solve ran out of evaluations when a rejected
+        # Newton iterate fell back to the fixed-point step
+        (2, 5, 5, 1, 5.0, 1.0, 3),
+        (2, 5, 5, 1, 6.0, 1.0, 0),
     ])
     def test_batched_generate_matches_sequential(self, args):
         samples, labels = datamod.generate(*args)
@@ -125,7 +129,7 @@ class TestDatagen:
         assert (retries > 0) == (args[4] > 1.0)
 
     def test_batched_generate_raises_as_sequential(self):
-        args = (2, 5, 5, 1, 5.0, 1.0, 3)
+        args = (2, 5, 5, 1, 200.0, 1.0, 3)  # a bump whose dplus solve runs out of evaluations
         with pytest.raises(NoConvergence) as ref:
             generate_ref(*args)
         with pytest.raises(NoConvergence) as got:

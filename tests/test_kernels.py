@@ -8,7 +8,7 @@ from corrgeo import domain as dom
 from corrgeo import geometry as geo
 from corrgeo import linalg as la
 from corrgeo import solvers as sv
-from corrgeo.errors import NoConvergence
+from corrgeo.errors import DampingFailure, NoConvergence
 
 from helpers import (
     damped_update_ref, dplus_history, dstar_full_ref, dstar_newton1_ref, h0_build_ref,
@@ -74,23 +74,44 @@ class TestDplusSolve:
             assert got[1].max() <= 8
         assert_matches_fixed_point(h, got)
 
-    def test_forced_fixed_point_fallback(self, monkeypatch):
-        # a negated Jacobian makes every Newton iterate raise the residual, so
-        # each one is rejected and the solve walks the fixed-point sequence
-        # with one rejected evaluation between consecutive points
-        h0_build = kernels.h0_build
-        monkeypatch.setattr(kernels, "h0_build", lambda u, lw: -h0_build(u, lw))
-        h = hollow_batch(6, 5, 70, 0.8)
-        d, iters, res, _, _ = kernels.dplus_solve(h, 1e-12, 400)
-        for k in range(len(h)):
-            d_ref, hist = dplus_history(h[k], 1e-12, 400)
-            assert iters[k] == 2 * len(hist) - 1
-            assert res[k] <= 1e-12
-            assert np.abs(d[k] - d_ref).max() <= 1e-13
+    def test_rejected_trial_halves_from_base(self, monkeypatch):
+        # a negated Jacobian makes every Newton trial raise the residual, so
+        # the solve evaluates d = 0 and then base + 2**-k step for k = 0..20
+        # from that base point, one eigh each, and stops there unconverged
+        h0_build, evaluate = kernels.h0_build, kernels._dplus_eval
+        points = []
 
-    def test_natural_fallback(self, monkeypatch):
-        # large off-diagonal entries make some Newton iterates overshoot; the
-        # h0_build calls count the accepted points, the rest were rejected
+        def recording(h, idx, d):
+            points.append(d.copy())
+            return evaluate(h, idx, d)
+
+        monkeypatch.setattr(kernels, "h0_build", lambda u, lw: -h0_build(u, lw))
+        monkeypatch.setattr(kernels, "_dplus_eval", recording)
+        h = hollow_batch(3, 5, 70, 0.8)
+        d, iters, res, lam, u = kernels.dplus_solve(h, 1e-12, 100)
+        assert np.array_equal(iters, [22, 22, 22])
+        assert len(points) == 22 and not points[0].any()
+        for k, trial in enumerate(points[1:]):
+            assert np.array_equal(trial, points[1] * 2.0**-k)
+        # what is returned is the base point d = 0 and its evaluation
+        d0, _, res0, lam0, u0 = kernels.dplus_solve(h, 1e-12, 1)
+        for got, want in ((d, d0), (res, res0), (lam, lam0), (u, u0)):
+            assert np.array_equal(got, want)
+
+    def test_spread_inputs_converge(self):
+        # at scale 12 these six exhausted 100 evaluations when a rejected
+        # Newton iterate fell back to the Archakov-Hansen fixed-point step
+        for n, seed in [(4, 14), (6, 14), (6, 23), (8, 0), (8, 4), (8, 16)]:
+            h = random_hollow(n, np.random.default_rng(seed), 12.0)[None]
+            d, iters, res, _, _ = kernels.dplus_solve(h, 1e-12, 100)
+            assert res[0] <= 1e-12, (n, seed)
+            c = la.sym_exp(h[0] + np.diag(d[0]))
+            assert np.abs(la.diagvec(c) - 1.0).max() <= 1e-10
+
+    def test_natural_backtracking(self, monkeypatch):
+        # large off-diagonal entries make some Newton trials overshoot; the
+        # h0_build calls count the base points a step was taken from, and the
+        # other evaluations past the first were rejected trials
         rows = []
         h0_build = kernels.h0_build
 
@@ -127,6 +148,16 @@ class TestDplusSolve:
         with pytest.raises(NoConvergence):
             geo.from_prototype("olm", big[0])
 
+    def test_overflowed_step_stops_sample(self):
+        # at entries 705, exp(S) is finite at d = 0 but e log(e) overflows:
+        # the Newton step is not finite, so no trial is evaluated
+        far = np.array([[[0.0, 705.0], [705.0, 0.0]]])
+        h = np.concatenate([hollow_batch(2, 2, 97, 0.5), far])
+        got = kernels.dplus_solve(h, 1e-12, 100)
+        assert got[1][2] == 1 and not got[2][2] <= 1e-12
+        with pytest.raises(NoConvergence):
+            sv.dplus_batch(far)
+
     def test_batch_independent(self):
         h = np.concatenate([np.zeros((1, 6, 6)), hollow_batch(3, 6, 95, 0.5),
                             hollow_batch(3, 6, 96, 5.0)])
@@ -151,13 +182,38 @@ class TestDstarFull:
         assert np.abs(got[0]).max() > 1e4
         assert_same(got, dstar_full_ref(c, 1e-10, 50))
 
-    def test_damping_failure(self):
-        # a zero tolerance is below the rounding floor: the damped step
-        # eventually stalls and the sample is reported as failed
+    def test_near_singular_converges(self):
+        # smallest eigenvalues 6e-10 to 4e-8: with the max-norm test alone
+        # three of these four ran out of 50 steps; Armijo on the potential
+        # lets the long steps along the near-null direction through
+        c = near_singular_batch(4, 8, 0, gap=1e-4)
+        assert np.linalg.eigvalsh(c).min(axis=-1).max() < 1e-7
+        got = kernels.dstar_full(c, 1e-10, 50)
+        assert (got[1] < 50).all() and not got[3].any()
+        assert (got[2] <= 1e-10 * np.abs(got[0]).max(axis=-1)).all()
+        assert_same(got, dstar_full_ref(c, 1e-10, 50))
+
+    def test_zero_tolerance_runs_the_budget(self):
+        # a zero tolerance is below the rounding floor, where Armijo on the
+        # potential still takes steps: every sample runs the full budget and
+        # none reports a damping failure
         c = cor_batch(8, 6, 20, 2.0)
         got = kernels.dstar_full(c, 0.0, 50)
-        assert got[3].any()
+        assert (got[1] == 50).all() and not got[3].any()
         assert_same(got, dstar_full_ref(c, 0.0, 50))
+
+    def test_damping_failure(self, monkeypatch):
+        # an ascent direction meets neither acceptance test at any alpha, so
+        # the first step fails; both modes report it and dstar_batch raises
+        newton_step = kernels._newton_step
+        monkeypatch.setattr(kernels, "_newton_step", lambda c, x, f: -newton_step(c, x, f))
+        c = cor_batch(4, 6, 20, 2.0)
+        x, iters, res, failed = kernels.dstar_full(c, 1e-10, 50)
+        assert failed.all() and not iters.any() and np.array_equal(x, np.ones((4, 6)))
+        assert kernels.dstar_newton1(c)[2].all()
+        for mode in ("full", "newton1"):
+            with pytest.raises(DampingFailure):
+                sv.dstar_batch(c, mode)
 
     def test_budget_exhausted(self):
         c = cor_batch(8, 6, 30, 2.5)
@@ -187,8 +243,9 @@ class TestDampedUpdate:
         step = np.linalg.solve(c + np.eye(6), -f)
         b = 26
         steps = np.stack([step * 2.0**k for k in range(b)])
-        got = kernels._damped_update(np.broadcast_to(c, (b, 6, 6)), np.ones((b, 6)),
-                                     np.full(b, np.abs(f).max()), steps)
+        cb, fnorm = np.broadcast_to(c, (b, 6, 6)), np.full(b, np.abs(f).max())
+        got = kernels._backtrack(np.ones((b, 6)), steps,
+                                 lambda idx, trial: kernels._lowers_fnorm(cb, fnorm, idx, trial))
         want = [damped_update_ref(c, x, f, s) for s in steps]
         assert np.array_equal(got[0], np.stack([w[0] for w in want]))
         assert np.array_equal(got[1], np.array([w[1] for w in want]))

@@ -126,7 +126,7 @@ class TestDplusBackward:
         grad_y = np.zeros((1, 2, 2))
         grad_y[0, 0, 1] = grad_y[0, 1, 0] = 1.0
         with pytest.raises(SingularH0):
-            sv.dplus_backward_batch(hol[None], grad_y, eig=np.linalg.eigh(s[None]))
+            sv.dplus_backward_batch(grad_y, np.linalg.eigh(s[None]))
 
 
 class TestDstar:
