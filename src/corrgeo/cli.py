@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage/config error, 2 numerical failure, 3 I/O error.
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -69,6 +70,12 @@ def _build_parser():
 
 
 def cmd_datagen(args):
+    for flag, low in (("classes", 1), ("per_class", 1), ("dim", 2), ("channels", 1), ("seed", 0)):
+        if getattr(args, flag) < low:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be at least {low}")
+    for flag in ("spread", "sep"):
+        if not (math.isfinite(getattr(args, flag)) and getattr(args, flag) >= 0):
+            raise ConfigError(f"--{flag} must be nonnegative and finite")
     samples, labels = datamod.generate(
         args.classes, args.per_class, args.dim, args.channels,
         args.spread, args.sep, args.seed,
@@ -108,9 +115,14 @@ def cmd_gradcheck(args):
 
 
 def cmd_bench(args):
-    dims = [int(d) for d in args.dims.split(",") if d]
-    if any(d < 4 for d in dims):
-        raise ConfigError("bench dims must be >= 4")
+    try:
+        dims = [int(d) for d in args.dims.split(",") if d]
+    except ValueError as e:
+        raise ConfigError(f"--dims must be comma-separated integers, got {args.dims!r}") from e
+    if not dims or min(dims) < 4:
+        raise ConfigError("bench needs at least one dim, each >= 4")
+    if args.repeats < 1:
+        raise ConfigError("--repeats must be at least 1")
     metrics = list(METRICS) if args.metrics == "all" else [
         m.strip() for m in args.metrics.split(",") if m.strip()
     ]

@@ -4,6 +4,7 @@ import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
+from . import solvers as sv
 from .errors import ConfigError, IoError
 from .geometry import METRICS
 
@@ -26,10 +27,10 @@ class RunConfig:
     epochs: int = 100
     batch_size: int = 30
     seed: int = 0
-    dplus_tol: float = 1e-12
-    dplus_max_iter: int = 100
+    dplus_tol: float = sv.DPLUS_TOL
+    dplus_max_iter: int = sv.DPLUS_MAX_ITER
     dstar_mode: str = "newton1"
-    dstar_tol: float = 1e-10
+    dstar_tol: float = sv.DSTAR_TOL
     activation: str = "none"
 
     def validate(self):

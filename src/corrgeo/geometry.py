@@ -194,8 +194,7 @@ class ScaledLogChart:
 
     def forward(self, c, solver):
         tol = solver.get("dstar_tol", sv.DSTAR_TOL)
-        max_iter = solver.get("dstar_max_iter", sv.DSTAR_MAX_ITER)
-        s, _, _, alpha = sv.dstar_batch(c, solver.get("dstar_mode", "full"), tol, max_iter)
+        s, _, _, alpha = sv.dstar_batch(c, solver.get("dstar_mode", "full"), tol)
         sigma = c * s[..., :, None] * s[..., None, :]
         r, lam, u = _log_eig(sigma, "sym_fun(log)")
         if alpha is not None:
@@ -212,7 +211,7 @@ class ScaledLogChart:
         gs = la.sym(g) if cache["alpha"] is None else project_rowzero(la.sym(g))
         gsigma = la.daleckii_krein(cache["u"], _log_loewner(cache["lam"]), gs)
         if cache["alpha"] is None:
-            return sv.dstar_backward_batch(cache["c"], gsigma, cache["s"])
+            return sv.dstar_backward_batch(cache["sigma"], gsigma, cache["s"])
         return sv.dstar_newton1_backward_batch(cache["c"], gsigma, cache["s"], cache["alpha"])
 
     def inverse_vjp(self, cache, g):

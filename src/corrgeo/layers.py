@@ -7,10 +7,11 @@ against trivialized hyperplane parameters in the prototype space; under the
 poly-hyperbolic metric the inputs are beta-concatenated into one Poincare
 ball and fed to the hyperbolic MLR/FC.
 
-Parameters are stored as free arrays: each hyperplane normal Z is kept as its
-strictly-lower entries (mirrored into a hollow symmetric matrix on use), and
-hyperbolic weights as plain vectors.  All forward functions take a batch and
-return a cache consumed by the matching ``*_vjp``.
+Parameters are free arrays in one layout for every metric: each hyperplane
+normal is (channels, n(n-1)/2), a channel's strictly-lower entries (mirrored
+into a hollow symmetric matrix on use), which phcm reads row-major as one
+direction of the beta-concatenated ball (HNN++).  Forward functions take a
+batch and return a cache consumed by the matching ``*_vjp``.
 
 Gamma is one scalar per class / output slot; multi-channel inputs use the
 product-space norm of the per-channel normals.
@@ -39,7 +40,7 @@ class MlrParams:
     n: int
     channels: int
     classes: int
-    z: np.ndarray       # flat: (classes, channels, dz) or phcm: (classes, channels * dz)
+    z: np.ndarray       # (classes, channels, dz)
     gamma: np.ndarray   # (classes,)
 
 
@@ -50,8 +51,8 @@ class FcParams:
     m: int
     channels: int
     kernels: int
-    z: np.ndarray       # flat: (kernels, slots, channels, dz); phcm: (kernels * dm, channels * dz)
-    gamma: np.ndarray   # flat: (kernels, slots); phcm: (kernels * dm,)
+    z: np.ndarray       # (kernels, slots, channels, dz), slots = m(m-1)/2
+    gamma: np.ndarray   # (kernels, slots)
 
 
 @dataclass
@@ -71,11 +72,7 @@ def init_std(n):
 
 
 def init_mlr(metric, n, channels, classes, rng):
-    dz = dom.lt0_dim(n)
-    if metric == "phcm":
-        z = rng.standard_normal((classes, channels * dz)) * init_std(n)
-    else:
-        z = rng.standard_normal((classes, channels, dz)) * init_std(n)
+    z = rng.standard_normal((classes, channels, dom.lt0_dim(n))) * init_std(n)
     return MlrParams(metric, n, channels, classes, z, np.zeros(classes))
 
 
@@ -83,16 +80,9 @@ def init_fc(metric, n, m, channels, kernels, rng):
     # the extra 1/m keeps the output prototype coordinates O(1): without it
     # the row-zero completion sums grow with m and the freshly initialized
     # outputs already sit on the elliptope boundary
-    dz = dom.lt0_dim(n)
     dm = dom.lt0_dim(m)
-    scale = init_std(n) / m
-    if metric == "phcm":
-        z = rng.standard_normal((kernels * dm, channels * dz)) * scale
-        gamma = np.zeros(kernels * dm)
-    else:
-        z = rng.standard_normal((kernels, dm, channels, dz)) * scale
-        gamma = np.zeros((kernels, dm))
-    return FcParams(metric, n, m, channels, kernels, z, gamma)
+    z = rng.standard_normal((kernels, dm, channels, dom.lt0_dim(n))) * (init_std(n) / m)
+    return FcParams(metric, n, m, channels, kernels, z, np.zeros((kernels, dm)))
 
 
 def init_conv(metric, n, m, in_channels, field_size, stride, kernels, rng):
@@ -105,16 +95,6 @@ def init_conv(metric, n, m, in_channels, field_size, stride, kernels, rng):
 
 
 # ---------------------------------------------------------------------------
-# hollow-parameter plumbing
-# ---------------------------------------------------------------------------
-
-def hollow_from_lower(z, n):
-    """Mirror strictly-lower entries into a hollow symmetric matrix (stacked)."""
-    low = dom.lt0_from_coords(z, n)
-    return low + la.transpose(low)
-
-
-# ---------------------------------------------------------------------------
 # flat-metric logits (shared by MLR and FC)
 #
 # The hyperplane normals W_k, the chart's differential at I applied to the
@@ -123,6 +103,12 @@ def hollow_from_lower(z, n):
 # for the row-zero metric, a diagonal term against the Z row sums.  Every contraction, forward and
 # backward, is one matmul of (B, C*d) against (K, C*d) rows.
 # ---------------------------------------------------------------------------
+
+def hollow_from_lower(z, n):
+    """Mirror strictly-lower entries into a hollow symmetric matrix (stacked)."""
+    low = dom.lt0_from_coords(z, n)
+    return low + la.transpose(low)
+
 
 _LOWER_LAYOUT = {}
 
@@ -291,9 +277,9 @@ def _layer_input(x, metric, channels, n, solver):
 
 
 def _input_adjoint(inp, grad):
-    """Adjoint of a layer's input from that of its chart value: through the
-    chart where the layer mapped the input itself, else of the value."""
-    if inp.cache is None:
+    """Adjoint of a layer's input from that of its chart value (None if not
+    formed): through the chart where the layer mapped the input, else of the value."""
+    if inp.cache is None or grad is None:
         return grad
     if inp.metric == "phcm":
         return hyp.cor_to_ppb_vjp(inp.cache, grad)
@@ -301,109 +287,88 @@ def _input_adjoint(inp, grad):
 
 
 # ---------------------------------------------------------------------------
-# MLR forward/backward
+# MLR and FC: one logit step, then the FC's output map
 # ---------------------------------------------------------------------------
+
+def _logits(inp, z, gamma):
+    """Logits of a ChartInput against K hyperplanes, z (K, C, dz) and gamma (K,).
+
+    Under phcm the channel parts of each sample are beta-concatenated into
+    one ball point and each normal is read as one C*dz direction of it.
+    Returns (v (B, K), cache).
+    """
+    if inp.metric == "phcm":
+        x = inp.value.reshape(len(inp), -1)
+        seg = hyp.poly_segments(inp.n, inp.channels)
+        pt = hyp.seg_concat(x, seg)
+        z = z.reshape(len(z), -1)
+        v, cache = hyp.pb_mlr_logit(pt, z, gamma), {"x": x, "seg": seg, "pt": pt, "z": z}
+    else:
+        v, cache = _flat_logits(inp.value, z, gamma, inp.metric, inp.n)
+    cache.update(input=inp, gamma=gamma)
+    return v, cache
+
+
+def _logits_vjp(cache, grad_v, input_adjoint=True):
+    """(grad_z, grad_gamma, input adjoint) of ``_logits``; the input adjoint
+    is None with ``input_adjoint`` off, and then not formed."""
+    inp, grad = cache["input"], None
+    if inp.metric == "phcm":
+        gpt, gz, ggamma = hyp.pb_mlr_logit_vjp(cache["pt"], cache["z"], cache["gamma"], grad_v)
+        if input_adjoint:
+            grad = hyp.seg_concat_vjp(cache["x"], cache["seg"], gpt).reshape(inp.value.shape)
+    else:
+        gz, ggamma, grad = _flat_logits_vjp(cache, inp.metric, inp.n, grad_v, input_adjoint)
+    return gz, ggamma, _input_adjoint(inp, grad)
+
 
 def mlr_forward(x, params, solver=None):
     """Class logits for a batch of (B, C, n, n) correlation channels or its ChartInput."""
-    solver = {**DEFAULT_LAYER_SOLVER, **(solver or {})}
     inp = _layer_input(x, params.metric, params.channels, params.n, solver)
-    if params.metric == "phcm":
-        return _phcm_mlr_forward(inp, params)
-    v, lcache = _flat_logits(inp.value, params.z, params.gamma, params.metric, params.n)
-    lcache["gamma"] = params.gamma
-    return v, {"kind": "flat", "input": inp, "lcache": lcache}
+    return _logits(inp, params.z, params.gamma)
 
 
 def mlr_vjp(params, cache, grad_v):
     """Returns ({"z": ..., "gamma": ...}, grad_x)."""
-    if cache["kind"] == "phcm":
-        return _phcm_mlr_vjp(params, cache, grad_v)
-    gz, ggamma, gpx = _flat_logits_vjp(cache["lcache"], params.metric, params.n, grad_v)
-    return {"z": gz, "gamma": ggamma}, _input_adjoint(cache["input"], gpx)
+    gz, ggamma, gx = _logits_vjp(cache, grad_v)
+    return {"z": gz.reshape(params.z.shape), "gamma": ggamma}, gx
 
-
-def _phcm_point(inp):
-    """(B, C*n(n-1)/2) channel parts of a phcm ChartInput, their layout and
-    their beta-concatenated ball point."""
-    x = inp.value.reshape(len(inp), -1)
-    seg = hyp.poly_segments(inp.n, inp.channels)
-    return x, seg, hyp.seg_concat(x, seg)
-
-
-def _point_adjoint(cache, grad_pt):
-    """Input adjoint of a layer from that of its beta-concatenated ball point."""
-    inp = cache["input"]
-    grad = hyp.seg_concat_vjp(cache["x"], cache["seg"], grad_pt)
-    return _input_adjoint(inp, grad.reshape(inp.value.shape))
-
-
-def _phcm_mlr_forward(inp, params):
-    x, seg, pt = _phcm_point(inp)
-    v = hyp.pb_mlr_logit(pt, params.z, params.gamma)
-    return v, {"kind": "phcm", "input": inp, "x": x, "seg": seg, "pt": pt}
-
-
-def _phcm_mlr_vjp(params, cache, grad_v):
-    gx, gz, ggamma = hyp.pb_mlr_logit_vjp(cache["pt"], params.z, params.gamma, grad_v)
-    return {"z": gz, "gamma": ggamma}, _point_adjoint(cache, gx)
-
-
-# ---------------------------------------------------------------------------
-# FC forward/backward (single receptive field, all kernels)
-# ---------------------------------------------------------------------------
 
 def fc_forward(x, params, solver=None):
-    """(B, C, n, n) correlations or their ChartInput -> (B, kernels, m, m) correlation outputs."""
-    solver = {**DEFAULT_LAYER_SOLVER, **(solver or {})}
+    """(B, C, n, n) correlations or their ChartInput -> (B, kernels, m, m) correlation outputs.
+
+    One logit per kernel and output slot over one receptive field.  A flat
+    metric assembles each kernel's logits into a prototype point and maps it
+    back; under phcm the (B, kernels * slots) logits are one hyperbolic FC
+    point, which splits into each kernel's poly-ball point of an m x m output.
+    """
     inp = _layer_input(x, params.metric, params.channels, params.n, solver)
+    gamma = params.gamma.reshape(-1)
+    v, lcache = _logits(inp, params.z.reshape(len(gamma), inp.channels, -1), gamma)
+    b, k = len(v), params.kernels
     if params.metric == "phcm":
-        return _phcm_fc_forward(inp, params)
-    b, c = inp.value.shape[:2]
-    k, slots = params.z.shape[0], params.z.shape[1]
-    zflat = params.z.reshape(k * slots, c, dom.lt0_dim(params.n))
-    v, lcache = _flat_logits(inp.value, zflat, params.gamma.reshape(-1), params.metric, params.n)
-    lcache["gamma"] = params.gamma.reshape(-1)
-    big_v = geo.prototype_from_coords(params.metric, v.reshape(b, k, slots), params.m)
+        y_ball = hyp.pb_fc_from_logits(v)
+        out_seg = hyp.poly_segments(params.m, k)
+        out = hyp.seg_split(y_ball, out_seg).reshape(b, k, -1)
+        y, l_out = hyp.ppb_to_cor(out)
+        return y, {"lcache": lcache, "v": v, "y_ball": y_ball, "out_seg": out_seg, "out": out, "l_out": l_out}
+    big_v = geo.prototype_from_coords(params.metric, v.reshape(b, k, -1), params.m)
     y, icache = geo.inverse_forward(params.metric, big_v, solver)
-    return y, {"kind": "flat", "input": inp, "lcache": lcache, "big_v": big_v, "icache": icache}
+    return y, {"lcache": lcache, "big_v": big_v, "icache": icache}
 
 
 def fc_vjp(params, cache, grad_y, input_adjoint=True):
     """Parameter gradients and the input adjoint, which is None with ``input_adjoint`` off."""
-    if cache["kind"] == "phcm":
-        return _phcm_fc_vjp(params, cache, grad_y, input_adjoint)
-    b = grad_y.shape[0]
-    k, slots = params.z.shape[0], params.z.shape[1]
-    gv_mat = geo.inverse_vjp(params.metric, cache["icache"], grad_y)
-    gv = geo.prototype_from_coords_adjoint(params.metric, gv_mat).reshape(b, k * slots)
-    gz, ggamma, gpx = _flat_logits_vjp(cache["lcache"], params.metric, params.n, gv, input_adjoint)
-    grads = {"z": gz.reshape(params.z.shape), "gamma": ggamma.reshape(params.gamma.shape)}
-    return grads, (_input_adjoint(cache["input"], gpx) if input_adjoint else None)
-
-
-def _phcm_fc_forward(inp, params):
-    """One ball logit per kernel and output slot; the (B, kernels * dm) FC
-    point splits into each kernel's poly-ball point of an m x m output."""
-    x, seg, pt = _phcm_point(inp)
-    v = hyp.pb_mlr_logit(pt, params.z, params.gamma)
-    y_ball = hyp.pb_fc_from_logits(v)
-    out_seg = hyp.poly_segments(params.m, params.kernels)
-    out = hyp.seg_split(y_ball, out_seg).reshape(len(v), params.kernels, -1)
-    y, l_out = hyp.ppb_to_cor(out)
-    return y, {
-        "kind": "phcm", "input": inp, "x": x, "seg": seg, "pt": pt, "v": v,
-        "y_ball": y_ball, "out_seg": out_seg, "out": out, "l_out": l_out,
-    }
-
-
-def _phcm_fc_vjp(params, cache, grad_y, input_adjoint):
-    g_out = hyp.ppb_to_cor_vjp(cache["out"], cache["l_out"], grad_y)
-    g_ball = hyp.seg_split_vjp(cache["y_ball"], cache["out_seg"], g_out.reshape(len(g_out), -1))
-    gv = hyp.pb_fc_from_logits_vjp(cache["v"], g_ball)
-    gx, gz, ggamma = hyp.pb_mlr_logit_vjp(cache["pt"], params.z, params.gamma, gv)
-    grads = {"z": gz, "gamma": ggamma}
-    return grads, (_point_adjoint(cache, gx) if input_adjoint else None)
+    b = len(grad_y)
+    if params.metric == "phcm":
+        g_out = hyp.ppb_to_cor_vjp(cache["out"], cache["l_out"], grad_y)
+        g_ball = hyp.seg_split_vjp(cache["y_ball"], cache["out_seg"], g_out.reshape(b, -1))
+        gv = hyp.pb_fc_from_logits_vjp(cache["v"], g_ball)
+    else:
+        gv_mat = geo.inverse_vjp(params.metric, cache["icache"], grad_y)
+        gv = geo.prototype_from_coords_adjoint(params.metric, gv_mat).reshape(b, -1)
+    gz, ggamma, gx = _logits_vjp(cache["lcache"], gv, input_adjoint)
+    return {"z": gz.reshape(params.z.shape), "gamma": ggamma.reshape(params.gamma.shape)}, gx
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +378,6 @@ def _phcm_fc_vjp(params, cache, grad_y, input_adjoint):
 def conv_forward(x, params, solver=None):
     """(B, C, n, n) correlations or their ChartInput -> (B, n_fields * kernels, m, m),
     field-major channel order.  A raw input is mapped once for all its fields."""
-    solver = {**DEFAULT_LAYER_SOLVER, **(solver or {})}
     inp = _layer_input(x, params.fc.metric, params.in_channels, params.fc.n, solver)
     fields = []
     caches = []
@@ -438,8 +402,7 @@ def conv_vjp(params, cache, grad_y, input_adjoint=True):
         ggamma += grads["gamma"]
         if input_adjoint:
             gvalue[:, start : start + params.field_size] += gfield
-    gx = _input_adjoint(inp, gvalue) if input_adjoint else None
-    return {"z": gz, "gamma": ggamma}, gx
+    return {"z": gz, "gamma": ggamma}, _input_adjoint(inp, gvalue)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +441,7 @@ def tangent_relu_forward(x, metric, solver=None):
         return y, cache
     # the rectification needs the exact diffeomorphism pair, so the scaled-log
     # map always runs in full mode here even when training uses newton1
-    solver = {**DEFAULT_LAYER_SOLVER, **(solver or {}), "dstar_mode": "full"}
+    solver = {**(solver or {}), "dstar_mode": "full"}
     px, pcache = geo.prototype_forward(metric, x, solver)
     coords = geo.prototype_coords(metric, px)
     mask = coords > 0.0
@@ -527,33 +490,8 @@ def predict(logits):
 
 
 # ---------------------------------------------------------------------------
-# reverse-mode tape and the conv -> (activation) -> mlr network
+# the conv -> (activation) -> mlr network
 # ---------------------------------------------------------------------------
-
-class Tape:
-    """Reverse-topological record of layer pullbacks with additive grads."""
-
-    def __init__(self):
-        self._stack = []
-
-    def record(self, backward_fn):
-        self._stack.append(backward_fn)
-
-    def backward(self, grad_out, grads):
-        g = grad_out
-        for fn in reversed(self._stack):
-            g = fn(g, grads)
-        return g
-
-
-def _accumulate(grads, prefix, new):
-    for key, val in new.items():
-        name = f"{prefix}.{key}"
-        if name in grads:
-            grads[name] = grads[name] + val
-        else:
-            grads[name] = val
-
 
 @dataclass
 class Network:
@@ -605,41 +543,31 @@ def network_input(net, x):
     return map_input(x, net.conv.fc.metric, net.solver, net.power)
 
 
-def network_forward(net, x, tape=None):
-    """Logits for a (B, C, n, n) batch or its ``network_input``; records
-    pullbacks on the tape.  The input is data, so no pullback forms its adjoint."""
+def _network_pass(net, x):
+    """Logits of ``net`` and its conv, activation (None without) and MLR caches."""
     y, conv_cache = conv_forward(network_input(net, x), net.conv, net.solver)
-    if tape is not None:
-        def conv_back(g, grads, cache=conv_cache):
-            pgrads, _ = conv_vjp(net.conv, cache, g, input_adjoint=False)
-            _accumulate(grads, "conv", pgrads)
-        tape.record(conv_back)
+    act_cache = None
     if net.activation == "tangent_relu":
-        bsz, ch = y.shape[0], y.shape[1]
         act, act_cache = tangent_relu_forward(y.reshape(-1, *y.shape[2:]), net.mlr.metric, net.solver)
-        y = act.reshape(bsz, ch, *act.shape[-2:])
-        if tape is not None:
-            def act_back(g, grads, cache=act_cache, shape=y.shape):
-                gx = tangent_relu_vjp(cache, g.reshape(-1, *shape[2:]))
-                return gx.reshape(shape)
-            tape.record(act_back)
+        y = act.reshape(y.shape)
     logits, mlr_cache = mlr_forward(y, net.mlr, net.solver)
-    if tape is not None:
-        def mlr_back(g, grads, cache=mlr_cache):
-            pgrads, gx = mlr_vjp(net.mlr, cache, g)
-            _accumulate(grads, "mlr", pgrads)
-            return gx
-        tape.record(mlr_back)
-    return logits
+    return logits, conv_cache, act_cache, mlr_cache
+
+
+def network_forward(net, x):
+    """Logits for a (B, C, n, n) batch or its ``network_input``."""
+    return _network_pass(net, x)[0]
 
 
 def forward_backward(net, x, labels):
-    """Loss and exact parameter gradients for one batch."""
-    tape = Tape()
-    logits = network_forward(net, x, tape)
+    """Loss and exact parameter gradients for one batch.  The input is data,
+    so the conv pullback forms no input adjoint."""
+    logits, conv_cache, act_cache, mlr_cache = _network_pass(net, x)
     loss, grad_logits = softmax_xent(logits, labels)
-    grads = {}
-    tape.backward(grad_logits, grads)
-    for key, val in net.param_dict().items():
-        grads.setdefault(key, np.zeros_like(val))
+    mlr_grads, g = mlr_vjp(net.mlr, mlr_cache, grad_logits)
+    if act_cache is not None:
+        g = tangent_relu_vjp(act_cache, g.reshape(-1, *g.shape[2:])).reshape(g.shape)
+    conv_grads, _ = conv_vjp(net.conv, conv_cache, g, input_adjoint=False)
+    grads = {f"conv.{k}": v for k, v in conv_grads.items()}
+    grads.update({f"mlr.{k}": v for k, v in mlr_grads.items()})
     return loss, grads, logits

@@ -99,17 +99,16 @@ def dplus_backward_batch(grad_y, eig):
     return la.offmat(np.asarray(grad_y) - corr)
 
 
-def dstar_backward_batch(c, grad_sigma, x):
-    """Adjoint of c -> diag(x) c diag(x) at the full-mode solution x.
+def dstar_backward_batch(sigma, grad_sigma, x):
+    """Adjoint of c -> sigma = diag(x) c diag(x) at the full-mode solution x.
 
-    ``x`` is the solve ``dstar_batch`` returned in full mode.  Returns the
+    ``x`` is the solve ``dstar_batch`` returned in full mode and ``sigma``
+    the scaled matrix the forward pass formed from it.  Returns the
     symmetric adjoint of c.
     """
-    c = np.asarray(c, dtype=np.float64)
-    sigma = c * x[..., :, None] * x[..., None, :]
     g = np.asarray(grad_sigma, dtype=np.float64)
     vtil = la.diagvec(sigma @ g + g @ sigma)
-    n = c.shape[-1]
+    n = sigma.shape[-1]
     eye = np.broadcast_to(np.eye(n), sigma.shape)
     mv = np.linalg.solve(eye + sigma, vtil[..., None])[..., 0]
     rank1 = mv[..., :, None] * np.ones(n)  # mv 1^T

@@ -257,15 +257,14 @@ def hyperplane_grid(metric, zfile, gamma, grid, solver=None):
     """
     z = io.read_tensor(zfile)
     if metric == "phcm":
-        zvec = z.reshape(-1)
-        if zvec.size != 3:
+        if z.size != 3:
             raise InvalidDimension("phcm hyperplane needs a length-3 weight vector")
-        params = ly.MlrParams("phcm", 3, 1, 1, zvec[None], np.array([float(gamma)]))
+        coords = z.reshape(-1)
     else:
         if z.shape != (3, 3):
             raise InvalidDimension("hyperplane weights must be a 3x3 hollow symmetric matrix")
-        coords = dom.lt0_coords(z)[None, None]
-        params = ly.MlrParams(metric, 3, 1, 1, coords, np.array([float(gamma)]))
+        coords = dom.lt0_coords(z)
+    params = ly.MlrParams(metric, 3, 1, 1, coords[None, None], np.array([float(gamma)]))
     ticks = np.linspace(-1.0, 1.0, grid + 2)[1:-1]
     rows = []
     for r21 in ticks:

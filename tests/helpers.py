@@ -248,9 +248,8 @@ def dplus_backward(h, grad_y, tol=sv.DPLUS_TOL, max_iter=sv.DPLUS_MAX_ITER):
 
 def dstar_backward(c, grad_sigma, tol=sv.DSTAR_TOL, max_iter=sv.DSTAR_MAX_ITER):
     """dstar_backward_batch for one sample, at its full-mode solve."""
-    c = np.asarray(c, dtype=np.float64)[None]
-    x = sv.dstar_batch(c, "full", tol, max_iter)[0]
-    return sv.dstar_backward_batch(c, np.asarray(grad_sigma)[None], x)[0]
+    sigma, x = scaled_spd_batch(np.asarray(c, dtype=np.float64)[None], "full", tol, max_iter)
+    return sv.dstar_backward_batch(sigma, np.asarray(grad_sigma)[None], x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +607,6 @@ def metric_basis(metric, m):
 
 def fc_param_count(p):
     """Trainable scalar count, asserting the slot layout."""
-    if p.metric == "phcm":
-        return p.z.size + p.gamma.size
     slots = dom.lt0_dim(p.m)
     assert p.z.shape == (p.kernels, slots, p.channels, dom.lt0_dim(p.n))
     return p.z.size + p.gamma.size

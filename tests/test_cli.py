@@ -150,6 +150,18 @@ class TestDatagen:
         with pytest.raises(InfeasibleSeparation):
             datamod.draw_anchors(4, 1, 3, 50.0, rng)
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--dim", "1"), ("--classes", "-1"), ("--classes", "0"), ("--per-class", "0"),
+        ("--channels", "0"), ("--spread", "nan"), ("--spread", "-1"), ("--sep", "inf"),
+        ("--seed", "-1"),
+    ])
+    def test_cli_rejects_bad_arguments(self, tmp_path, capsys, flag, value):
+        args = {"--classes": "2", "--per-class": "2", "--dim": "4", flag: value}
+        argv = ["datagen", "--out", str(tmp_path / "d")] + [a for kv in args.items() for a in kv]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {flag} must be")
+        assert not (tmp_path / "d").exists()
+
 
 def write_tiny_setup(tmp_path, epochs=3, metric="ecm"):
     cfg = RunConfig(
@@ -208,6 +220,32 @@ class TestTrainEval:
             a = (tmp_path / f"r1/{name}.cort").read_bytes()
             b = (tmp_path / f"r2/{name}.cort").read_bytes()
             assert a == b
+
+    def test_old_layout_phcm_checkpoint(self, tmp_path):
+        """A phcm checkpoint in the earlier layout, normals (K, C*dz) and FC
+        gamma (kernels*slots,), evaluates to the same logits: it holds the
+        current layout's numbers in row-major order."""
+        from corrgeo import layers as ly
+
+        cfg = RunConfig(
+            conv_metric="phcm", mlr_metric="phcm", n_in=4, channels=3, field_size=2,
+            stride=1, kernels=2, m_hidden=3, classes=3, seed=6,
+        )
+        net = trainmod.build_from_config(cfg)
+        rng = np.random.default_rng(7)
+        for val in net.param_dict().values():
+            val += rng.standard_normal(val.shape) * 0.1
+        fc, mlr = net.conv.fc, net.mlr
+        old = {  # 2 kernels x 3 slots on 2 channels of dz = 6; 3 classes on 4 channels of dz = 3
+            "conv.z": fc.z.reshape(6, 12), "conv.gamma": fc.gamma.reshape(6),
+            "mlr.z": mlr.z.reshape(3, 12), "mlr.gamma": mlr.gamma,
+        }
+        io.write_checkpoint(tmp_path / "ckpt", cfg.lines(), old)
+        _, back = trainmod.load_checkpoint_network(tmp_path / "ckpt")
+        assert back.conv.fc.z.shape == (6, 12) and back.conv.fc.gamma.shape == (6,)
+        samples, labels = datamod.generate(3, 4, 4, 3, 0.3, 1.0, seed=8)
+        assert np.array_equal(ly.network_forward(back, samples), ly.network_forward(net, samples))
+        assert trainmod.evaluate(back, samples, labels)[0] == trainmod.evaluate(net, samples, labels)[0]
 
     def test_zero_epoch_checkpoint_near_chance(self, tmp_path):
         cfg, cfg_path = write_tiny_setup(tmp_path, epochs=1)
@@ -295,6 +333,13 @@ class TestBenchCli:
 
     def test_rejects_small_dims(self):
         assert cli.main(["bench", "--dims", "2", "--repeats", "1"]) == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--dims", "x"], ["--dims", "6,x"], ["--dims", ","], ["--repeats", "0"], ["--repeats", "-2"],
+    ])
+    def test_rejects_bad_arguments(self, capsys, flags):
+        assert cli.main(["bench", "--dims", "6", "--metrics", "ecm", "--repeats", "1", *flags]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 class TestHyperplaneCli:
@@ -412,12 +457,11 @@ class TestTrainingFailures:
         inner = ly.network_forward
         evals = []
 
-        def patched(net, x, tape=None):
-            if tape is None:  # evaluate's passes; training records a tape
-                evals.append(1)
-                if len(evals) == 2:
-                    raise NotPositiveDefinite("min eigenvalue 0")
-            return inner(net, x, tape)
+        def patched(net, x):  # evaluate's passes; training steps call forward_backward
+            evals.append(1)
+            if len(evals) == 2:
+                raise NotPositiveDefinite("min eigenvalue 0")
+            return inner(net, x)
 
         monkeypatch.setattr(ly, "network_forward", patched)
         # one evaluation batch per epoch: the second pass is epoch 1's

@@ -65,8 +65,17 @@ class TestParams:
         n, m, c = 5, 4, 2
         fc = ly.init_fc("phcm", n, m, c, 1, np.random.default_rng(1))
         dm, dz = m * (m - 1) // 2, n * (n - 1) // 2
-        assert fc.z.shape == (dm, c * dz)
-        assert fc.gamma.shape == (dm,)
+        assert fc.z.shape == (1, dm, c, dz)
+        assert fc.gamma.shape == (1, dm)
+        assert fc_param_count(fc) == dm * (c * dz + 1)
+
+    @pytest.mark.parametrize("metric", METRICS5[1:])
+    def test_init_draws_the_same_numbers_for_every_metric(self, metric):
+        """Every metric draws ecm's numbers; phcm reads them row-major."""
+        for init, args in ((ly.init_mlr, (5, 3, 4)), (ly.init_fc, (5, 4, 3, 2))):
+            ref = init("ecm", *args, np.random.default_rng(3))
+            got = init(metric, *args, np.random.default_rng(3))
+            assert np.array_equal(got.z, ref.z) and np.array_equal(got.gamma, ref.gamma)
 
 
 class TestMlr:
@@ -106,7 +115,7 @@ class TestMlr:
         params = ly.init_mlr("phcm", 4, 1, 3, rng)
         x = np.broadcast_to(np.eye(4), (1, 1, 4, 4)).copy()
         v, _ = ly.mlr_forward(x, params)
-        znorm = np.sqrt((params.z**2).sum(axis=1))
+        znorm = np.sqrt((params.z**2).sum(axis=(1, 2)))
         assert rel_err(v[0], -4.0 * params.gamma * znorm) < 1e-9
 
 
@@ -469,6 +478,15 @@ class TestNetworkGradients:
         for key in fd:
             assert rel_err(grads[key], fd[key]) < 1e-4, (metric, key)
 
+    @pytest.mark.parametrize("metric", METRICS5)
+    def test_gradient_keys_and_shapes_are_the_params(self, metric):
+        net = tiny_network(metric, metric, seed=39)
+        _, grads, _ = ly.forward_backward(net, batch_of_correlations(2, 2, 4, 40), np.array([0, 1]))
+        params = net.param_dict()
+        assert grads.keys() == params.keys()
+        for key, val in params.items():
+            assert grads[key].shape == val.shape, key
+
     def test_zero_param_model_uniform_probs(self):
         net = tiny_network("ecm", "olm", seed=29)
         net.mlr.z = np.zeros_like(net.mlr.z)
@@ -495,35 +513,23 @@ class TestNetworkGradients:
 
 
 def forward_backward_with_input_adjoint(net, x, labels):
-    """forward_backward on a tape whose conv pullback also forms the adjoint
-    of the (powered) network input: (grads, that adjoint)."""
+    """forward_backward whose conv pullback also forms the adjoint of the
+    (powered) network input: (grads, that adjoint)."""
     x = np.asarray(x, dtype=np.float64)
     if net.power != 1.0:
         x = dom.cor_of(ly.power_activation(x, net.power))
-    tape = ly.Tape()
     y, conv_cache = ly.conv_forward(x, net.conv, net.solver)
-
-    def conv_back(g, grads):
-        pgrads, gx = ly.conv_vjp(net.conv, conv_cache, g)
-        grads.update({f"conv.{k}": v for k, v in pgrads.items()})
-        return gx
-
-    tape.record(conv_back)
+    shape = y.shape
     if net.activation == "tangent_relu":
-        shape = y.shape
         act, act_cache = ly.tangent_relu_forward(y.reshape(-1, *shape[2:]), net.mlr.metric, net.solver)
         y = act.reshape(shape)
-        tape.record(lambda g, grads: ly.tangent_relu_vjp(act_cache, g.reshape(-1, *shape[2:])).reshape(shape))
     logits, mlr_cache = ly.mlr_forward(y, net.mlr, net.solver)
-
-    def mlr_back(g, grads):
-        pgrads, gx = ly.mlr_vjp(net.mlr, mlr_cache, g)
-        grads.update({f"mlr.{k}": v for k, v in pgrads.items()})
-        return gx
-
-    tape.record(mlr_back)
-    grads = {}
-    gx = tape.backward(ly.softmax_xent(logits, labels)[1], grads)
+    mlr_grads, g = ly.mlr_vjp(net.mlr, mlr_cache, ly.softmax_xent(logits, labels)[1])
+    if net.activation == "tangent_relu":
+        g = ly.tangent_relu_vjp(act_cache, g.reshape(-1, *shape[2:])).reshape(shape)
+    conv_grads, gx = ly.conv_vjp(net.conv, conv_cache, g)
+    grads = {f"conv.{k}": v for k, v in conv_grads.items()}
+    grads.update({f"mlr.{k}": v for k, v in mlr_grads.items()})
     return grads, gx
 
 
