@@ -42,8 +42,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.n_in < 2 or self.m_hidden < 2:
             raise ConfigError("n_in and m_hidden must be at least 2")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be nonnegative")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative")
         for name in ("lr", "dplus_tol", "dstar_tol"):
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
                 raise ConfigError(f"{name} must be positive and finite")

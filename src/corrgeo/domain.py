@@ -61,14 +61,6 @@ def validate_correlation(c, tol=VALIDATE_TOL, eps_pd=EPS_PD):
     return c
 
 
-def is_valid_correlation(c, tol=VALIDATE_TOL, eps_pd=EPS_PD):
-    try:
-        validate_correlation(c, tol, eps_pd)
-        return True
-    except (NonFiniteInput, NotSymmetric, NonPositiveDiagonal, NotPositiveDefinite):
-        return False
-
-
 # ---------------------------------------------------------------------------
 # the Cor normalization and the row-normalized Cholesky map
 # ---------------------------------------------------------------------------

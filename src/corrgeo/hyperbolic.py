@@ -108,24 +108,6 @@ def project_ball(y, seg=None):
 
 
 # ---------------------------------------------------------------------------
-# hemisphere <-> ball isometries
-# ---------------------------------------------------------------------------
-
-def hs_to_pb(x):
-    """Hemisphere point (unit norm, positive last coordinate) to ball point."""
-    x = np.asarray(x, dtype=np.float64)
-    return project_ball(x[..., :-1] / (1.0 + x[..., -1:]))
-
-
-def pb_to_hs(y):
-    """Ball point to hemisphere point (2y, 1 - |y|^2) / (1 + |y|^2)."""
-    y = np.asarray(y, dtype=np.float64)
-    sq = np.sum(y * y, axis=-1, keepdims=True)
-    u = 1.0 + sq
-    return np.concatenate([2.0 * y / u, (1.0 - sq) / u], axis=-1)
-
-
-# ---------------------------------------------------------------------------
 # origin log/exp with stable small-radius expansions, per part
 # ---------------------------------------------------------------------------
 
@@ -269,21 +251,6 @@ def seg_split(y, seg):
 def seg_split_vjp(y, seg, grad):
     u = pb_log0(y) / seg.beta
     return pb_log0_vjp(y, pb_exp0_vjp(u, grad, seg) / seg.beta)
-
-
-def beta_concat(parts):
-    """Concatenate ball points with beta-function norm stabilization."""
-    if not parts:
-        raise DimensionMismatch("need at least one part")
-    return seg_concat(np.concatenate(parts, axis=-1), segments(tuple(p.shape[-1] for p in parts)))
-
-
-def beta_split(y, dims):
-    """Inverse of beta_concat for the given part dimensions."""
-    y = np.asarray(y, dtype=np.float64)
-    if sum(dims) != y.shape[-1]:
-        raise DimensionMismatch(f"dims {dims} do not sum to {y.shape[-1]}")
-    return np.split(seg_split(y, segments(tuple(dims))), np.cumsum(dims)[:-1], axis=-1)
 
 
 # ---------------------------------------------------------------------------

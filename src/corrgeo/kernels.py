@@ -6,6 +6,8 @@ once, with a per-sample stop test and backtracking, so a sample's result
 (iterations included) does not depend on the rest of its batch.
 """
 
+import functools
+
 import numpy as np
 
 from . import linalg as la
@@ -197,13 +199,30 @@ def dstar_newton1(c):
     return x, alpha, ~ok
 
 
+@functools.lru_cache(maxsize=64)
+def _column_pairs(n):
+    """Column pairs j <= k of n x n: (j, k, flat index j n + k, weight 1 if j == k else 2)."""
+    j, k = np.triu_indices(n)
+    pairs = (j, k, j * n + k, np.where(j == k, 1.0, 2.0))
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
 def h0_build(u, lw):
     """Eigenbasis coupling matrix H0[i,l] = sum_jk U_ij U_ik U_lj U_lk LW_jk, batched.
 
-    One matmul per sample: H0 = Q diag(vec LW) Q^T with Q[i, jk] = U_ij U_ik.
+    H0 = Q diag(vec LW) Q^T with Q[i, jk] = U_ij U_ik.  Each term is symmetric
+    in (j, k) for the symmetric LW, so the sum runs over the n(n+1)/2 column
+    pairs j <= k with the off-diagonal ones weighted 2: the pair products are
+    gathered as rows of U^T, R[jk, i] = U_ij U_ik, and H0 = R^T diag(w) R, one
+    matmul per sample.  Q has orthonormal rows (sum_jk U_ij U_ik U_lj U_lk =
+    delta_il), so H0's eigenvalues lie in [min LW, max LW].
     """
     u = np.asarray(u, dtype=np.float64)
     n = u.shape[-1]
-    q = (u[..., :, :, None] * u[..., :, None, :]).reshape(u.shape[:-2] + (n, n * n))
-    qw = q * np.reshape(lw, np.shape(lw)[:-2] + (1, n * n))
-    return qw @ np.swapaxes(q, -1, -2)
+    j, k, flat, weight = _column_pairs(n)
+    ut = np.swapaxes(u, -1, -2)
+    r = np.take(ut, j, axis=-2) * np.take(ut, k, axis=-2)
+    w = np.take(np.reshape(lw, np.shape(lw)[:-2] + (n * n,)), flat, axis=-1) * weight
+    return np.swapaxes(r, -1, -2) @ (r * w[..., None])

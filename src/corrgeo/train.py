@@ -188,6 +188,8 @@ def load_checkpoint_network(ckpt_dir):
 
 def gradcheck(cfg, seed=None, h=1e-6, log=print):
     """Max relative error of each parameter block against central differences."""
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     net = build_from_config(cfg)
     # small nonzero parameters so norm terms are differentiable
@@ -252,9 +254,14 @@ def bench_forward(metric, n, repeats, rng, m_out=20, classes=10):
 def hyperplane_grid(metric, zfile, gamma, grid, solver=None):
     """Logit values of a single-class MLR over the open 3x3 elliptope.
 
-    Yields (r21, r31, r32, v) rows on a grid^3 lattice, skipping points that
-    are not positive definite.
+    Returns (r21, r31, r32, v) rows on a grid^3 lattice, r32 varying fastest,
+    skipping points that are not positive definite; the points kept go
+    through one batched ``mlr_forward``.
     """
+    if grid < 1:
+        raise ConfigError(f"grid must be at least 1, got {grid}")
+    if not np.isfinite(gamma):
+        raise ConfigError(f"gamma must be finite, got {gamma}")
     z = io.read_tensor(zfile)
     if metric == "phcm":
         if z.size != 3:
@@ -266,13 +273,11 @@ def hyperplane_grid(metric, zfile, gamma, grid, solver=None):
         coords = dom.lt0_coords(z)
     params = ly.MlrParams(metric, 3, 1, 1, coords[None, None], np.array([float(gamma)]))
     ticks = np.linspace(-1.0, 1.0, grid + 2)[1:-1]
-    rows = []
-    for r21 in ticks:
-        for r31 in ticks:
-            for r32 in ticks:
-                c = np.array([[1.0, r21, r31], [r21, 1.0, r32], [r31, r32, 1.0]])
-                if np.linalg.eigvalsh(c).min() <= dom.EPS_PD:
-                    continue
-                v, _ = ly.mlr_forward(c[None, None], params, solver)
-                rows.append((r21, r31, r32, float(v[0, 0])))
-    return rows
+    r = np.stack(np.meshgrid(ticks, ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 3)
+    c = np.ones((len(r), 3, 3))
+    for (i, j), col in zip(((1, 0), (2, 0), (2, 1)), r.T):
+        c[:, i, j] = c[:, j, i] = col
+    # with t the tick nearest 0, (t, t, t) is positive definite, so keep is never empty
+    keep = np.linalg.eigvalsh(c).min(axis=-1) > dom.EPS_PD
+    v, _ = ly.mlr_forward(c[keep, None], params, solver)
+    return [(*point, value) for point, value in zip(r[keep].tolist(), v[:, 0].tolist())]

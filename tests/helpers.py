@@ -1,10 +1,10 @@
 """Shared oracles: central finite differences, random test inputs,
 linear-algebra routines without a caller in the library, single-sample
-solver entry points and hyperbolic distances the library does not call,
-the broadcast Poincare logit and list-of-parts poly-ball maps,
-per-sample reference loops for the batched solver kernels, and the
-structural validators, dense prototype bases and einsum contractions the
-layers once used."""
+solver entry points, the hemisphere-ball maps and hyperbolic distances the
+library does not call, the broadcast Poincare logit and list-of-parts
+poly-ball maps, per-sample reference loops for the batched solver kernels,
+and the correlation and structural validators, dense prototype bases and
+einsum contractions the layers once used."""
 
 from dataclasses import dataclass
 
@@ -15,7 +15,10 @@ from corrgeo import hyperbolic as hyp
 from corrgeo import layers as ly
 from corrgeo import linalg as la
 from corrgeo import solvers as sv
-from corrgeo.errors import NoConvergence, NotSymmetric
+from corrgeo.errors import (
+    DimensionMismatch, NoConvergence, NonFiniteInput, NonPositiveDiagonal, NotPositiveDefinite,
+    NotSymmetric,
+)
 
 
 def rel_err(a, b):
@@ -288,6 +291,20 @@ def pb_fc(x, zs, gammas):
     return hyp.pb_fc_from_logits(v)
 
 
+def hs_to_pb(x):
+    """Hemisphere point (unit norm, positive last coordinate) to ball point."""
+    x = np.asarray(x, dtype=np.float64)
+    return hyp.project_ball(x[..., :-1] / (1.0 + x[..., -1:]))
+
+
+def pb_to_hs(y):
+    """Ball point to hemisphere point (2y, 1 - |y|^2) / (1 + |y|^2)."""
+    y = np.asarray(y, dtype=np.float64)
+    sq = np.sum(y * y, axis=-1, keepdims=True)
+    u = 1.0 + sq
+    return np.concatenate([2.0 * y / u, (1.0 - sq) / u], axis=-1)
+
+
 def hs_to_pb_vjp(x, grad_p):
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(grad_p, dtype=np.float64)
@@ -357,6 +374,21 @@ def pb_mlr_logit_vjp_ref(x, z, gamma, grad_v):
     return gx, gz, ggamma
 
 
+def beta_concat(parts):
+    """Concatenate a list of ball points through the library's seg_concat."""
+    if not parts:
+        raise DimensionMismatch("need at least one part")
+    return hyp.seg_concat(np.concatenate(parts, axis=-1), hyp.segments(tuple(p.shape[-1] for p in parts)))
+
+
+def beta_split(y, dims):
+    """Inverse of beta_concat for the given part dimensions, through seg_split."""
+    y = np.asarray(y, dtype=np.float64)
+    if sum(dims) != y.shape[-1]:
+        raise DimensionMismatch(f"dims {dims} do not sum to {y.shape[-1]}")
+    return np.split(hyp.seg_split(y, hyp.segments(tuple(dims))), np.cumsum(dims)[:-1], axis=-1)
+
+
 def beta_concat_ref(parts):
     dims = [p.shape[-1] for p in parts]
     bn = hyp.beta_fn(sum(dims))
@@ -405,7 +437,7 @@ def beta_split_vjp_ref(y, dims, grad_parts):
 def cor_to_ppb_ref(c):
     """(list of the n-1 Poincare parts of the Cholesky rows, Cholesky factor)."""
     l = la.chol(c)
-    return [hyp.hs_to_pb(l[..., i, : i + 1]) for i in range(1, l.shape[-1])], l
+    return [hs_to_pb(l[..., i, : i + 1]) for i in range(1, l.shape[-1])], l
 
 
 def ppb_to_cor_ref(parts):
@@ -414,7 +446,7 @@ def ppb_to_cor_ref(parts):
     l = np.zeros(parts[0].shape[:-1] + (n, n))
     l[..., 0, 0] = 1.0
     for i, p in enumerate(parts, start=1):
-        l[..., i, : i + 1] = hyp.pb_to_hs(p)
+        l[..., i, : i + 1] = pb_to_hs(p)
     c = l @ la.transpose(l)
     idx = np.arange(n)
     c[..., idx, idx] = 1.0
@@ -551,6 +583,14 @@ def dplus_history(h, tol=1e-12, max_iter=100):
 # ---------------------------------------------------------------------------
 # structural validators, dense bases and einsum forms of the layer contractions
 # ---------------------------------------------------------------------------
+
+def is_valid_correlation(c, tol=dom.VALIDATE_TOL, eps_pd=dom.EPS_PD):
+    try:
+        dom.validate_correlation(c, tol, eps_pd)
+        return True
+    except (NonFiniteInput, NotSymmetric, NonPositiveDiagonal, NotPositiveDefinite):
+        return False
+
 
 def is_hollow(v, tol=0.0):
     v = np.asarray(v)

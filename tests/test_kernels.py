@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrgeo import kernels
 from corrgeo import domain as dom
@@ -285,3 +287,31 @@ class TestH0Build:
         got = kernels.h0_build(u, lw)
         assert got.shape == (2, 3, 4, 4)
         assert np.linalg.norm(got - h0_build_ref(u, lw)) <= 1e-13 * np.linalg.norm(got)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @given(n=st.integers(1, 30), spread=st.floats(0.0, 25.0), low=st.floats(-10.0, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_eigenvalues_within_loewner_range(self, n, spread, low, seed):
+        # Q[i, jk] = U_ij U_ik has orthonormal rows, so H0 = Q diag(vec LW) Q^T
+        # has its eigenvalues in [min LW, max LW]: the bound behind the
+        # condition test that dplus_backward_batch skips
+        rng = np.random.default_rng(seed)
+        lam = np.sort(low + spread * rng.random(n))
+        u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        lw = la.loewner(lam, np.exp, np.exp)
+        ev = np.linalg.eigvalsh(kernels.h0_build(u, lw))
+        slack = 20 * n * np.finfo(float).eps * lw.max()
+        assert ev[0] >= lw.min() - slack
+        assert ev[-1] <= lw.max() + slack
+
+    def test_dplus_solve_matches_contraction_build(self, monkeypatch):
+        # geom30 shapes: the pair-sum build takes the same Newton steps as
+        # the full contraction, to the same d
+        c = cor_batch(16, 30, 200, spread=0.3)
+        h = la.offmat(la.sym_fun("log", c))
+        d, iters, res, _, _ = kernels.dplus_solve(h, 1e-12, 100)
+        monkeypatch.setattr(kernels, "h0_build", h0_build_ref)
+        d_ref, iters_ref, _, _, _ = kernels.dplus_solve(h, 1e-12, 100)
+        assert (res <= 1e-12).all() and iters.max() > 2
+        assert np.array_equal(iters, iters_ref)
+        assert np.abs(d - d_ref).max() <= 1e-12

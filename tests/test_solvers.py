@@ -8,7 +8,7 @@ from corrgeo.errors import SingularH0
 
 from helpers import (
     dplus, dplus_backward, dplus_history, dstar, dstar_backward, fd_grad_sym, off_exp_batch,
-    random_hollow, rel_err, scaled_spd_batch, sym_adjoint_as_fd,
+    is_valid_correlation, random_hollow, rel_err, scaled_spd_batch, sym_adjoint_as_fd,
 )
 
 
@@ -42,7 +42,7 @@ class TestDplus:
                 assert res.residual < 1e-12
                 c = la.sym_exp(h + np.diag(res.d))
                 assert np.abs(la.diagvec(c) - 1.0).max() < 1e-12
-                assert dom.is_valid_correlation(c)
+                assert is_valid_correlation(c)
 
     def test_sixty_iterations_n6(self):
         rng = np.random.default_rng(5)
@@ -127,6 +127,33 @@ class TestDplusBackward:
         grad_y[0, 0, 1] = grad_y[0, 1, 0] = 1.0
         with pytest.raises(SingularH0):
             sv.dplus_backward_batch(grad_y, np.linalg.eigh(s[None]))
+
+    def test_condition_test_only_on_wide_spectra(self, monkeypatch):
+        # cond(H0) <= e^(lam_max - lam_min), so a batch of narrow spectra runs
+        # no eigvalsh; one wide, ill-conditioned sample among them still raises
+        rows = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            rows.append(len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        rng = np.random.default_rng(8)
+        h = np.stack([scaled_hollow(2, rng, cap=1.5) for _ in range(5)])
+        _, _, _, lam, u = sv.dplus_batch(h)
+        grad_y = la.sym(rng.standard_normal((5, 2, 2)))
+        sv.dplus_backward_batch(grad_y, (lam, u))
+        assert rows == []
+        big = 1e13
+        s = np.array([[np.log(2.0) - big, big], [big, np.log(2.0) - big]])
+        lam_s, u_s = np.linalg.eigh(s)
+        lam = np.concatenate([lam[:2], lam_s[None], lam[2:]])
+        u = np.concatenate([u[:2], u_s[None], u[2:]])
+        grad_y = np.concatenate([grad_y[:2], np.array([[[0.0, 1.0], [1.0, 0.0]]]), grad_y[2:]])
+        with pytest.raises(SingularH0):
+            sv.dplus_backward_batch(grad_y, (lam, u))
+        assert rows == [1]
 
 
 class TestDstar:
