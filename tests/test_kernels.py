@@ -293,8 +293,8 @@ class TestH0Build:
            seed=st.integers(0, 2**32 - 1))
     def test_eigenvalues_within_loewner_range(self, n, spread, low, seed):
         # Q[i, jk] = U_ij U_ik has orthonormal rows, so H0 = Q diag(vec LW) Q^T
-        # has its eigenvalues in [min LW, max LW]: the bound behind the
-        # condition test that dplus_backward_batch skips
+        # has its eigenvalues in [min LW, max LW], so cond(H0) <= e^(lam_max -
+        # lam_min)
         rng = np.random.default_rng(seed)
         lam = np.sort(low + spread * rng.random(n))
         u = np.linalg.qr(rng.standard_normal((n, n)))[0]

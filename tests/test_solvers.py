@@ -128,23 +128,13 @@ class TestDplusBackward:
         with pytest.raises(SingularH0):
             sv.dplus_backward_batch(grad_y, np.linalg.eigh(s[None]))
 
-    def test_condition_test_only_on_wide_spectra(self, monkeypatch):
-        # cond(H0) <= e^(lam_max - lam_min), so a batch of narrow spectra runs
-        # no eigvalsh; one wide, ill-conditioned sample among them still raises
-        rows = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counting(a):
-            rows.append(len(a))
-            return eigvalsh(a)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    def test_singular_sample_in_a_batch_raises(self):
+        # one ill-conditioned sample among well-conditioned ones fails the batch
         rng = np.random.default_rng(8)
         h = np.stack([scaled_hollow(2, rng, cap=1.5) for _ in range(5)])
         _, _, _, lam, u = sv.dplus_batch(h)
         grad_y = la.sym(rng.standard_normal((5, 2, 2)))
         sv.dplus_backward_batch(grad_y, (lam, u))
-        assert rows == []
         big = 1e13
         s = np.array([[np.log(2.0) - big, big], [big, np.log(2.0) - big]])
         lam_s, u_s = np.linalg.eigh(s)
@@ -153,7 +143,6 @@ class TestDplusBackward:
         grad_y = np.concatenate([grad_y[:2], np.array([[[0.0, 1.0], [1.0, 0.0]]]), grad_y[2:]])
         with pytest.raises(SingularH0):
             sv.dplus_backward_batch(grad_y, (lam, u))
-        assert rows == [1]
 
 
 class TestDstar:
