@@ -129,8 +129,19 @@ def _polish(c, x, f, fnorm):
     return np.where(keep[:, None], trial, x), np.where(keep, tnorm, fnorm)
 
 
+def _dstar_start(c):
+    """x0 = t r^(-1/2), r = c 1 (1 where r <= 0.05), t = sqrt(n / x~^T c x~), x~ = r^(-1/2).
+
+    The scale t puts x0 on x^T c x = n, which every solution of c x = 1/x
+    satisfies (Marshall & Olkin, 1968); x0 = 1 for c = I.
+    """
+    r = c.sum(axis=-1)
+    x = 1.0 / np.sqrt(np.where(r > 0.05, r, 1.0))
+    return x * np.sqrt(c.shape[-1] / (x * (c @ x[..., None])[..., 0]).sum(axis=-1))[:, None]
+
+
 def dstar_full(c, tol, max_iter):
-    """Backtracking-Newton solve of c @ x = 1/x for positive x, batched.
+    """Backtracking-Newton solve of c @ x = 1/x for positive x from _dstar_start, batched.
 
     A positive trial is taken if it lowers max|f|, f = c @ x - 1/x, or meets
     Armijo on the potential whose gradient is f (Marshall & Olkin, 1968); the
@@ -141,8 +152,8 @@ def dstar_full(c, tol, max_iter):
     undamped Newton step polishes x to the rounding floor.
     """
     c = np.asarray(c, dtype=np.float64)
-    b, n = c.shape[0], c.shape[1]
-    x = np.ones((b, n))
+    b = c.shape[0]
+    x = _dstar_start(c)
     iters = np.zeros(b, dtype=np.int64)
     res = np.full(b, np.inf)
     failed = np.zeros(b, dtype=bool)

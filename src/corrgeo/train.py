@@ -99,24 +99,31 @@ def map_dataset(net, samples, batch_size):
     return replace(chunks[0], value=np.concatenate([c.value for c in chunks]))
 
 
-def evaluate(net, samples, labels, batch_size=64):
+def evaluate(net, samples, labels, batch_size=256):
     """Accuracy and per-class confusion counts over a dataset, raw or mapped
-    by ``map_dataset``."""
+    by ``map_dataset``.
+
+    The forward runs in ceil(N / batch_size) contiguous passes whose lengths
+    differ by at most one, so that no pass is a short tail: a pass costs the
+    solver loops' per-iteration overhead whatever its length.
+    """
     classes = net.mlr.classes
     _check_labels(labels, classes)
     inputs = map_dataset(net, samples, batch_size)
     confusion = np.zeros((classes, classes), dtype=np.int64)
     correct = 0
-    for start in range(0, len(inputs), batch_size):
-        x = inputs[start : start + batch_size]
-        y = labels[start : start + batch_size]
+    count = len(inputs)
+    passes = -(-count // batch_size)
+    for k in range(passes):
+        start, stop = k * count // passes, (k + 1) * count // passes
+        y = labels[start:stop]
         try:
-            pred = ly.predict(ly.network_forward(net, x))
+            pred = ly.predict(ly.network_forward(net, inputs[start:stop]))
         except CorrGeoError as e:
-            raise _located(e, f"evaluation batch {start // batch_size}") from e
+            raise _located(e, f"evaluation samples {start}-{stop - 1}") from e
         correct += int((pred == y).sum())
         np.add.at(confusion, (y, pred), 1)
-    return correct / max(len(samples), 1), confusion
+    return correct / max(count, 1), confusion
 
 
 def train(cfg, data_dir, out_dir, log=print):

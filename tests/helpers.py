@@ -511,11 +511,24 @@ def _polish_ref(c, x, f, fnorm):
     return x, fnorm
 
 
-def dstar_full_ref(c, tol, max_iter):
-    """Backtracking Newton for c @ x = 1/x, one sample at a time: (x, iters, res, failed)."""
+def dstar_start_ref(c):
+    """dstar full mode's start t r^(-1/2) for one sample: r = c 1 (1 where r <= 0.05),
+    scaled onto x^T c x = n."""
+    r = c.sum(axis=1)
+    xt = 1.0 / np.sqrt(np.where(r > 0.05, r, 1.0))
+    return xt * np.sqrt(len(c) / (xt * (c @ xt)).sum())
+
+
+def dstar_full_ref(c, tol, max_iter, start="scaled"):
+    """Backtracking Newton for c @ x = 1/x, one sample at a time: (x, iters, res, failed).
+
+    ``start`` is "scaled" (the kernel's start) or "ones" (x = 1)."""
     c = np.asarray(c, dtype=np.float64)
     b, n = c.shape[0], c.shape[1]
-    x = np.ones((b, n))
+    if start == "scaled":
+        x = np.stack([dstar_start_ref(ck) for ck in c])
+    else:
+        x = np.ones((b, n))
     iters = np.zeros(b, dtype=np.int64)
     res = np.full(b, np.inf)
     failed = np.zeros(b, dtype=bool)

@@ -215,6 +215,35 @@ class TestTrainEval:
         assert np.array_equal(confusion, expected)
         assert acc == np.trace(expected) / len(samples)
 
+    def test_evaluation_passes_are_even(self, tmp_path, monkeypatch):
+        from corrgeo import layers as ly
+
+        cfg, _ = write_tiny_setup(tmp_path)
+        net = trainmod.build_from_config(cfg)
+        samples, labels = datamod.load_dataset(tmp_path / "data")
+        inner = ly.network_forward
+        lengths = []
+
+        def patched(net, x):
+            lengths.append(len(x))
+            return inner(net, x)
+
+        monkeypatch.setattr(ly, "network_forward", patched)
+        trainmod.evaluate(net, samples, labels, batch_size=5)
+        # 16 samples in ceil(16 / 5) = 4 passes, not 5 + 5 + 5 + 1
+        assert lengths == [4, 4, 4, 4]
+
+    @pytest.mark.parametrize("metric", ["ecm", "lecm", "olm", "lsm", "phcm"])
+    def test_evaluation_does_not_depend_on_pass_length(self, tmp_path, metric):
+        cfg, _ = write_tiny_setup(tmp_path, metric=metric)
+        net = trainmod.train(cfg, tmp_path / "data", tmp_path / "ckpt", log=lambda _: None)
+        samples, labels = datamod.load_dataset(tmp_path / "data")
+        acc, confusion = trainmod.evaluate(net, samples, labels)
+        assert (confusion.sum(axis=0) > 0).all()  # both classes are predicted
+        for batch_size in (1, 5):
+            got = trainmod.evaluate(net, samples, labels, batch_size=batch_size)
+            assert got[0] == acc and np.array_equal(got[1], confusion)
+
     def test_bitwise_deterministic_training(self, tmp_path):
         cfg, cfg_path = write_tiny_setup(tmp_path, epochs=2)
         for sub in ("r1", "r2"):
@@ -490,12 +519,12 @@ class TestTrainingFailures:
 
         monkeypatch.setattr(ly, "network_forward", patched)
         # one evaluation batch per epoch: the second pass is epoch 1's
-        with pytest.raises(NotPositiveDefinite, match=r"^epoch 1: evaluation batch 0: min eigenvalue 0$"):
+        with pytest.raises(NotPositiveDefinite, match=r"^epoch 1: evaluation samples 0-15: min eigenvalue 0$"):
             trainmod.train(cfg, tmp_path / "data", tmp_path / "a", log=lambda _: None)
         evals.clear()
         net = trainmod.build_from_config(cfg)
         samples, labels = datamod.load_dataset(tmp_path / "data")
-        with pytest.raises(NotPositiveDefinite, match=r"^evaluation batch 1: "):
+        with pytest.raises(NotPositiveDefinite, match=r"^evaluation samples 8-15: "):
             trainmod.evaluate(net, samples, labels, batch_size=8)
 
     def test_input_chart_error_names_samples(self, tmp_path, monkeypatch, capsys):
