@@ -17,7 +17,7 @@ Gamma is one scalar per class / output slot; multi-channel inputs use the
 product-space norm of the per-channel normals.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from . import domain as dom
 from . import geometry as geo
 from . import hyperbolic as hyp
 from . import linalg as la
-from .errors import ConfigError, NonFiniteInput, ShapeMismatch
+from .errors import ConfigError, InvalidDimension, NonFiniteInput, ShapeMismatch
 
 DEFAULT_LAYER_SOLVER = {"dstar_mode": "newton1"}
 
@@ -77,6 +77,10 @@ def init_mlr(metric, n, channels, classes, rng):
 
 
 def init_fc(metric, n, m, channels, kernels, rng):
+    if min(n, m) < 2:
+        raise InvalidDimension(f"layer matrices need n, m >= 2, got n={n}, m={m}")
+    if kernels < 1:
+        raise ShapeMismatch(f"kernels must be at least 1, got {kernels}")
     # the extra 1/m keeps the output prototype coordinates O(1): without it
     # the row-zero completion sums grow with m and the freshly initialized
     # outputs already sit on the elliptope boundary
@@ -86,6 +90,8 @@ def init_fc(metric, n, m, channels, kernels, rng):
 
 
 def init_conv(metric, n, m, in_channels, field_size, stride, kernels, rng):
+    if min(field_size, stride) < 1:
+        raise ShapeMismatch(f"field_size and stride must be at least 1, got {field_size}, {stride}")
     if field_size > in_channels:
         raise ShapeMismatch("field_size exceeds in_channels")
     if (in_channels - field_size) % stride != 0:
@@ -221,7 +227,8 @@ class ChartInput:
     (B, C, n(n-1)/2) under phcm: each channel's poly-ball point, its Poincare
     parts of dimension 1, ..., n-1 laid end to end.  ``cache`` is the chart's
     cache, kept where the input adjoint runs through the chart.  Indexing
-    slices the value (samples first, then channels) and drops the cache.
+    slices samples and drops the cache; the conv gathers its receptive
+    fields from ``value``.
     """
 
     value: np.ndarray
@@ -375,34 +382,32 @@ def fc_vjp(params, cache, grad_y, input_adjoint=True):
 # convolution over receptive fields (shared kernel parameters)
 # ---------------------------------------------------------------------------
 
+def _field_index(params):
+    """(n_fields, field_size) channel indices of the receptive fields."""
+    return params.stride * np.arange(params.n_fields)[:, None] + np.arange(params.field_size)
+
+
 def conv_forward(x, params, solver=None):
     """(B, C, n, n) correlations or their ChartInput -> (B, n_fields * kernels, m, m),
-    field-major channel order.  A raw input is mapped once for all its fields."""
+    field-major channel order.  A raw input is mapped once; its B * n_fields
+    receptive fields are gathered from the chart value into one FC call."""
     inp = _layer_input(x, params.fc.metric, params.in_channels, params.fc.n, solver)
-    fields = []
-    caches = []
-    for start in range(0, params.in_channels - params.field_size + 1, params.stride):
-        y, cache = fc_forward(inp[:, start : start + params.field_size], params.fc, solver)
-        fields.append(y)
-        caches.append((start, cache))
-    y = np.concatenate(fields, axis=1)
-    return y, {"caches": caches, "input": inp}
+    fields = inp.value[:, _field_index(params)]
+    fields = replace(inp, value=fields.reshape(-1, *fields.shape[2:]), cache=None)
+    y, cache = fc_forward(fields, params.fc, solver)
+    return y.reshape(len(inp), -1, *y.shape[2:]), {"fc": cache, "input": inp}
 
 
 def conv_vjp(params, cache, grad_y, input_adjoint=True):
-    """Parameter gradients and the input adjoint, which is None with ``input_adjoint`` off."""
-    k = params.fc.kernels
-    inp = cache["input"]
-    gvalue = np.zeros_like(inp.value) if input_adjoint else None
-    gz = np.zeros_like(params.fc.z)
-    ggamma = np.zeros_like(params.fc.gamma)
-    for idx, (start, fcache) in enumerate(cache["caches"]):
-        grads, gfield = fc_vjp(params.fc, fcache, grad_y[:, idx * k : (idx + 1) * k], input_adjoint)
-        gz += grads["z"]
-        ggamma += grads["gamma"]
-        if input_adjoint:
-            gvalue[:, start : start + params.field_size] += gfield
-    return {"z": gz, "gamma": ggamma}, _input_adjoint(inp, gvalue)
+    """Parameter gradients and the input adjoint, which is None with ``input_adjoint`` off;
+    the input adjoint sums the adjoints of the fields over their channels."""
+    inp, k = cache["input"], params.fc.kernels
+    grads, gfields = fc_vjp(params.fc, cache["fc"], grad_y.reshape(-1, k, *grad_y.shape[2:]), input_adjoint)
+    if gfields is None:
+        return grads, None
+    gvalue = np.zeros_like(inp.value)
+    np.add.at(gvalue, (slice(None), _field_index(params)), gfields.reshape(len(inp), -1, *gfields.shape[1:]))
+    return grads, _input_adjoint(inp, gvalue)
 
 
 # ---------------------------------------------------------------------------

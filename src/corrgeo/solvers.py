@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from . import linalg as la
-from .errors import DampingFailure, NoConvergence, SingularH0
+from .errors import ConfigError, DampingFailure, NoConvergence, SingularH0
 
 DPLUS_TOL = 1e-12
 DPLUS_MAX_ITER = 100
@@ -64,7 +64,7 @@ def dstar_batch(c, mode="full", tol=DSTAR_TOL, max_iter=DSTAR_MAX_ITER):
         res = np.abs(np.einsum("bij,bj->bi", cb, x) - 1.0 / x).max(axis=1)
         alpha = alpha.reshape(np.shape(c)[:-2])
     else:
-        raise ValueError(f"unknown dstar mode {mode!r}")
+        raise ConfigError(f"unknown dstar mode {mode!r}")
     if failed.any():
         raise DampingFailure("no damped step length reduced the residual")
     scale = np.maximum(1.0, np.abs(x).max(axis=-1))

@@ -3,8 +3,8 @@ linear-algebra routines without a caller in the library, single-sample
 solver entry points, the hemisphere-ball maps and hyperbolic distances the
 library does not call, the broadcast Poincare logit and list-of-parts
 poly-ball maps, per-sample reference loops for the batched solver kernels,
-and the correlation and structural validators, dense prototype bases and
-einsum contractions the layers once used."""
+and the correlation and structural validators, dense prototype bases,
+einsum contractions and the per-field conv loop the layers once used."""
 
 from dataclasses import dataclass
 
@@ -713,6 +713,35 @@ def fc_expand_ref(metric, v, m):
 def fc_gather_ref(metric, g):
     """Adjoint of fc_expand_ref: (..., m, m) -> (..., slots)."""
     return np.einsum("...ij,sij->...s", g, metric_basis(metric, g.shape[-1]))
+
+
+def conv_forward_ref(x, params, solver=None):
+    """The conv as one ``fc_forward`` per receptive field, on the chart value
+    of the input mapped once: (B, n_fields * kernels, m, m) and the cache of
+    ``conv_vjp_ref``."""
+    inp = ly.map_input(x, params.fc.metric, solver, keep_cache=True)
+    fs = params.field_size
+    ys, caches = [], []
+    for start in range(0, params.in_channels - fs + 1, params.stride):
+        field = ly.ChartInput(inp.value[:, start : start + fs], inp.metric, inp.n, inp.power, inp.solver)
+        y, cache = ly.fc_forward(field, params.fc, solver)
+        ys.append(y)
+        caches.append((start, cache))
+    return np.concatenate(ys, axis=1), {"caches": caches, "input": inp}
+
+
+def conv_vjp_ref(params, cache, grad_y):
+    """Pullback of ``conv_forward_ref``: one ``fc_vjp`` per field, parameter
+    gradients summed and field adjoints added into their channels."""
+    k, inp = params.fc.kernels, cache["input"]
+    gvalue = np.zeros_like(inp.value)
+    gz, ggamma = np.zeros_like(params.fc.z), np.zeros_like(params.fc.gamma)
+    for idx, (start, fcache) in enumerate(cache["caches"]):
+        grads, gfield = ly.fc_vjp(params.fc, fcache, grad_y[:, idx * k : (idx + 1) * k])
+        gz += grads["z"]
+        ggamma += grads["gamma"]
+        gvalue[:, start : start + params.field_size] += gfield
+    return {"z": gz, "gamma": ggamma}, ly._input_adjoint(inp, gvalue)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ from corrgeo import domain as dom
 from corrgeo import geometry as geo
 from corrgeo import layers as ly
 from corrgeo import train as trainmod
-from corrgeo.errors import NonFiniteInput
+from corrgeo.errors import ConfigError, InvalidDimension, NonFiniteInput, ShapeMismatch
 
 from helpers import (
-    diff_at_identity, fc_expand_ref, fc_gather_ref, fc_param_count, flat_logits_ref,
-    flat_logits_vjp_ref, metric_basis, rel_err,
+    conv_forward_ref, conv_vjp_ref, diff_at_identity, fc_expand_ref, fc_gather_ref, fc_param_count,
+    flat_logits_ref, flat_logits_vjp_ref, metric_basis, rel_err,
 )
 
 METRICS5 = ["ecm", "lecm", "olm", "lsm", "phcm"]
@@ -128,6 +128,11 @@ class TestFc:
         y, _ = ly.fc_forward(x, params)
         assert y.shape == (2, 1, 4, 4)
         assert np.abs(y - np.eye(4)).max() < 1e-9
+
+    def test_unknown_dstar_mode_is_config_error(self):
+        params = ly.init_fc("lsm", 4, 3, 1, 1, np.random.default_rng(9))
+        with pytest.raises(ConfigError, match="bogus"):
+            ly.fc_forward(batch_of_correlations(2, 1, 4, 10), params, solver={"dstar_mode": "bogus"})
 
     def test_lsm_assembly_hand_case(self):
         # a single nonzero first coordinate sqrt(3) fills the row-zero completion
@@ -381,9 +386,82 @@ class TestConv:
         rng = np.random.default_rng(17)
         conv = ly.init_conv("lecm", 4, 3, 2, 2, 1, 1, rng)
         x = batch_of_correlations(2, 2, 4, 18)
-        y_conv, _ = ly.conv_forward(x, conv)
-        y_fc, _ = ly.fc_forward(x, conv.fc)
+        y_conv, conv_cache = ly.conv_forward(x, conv)
+        y_fc, fc_cache = ly.fc_forward(x, conv.fc)
         assert np.array_equal(y_conv, y_fc)
+        w = rng.standard_normal(y_fc.shape)
+        conv_grads, conv_gx = ly.conv_vjp(conv, conv_cache, w)
+        fc_grads, fc_gx = ly.fc_vjp(conv.fc, fc_cache, w)
+        assert conv_grads.keys() == fc_grads.keys()
+        for key in fc_grads:
+            assert np.array_equal(conv_grads[key], fc_grads[key]), key
+        assert np.array_equal(conv_gx, fc_gx)
+
+    # overlapping fields, so the input adjoint sums over the shared channels
+    MULTI_FIELD = pytest.mark.parametrize("c, field_size, stride", [(4, 2, 1), (5, 3, 2)])
+
+    @staticmethod
+    def multi_field(metric, c, field_size, stride, seed):
+        rng = np.random.default_rng(seed)
+        conv = ly.init_conv(metric, 4, 3, c, field_size, stride, 2, rng)
+        conv.fc.z = rng.standard_normal(conv.fc.z.shape) * 0.15
+        conv.fc.gamma = rng.standard_normal(conv.fc.gamma.shape) * 0.1
+        return conv, batch_of_correlations(3, c, 4, seed + 1), rng
+
+    @pytest.mark.parametrize("metric", METRICS5)
+    @MULTI_FIELD
+    def test_multi_field_matches_per_field_loop(self, metric, c, field_size, stride):
+        conv, x, rng = self.multi_field(metric, c, field_size, stride, 41)
+        y, cache = ly.conv_forward(x, conv)
+        y_ref, cache_ref = conv_forward_ref(x, conv)
+        assert y.shape == (3, conv.n_fields * 2, 3, 3)
+        assert rel_err(y, y_ref) <= 1e-13
+        w = rng.standard_normal(y.shape)
+        grads, gx = ly.conv_vjp(conv, cache, w)
+        grads_ref, gx_ref = conv_vjp_ref(conv, cache_ref, w)
+        for key in grads_ref:
+            assert rel_err(grads[key], grads_ref[key]) <= 1e-13, key
+        assert rel_err(gx, gx_ref) <= 1e-13
+        assert ly.conv_vjp(conv, cache, w, input_adjoint=False)[1] is None
+
+    @pytest.mark.parametrize("metric", METRICS5)
+    @MULTI_FIELD
+    def test_multi_field_adjoint(self, metric, c, field_size, stride):
+        """Dot-product test of the conv pullback, jointly in the input and the
+        parameters (see TestLayerAdjoints)."""
+        conv, x, rng = self.multi_field(metric, c, field_size, stride, 43)
+        fc = conv.fc
+
+        def f(p):
+            params = ly.FcParams(metric, fc.n, fc.m, field_size, fc.kernels, p["z"], p["gamma"])
+            return ly.conv_forward(p["x"], ly.ConvParams(params, c, field_size, stride))[0]
+
+        y, cache = ly.conv_forward(x, conv)
+
+        def pullback(w):
+            grads, gx = ly.conv_vjp(conv, cache, w)
+            return {**grads, "x": gx}
+
+        point = {"x": x, "z": fc.z, "gamma": fc.gamma}
+        direction = {
+            "x": 0.1 * hollow_batch(x.shape[:2], 4, rng),
+            "z": rng.standard_normal(fc.z.shape), "gamma": rng.standard_normal(fc.gamma.shape),
+        }
+        gap, scale = dot_product_gap(f, point, direction, rng.standard_normal(y.shape), pullback)
+        assert gap <= TestLayerAdjoints.TOL * scale
+
+    @pytest.mark.parametrize("sizes", [{"stride": 0}, {"stride": -1}, {"field_size": 0}, {"kernels": 0}])
+    def test_bad_conv_sizes_rejected(self, sizes):
+        args = {"in_channels": 4, "field_size": 2, "stride": 1, "kernels": 2, **sizes}
+        with pytest.raises(ShapeMismatch):
+            ly.init_conv("ecm", 4, 3, rng=np.random.default_rng(0), **args)
+
+    @pytest.mark.parametrize("n, m", [(1, 3), (4, 1)])
+    def test_bad_fc_dimensions_rejected(self, n, m):
+        with pytest.raises(InvalidDimension):
+            ly.init_fc("ecm", n, m, 1, 1, np.random.default_rng(0))
+        with pytest.raises(InvalidDimension):
+            ly.init_conv("ecm", n, m, 2, 2, 1, 1, np.random.default_rng(0))
 
 
 class TestActivations:

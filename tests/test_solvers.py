@@ -4,7 +4,7 @@ import pytest
 from corrgeo import domain as dom
 from corrgeo import linalg as la
 from corrgeo import solvers as sv
-from corrgeo.errors import SingularH0
+from corrgeo.errors import ConfigError, SingularH0
 
 from helpers import (
     dplus, dplus_backward, dplus_history, dstar, dstar_backward, fd_grad_sym, off_exp_batch,
@@ -146,6 +146,10 @@ class TestDplusBackward:
 
 
 class TestDstar:
+    def test_unknown_mode_is_config_error(self):
+        with pytest.raises(ConfigError, match="bogus"):
+            sv.dstar_batch(np.eye(3)[None], "bogus")
+
     def test_identity(self):
         res = dstar(np.eye(4))
         assert np.array_equal(res.x, np.ones(4))
