@@ -116,11 +116,13 @@ def save_dataset(out_dir, samples, labels):
 
 
 def load_dataset(data_dir):
-    """Read (samples, labels); a sample that is not a correlation matrix is an IoError
-    naming its index (sample, channel)."""
+    """Read (samples, labels); a sample that is not a correlation matrix, or a label
+    count that differs from the sample count, is an IoError."""
     data = Path(data_dir)
     samples = io.read_tensor(data / "samples.cort")
     labels = io.read_labels(data / "labels.corl")
+    if len(labels) != len(samples):
+        raise IoError(f"{data / 'labels.corl'}: {len(labels)} labels for {len(samples)} samples")
     try:
         dom.validate_correlation(samples)
     except CorrGeoError as e:

@@ -62,7 +62,7 @@ def validate_correlation(c, tol=VALIDATE_TOL, eps_pd=EPS_PD):
 
 
 # ---------------------------------------------------------------------------
-# the Cor normalization and the row-normalized Cholesky map
+# the Cor normalization
 # ---------------------------------------------------------------------------
 
 def cor_of(sigma):

@@ -17,6 +17,7 @@ Gamma is one scalar per class / output slot; multi-channel inputs use the
 product-space norm of the per-channel normals.
 """
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -72,6 +73,10 @@ def init_std(n):
 
 
 def init_mlr(metric, n, channels, classes, rng):
+    if n < 2:
+        raise InvalidDimension(f"layer matrices need n >= 2, got n={n}")
+    if min(channels, classes) < 1:
+        raise ShapeMismatch(f"channels and classes must be at least 1, got {channels}, {classes}")
     z = rng.standard_normal((classes, channels, dom.lt0_dim(n))) * init_std(n)
     return MlrParams(metric, n, channels, classes, z, np.zeros(classes))
 
@@ -101,13 +106,16 @@ def init_conv(metric, n, m, in_channels, field_size, stride, kernels, rng):
 
 
 # ---------------------------------------------------------------------------
-# flat-metric logits (shared by MLR and FC)
+# flat-metric logits (shared by MLR, FC and conv)
 #
-# The hyperplane normals W_k, the chart's differential at I applied to the
-# hollow Z_k, are never materialized: the pairing <phi(X), W> collapses onto
-# the strictly-lower coordinates (doubled for the symmetric prototypes) plus,
-# for the row-zero metric, a diagonal term against the Z row sums.  Every contraction, forward and
-# backward, is one matmul of (B, C*d) against (K, C*d) rows.
+# Each flat metric is a pullback, so a logit is one pairing <phi(X), W> -
+# gamma |W| with the hyperplane normal W = A z in the prototype space, never
+# materialized: v = a(X) . z - gamma |A z|.  a(X) is c times the strictly-lower
+# coordinates of phi(X) (c = 1 for ecm/lecm, 2 for the symmetric olm/lsm
+# prototypes); lsm's normal W = Z - diag(Z 1) also subtracts the slot sums
+# diag(X) G^T, where the incidence matrix G marks the two rows of each lower
+# slot, so |A z|^2 = c |z|^2 + [lsm] |z G|^2.  Every contraction, forward and
+# backward, is one matmul.
 # ---------------------------------------------------------------------------
 
 def hollow_from_lower(z, n):
@@ -116,39 +124,25 @@ def hollow_from_lower(z, n):
     return low + la.transpose(low)
 
 
-_LOWER_LAYOUT = {}
-
-
-def _lower_layout(n):
-    """Index structures for summing lower-slot coordinates into row sums."""
-    if n not in _LOWER_LAYOUT:
-        i, j = np.tril_indices(n, -1)
-        order = np.argsort(j, kind="stable")
-        col_start = np.searchsorted(j[order], np.arange(n - 1))
-        _LOWER_LAYOUT[n] = {"i": i, "j": j, "order": order, "col_start": col_start}
-    return _LOWER_LAYOUT[n]
-
-
-def _z_row_sums(z, n):
-    """Row sums of the mirrored hollow matrix, straight from coordinates."""
-    lay = _lower_layout(n)
-    s = np.zeros(z.shape[:-1] + (n,))
-    if n > 1:
-        # the lower slots of rows 1..n-1 are laid out as the parts of a poly-ball point
-        s[..., 1:] += np.add.reduceat(z, hyp.poly_segments(n).starts, axis=-1)
-        s[..., : n - 1] += np.add.reduceat(z[..., lay["order"]], lay["col_start"], axis=-1)
-    return s
-
-
-def _gather_row_sums(sbar, n):
-    """Adjoint of _z_row_sums: per-slot gather of the two incident rows."""
-    lay = _lower_layout(n)
-    return sbar[..., lay["i"]] + sbar[..., lay["j"]]
+@functools.lru_cache(maxsize=64)
+def _incidence(n):
+    """Read-only G (n(n-1)/2, n): G[s, i] = G[s, j] = 1 for the lower slot s = (i, j)."""
+    i, j = np.tril_indices(n, -1)
+    g = np.zeros((len(i), n))
+    slots = np.arange(len(i))
+    g[slots, i] = g[slots, j] = 1.0
+    g.setflags(write=False)
+    return g
 
 
 def _rows(a):
     """(N, ...) -> (N, prod(...)): the matrix side of a flat contraction."""
     return a.reshape(a.shape[0], -1)
+
+
+def _last_axis_times(t, m):
+    """(..., p) @ (p, q) -> (..., q) as one 2-D matmul, not one per leading index."""
+    return (t.reshape(-1, t.shape[-1]) @ m).reshape(*t.shape[:-1], m.shape[1])
 
 
 def _flat_logits(px, z, gamma, metric, n):
@@ -157,55 +151,44 @@ def _flat_logits(px, z, gamma, metric, n):
     px: (B, C, n, n) prototype values; z: (K, C, dz); gamma: (K,).
     Returns (v, cache) with v of shape (B, K).
     """
-    low = dom.lt0_coords(px)
-    cache = {"low": low, "z": z}
+    c = 1.0 if metric in ("ecm", "lecm") else 2.0
+    a = dom.lt0_coords(px)
     zf = _rows(z)
-    inner = _rows(low) @ zf.T
     nrm2 = np.einsum("kd,kd->k", zf, zf)  # one pass, no (K, C*d) temporary
-    if metric in ("olm", "lsm"):
-        inner, nrm2 = 2.0 * inner, 2.0 * nrm2
-    if metric == "lsm":  # W = Z - diag(Z 1)
-        diag = la.diagvec(px)
-        s = _z_row_sums(z, n)
-        sf = _rows(s)
-        inner = inner - _rows(diag) @ sf.T
-        nrm2 = nrm2 + (sf * sf).sum(axis=1)
-        cache.update({"diag": diag, "s": s})
+    if c != 1.0:
+        a, nrm2 = c * a, c * nrm2
+    cache = {"c": c, "a": a, "z": z}
+    if metric == "lsm":
+        g = _incidence(n)
+        a -= _last_axis_times(la.diagvec(px), g.T)
+        s = _last_axis_times(z, g)
+        nrm2 = nrm2 + np.einsum("kci,kci->k", s, s)
+        cache["s"] = s
     norms = np.sqrt(nrm2)
     cache["norms"] = norms
-    v = inner - gamma * norms
+    v = _rows(a) @ zf.T - gamma * norms
     return v, cache
 
 
 def _flat_logits_vjp(cache, metric, n, grad_v, input_adjoint=True):
     """Returns (grad_z, grad_gamma, grad_px); grad_px is None without the input adjoint."""
-    low, z, norms = cache["low"], cache["z"], cache["norms"]
+    c, a, z, norms = cache["c"], cache["a"], cache["z"], cache["norms"]
     gsum = grad_v.sum(axis=0)
     grad_gamma = -gsum * norms
     safe = np.where(norms > 0.0, norms, 1.0)
     coef = np.where(norms > 0.0, gsum * cache["gamma"] / safe, 0.0)
-    glow = (grad_v.T @ _rows(low)).reshape(z.shape)
-    if metric in ("ecm", "lecm"):
-        grad_z = glow - coef[:, None, None] * z
-    elif metric == "olm":
-        grad_z = 2.0 * (glow - coef[:, None, None] * z)
-    else:
-        diag, s = cache["diag"], cache["s"]
-        sbar = -(grad_v.T @ _rows(diag)).reshape(s.shape)
-        grad_z = (
-            2.0 * glow
-            + _gather_row_sums(sbar, n)
-            - coef[:, None, None] * (2.0 * z + _gather_row_sums(s, n))
-        )
+    # gamma |A z| contributes coef A^T A z = coef (c z + [lsm] (z G) G^T)
+    grad_z = (grad_v.T @ _rows(a)).reshape(z.shape) - (c * coef)[:, None, None] * z
+    if metric == "lsm":
+        grad_z -= coef[:, None, None] * _last_axis_times(cache["s"], _incidence(n).T)
     if not input_adjoint:
         return grad_z, grad_gamma, None
-    zv = (grad_v @ _rows(z)).reshape(low.shape)
-    if metric in ("ecm", "lecm"):
+    zv = (grad_v @ _rows(z)).reshape(a.shape)
+    if c == 1.0:
         return grad_z, grad_gamma, dom.lt0_from_coords(zv, n)
     grad_px = hollow_from_lower(zv, n)
     if metric == "lsm":
-        dv = (grad_v @ _rows(cache["s"])).reshape(cache["diag"].shape)
-        grad_px = grad_px - la.diag_from_vec(dv)
+        grad_px = grad_px - la.diag_from_vec(_last_axis_times(zv, _incidence(n)))
     return grad_z, grad_gamma, grad_px
 
 

@@ -278,6 +278,8 @@ def hyperplane_grid(metric, zfile, gamma, grid, solver=None):
         if z.shape != (3, 3):
             raise InvalidDimension("hyperplane weights must be a 3x3 hollow symmetric matrix")
         coords = dom.lt0_coords(z)
+    if not np.isfinite(z).all():
+        raise ConfigError(f"z must be finite; {np.count_nonzero(~np.isfinite(z))} of its {z.size} entries are not")
     params = ly.MlrParams(metric, 3, 1, 1, coords[None, None], np.array([float(gamma)]))
     ticks = np.linspace(-1.0, 1.0, grid + 2)[1:-1]
     r = np.stack(np.meshgrid(ticks, ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 3)

@@ -665,12 +665,23 @@ def fc_param_count(p):
     return p.z.size + p.gamma.size
 
 
+def _row_sums_ref(z, n):
+    """Row sums of the hollow symmetric matrices with strictly-lower entries z."""
+    return ly.hollow_from_lower(z, n).sum(-1)
+
+
+def _slot_gather_ref(s, n):
+    """Adjoint of _row_sums_ref: each lower slot (i, j) gathers s_i + s_j."""
+    i, j = np.tril_indices(n, -1)
+    return s[..., i] + s[..., j]
+
+
 def _norms_ref(z, metric, n):
     nrm2 = np.einsum("kcd,kcd->k", z, z)
     if metric in ("olm", "lsm"):
         nrm2 = 2.0 * nrm2
     if metric == "lsm":
-        s = ly._z_row_sums(z, n)
+        s = _row_sums_ref(z, n)
         nrm2 = nrm2 + np.einsum("kci,kci->k", s, s)
     return np.sqrt(nrm2)
 
@@ -682,7 +693,7 @@ def flat_logits_ref(px, z, gamma, metric, n):
     if metric in ("olm", "lsm"):
         inner = 2.0 * inner
     if metric == "lsm":
-        inner = inner - np.einsum("bci,kci->bk", la.diagvec(px), ly._z_row_sums(z, n))
+        inner = inner - np.einsum("bci,kci->bk", la.diagvec(px), _row_sums_ref(z, n))
     return inner - gamma * _norms_ref(z, metric, n)
 
 
@@ -697,10 +708,10 @@ def flat_logits_vjp_ref(px, z, gamma, metric, n, grad_v):
         return glow - coef[:, None, None] * z, -gsum * norms, dom.lt0_from_coords(zv, n)
     if metric == "olm":
         return 2.0 * (glow - coef[:, None, None] * z), -gsum * norms, ly.hollow_from_lower(zv, n)
-    diag, s = la.diagvec(px), ly._z_row_sums(z, n)
+    diag, s = la.diagvec(px), _row_sums_ref(z, n)
     sbar = -np.einsum("bk,bci->kci", grad_v, diag)
-    grad_z = (2.0 * glow + ly._gather_row_sums(sbar, n)
-              - coef[:, None, None] * (2.0 * z + ly._gather_row_sums(s, n)))
+    grad_z = (2.0 * glow + _slot_gather_ref(sbar, n)
+              - coef[:, None, None] * (2.0 * z + _slot_gather_ref(s, n)))
     dv = np.einsum("bk,kci->bci", grad_v, s)
     return grad_z, -gsum * norms, ly.hollow_from_lower(zv, n) - la.diag_from_vec(dv)
 

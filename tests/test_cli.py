@@ -337,6 +337,24 @@ class TestTrainEval:
         assert rc == 3
         assert "matrix (5, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", [10, 20])
+    def test_label_count_mismatch_is_io_error(self, tmp_path, capsys, count):
+        cfg, cfg_path = write_tiny_setup(tmp_path)
+        samples, labels = datamod.load_dataset(tmp_path / "data")
+        datamod.save_dataset(tmp_path / "bad", samples, np.resize(labels, count))
+        with pytest.raises(IoError, match=f"{count} labels for {len(samples)} samples"):
+            datamod.load_dataset(tmp_path / "bad")
+        rc = cli.main(["train", "--config", str(cfg_path), "--data",
+                       str(tmp_path / "bad"), "--out", str(tmp_path / "x")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"{count} labels for {len(samples)} samples" in err and "Traceback" not in err
+        assert cli.main(["train", "--config", str(cfg_path), "--data",
+                         str(tmp_path / "data"), "--out", str(tmp_path / "ckpt")]) == 0
+        rc = cli.main(["eval", "--ckpt", str(tmp_path / "ckpt"), "--data", str(tmp_path / "bad")])
+        assert rc == 3
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_shape_mismatch_is_config_error(self, tmp_path):
         cfg, cfg_path = write_tiny_setup(tmp_path)
         samples, labels = datamod.generate(2, 4, 5, 2, 0.2, 1.5, seed=6)
@@ -437,6 +455,20 @@ class TestHyperplaneCli:
         assert cli.main(argv + [a for kv in args.items() for a in kv]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {flag[2:]} must be") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("metric, entry", [("olm", np.nan), ("phcm", np.inf)])
+    def test_rejects_non_finite_weights(self, tmp_path, capsys, metric, entry):
+        zpath = self._write_z(tmp_path, metric)
+        z = io.read_tensor(zpath)
+        z.flat[1] = entry
+        io.write_tensor(zpath, z)
+        out = tmp_path / "grid.csv"
+        rc = cli.main(["hyperplane", "--metric", metric, "--z", str(zpath),
+                       "--gamma", "0.0", "--grid", "3", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: z must be finite") and "Traceback" not in err
         assert not out.exists()
 
     def test_wrong_dim_rejected(self, tmp_path):

@@ -208,9 +208,12 @@ class TestFlatContractions:
     einsum and dense-basis forms."""
 
     @pytest.mark.parametrize("metric", FLAT)
-    @pytest.mark.parametrize("b, c, k", [(6, 3, 4), (1, 2, 1), (1, 1, 3), (5, 2, 1)])
-    def test_logits_and_vjp_match_einsum(self, metric, b, c, k):
-        n = 5
+    @pytest.mark.parametrize("b, c, k, n", [
+        pytest.param(6, 3, 4, 5, id="6-3-4"), pytest.param(1, 2, 1, 5, id="1-2-1"),
+        pytest.param(1, 1, 3, 5, id="1-1-3"), pytest.param(5, 2, 1, 5, id="5-2-1"),
+        pytest.param(3, 2, 2, 2, id="3-2-2-n2"),  # a single lower slot
+    ])
+    def test_logits_and_vjp_match_einsum(self, metric, b, c, k, n):
         rng = np.random.default_rng(100 * b + 10 * c + k)
         px = geo.to_prototype(metric, batch_of_correlations(b, c, n, 40 + k))
         z = rng.standard_normal((k, c, dom.lt0_dim(n)))
@@ -462,6 +465,14 @@ class TestConv:
             ly.init_fc("ecm", n, m, 1, 1, np.random.default_rng(0))
         with pytest.raises(InvalidDimension):
             ly.init_conv("ecm", n, m, 2, 2, 1, 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n, channels, classes, error", [
+        (1, 1, 2, InvalidDimension), (0, 1, 2, InvalidDimension),
+        (4, 0, 2, ShapeMismatch), (4, 1, 0, ShapeMismatch),
+    ])
+    def test_bad_mlr_sizes_rejected(self, n, channels, classes, error):
+        with pytest.raises(error):
+            ly.init_mlr("ecm", n, channels, classes, np.random.default_rng(0))
 
 
 class TestActivations:
