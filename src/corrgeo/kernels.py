@@ -57,21 +57,38 @@ def _dplus_eval(h, idx, d):
         return lam, u, e, np.abs(e - 1.0).max(axis=1)
 
 
+def _dplus_start(h):
+    """d0 = -log diag p4(h), p4(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, for hollow symmetric h.
+
+    The first Archakov-Hansen (2021) step d <- d - log diag exp(diag(d) + h)
+    from d = 0, with exp replaced by p4 and no eigh: diag h^2 = sum_j h_ij^2,
+    diag h^3 = sum_j h2_ij h_ij and diag h^4 = sum_j h2_ij^2 with h2 = h h.
+    p4(x) - 1 - x >= x^2/3, so diag p4(h) >= 1 and d0 <= 0; a sample whose
+    sums overflow starts from d = 0.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        h2 = h @ h
+        h4 = (h2 * h2).sum(axis=-1)
+        d = -np.log(1.0 + (h * h).sum(axis=-1) / 2 + (h2 * h).sum(axis=-1) / 6 + h4 / 24)
+    return np.where(np.isfinite(d).all(axis=-1, keepdims=True), d, 0.0)
+
+
 def dplus_solve(h, tol, max_iter):
     """Find diagonal vectors d with unit-diagonal exp(diag(d) + h), batched.
 
-    Backtracking Newton from d = 0 on log(e) = 0, e = diag(exp(diag(d) + h)):
-    the Jacobian of d -> e is the SPD H0 = h0_build(U, loewner(lam, exp,
-    exp)), and a trial is taken once its residual max|e - 1| is below its
-    base point's.  Each evaluation (one eigh) counts as an iteration.
+    Backtracking Newton from _dplus_start's d0 (an Archakov-Hansen, 2021,
+    step) on log(e) = 0, e = diag(exp(diag(d) + h)): the Jacobian of d -> e
+    is the SPD H0 = h0_build(U, loewner(lam, exp, exp)), and a trial is taken
+    once its residual max|e - 1| is below its base point's.  Each evaluation
+    (one eigh) counts as an iteration.
 
     Returns (d, iterations, residuals, lam, u) with (lam, u) the
     eigendecomposition of diag(d) + h at the returned d; a residual above tol
     (or not finite) means the budget ran out, no step length lowered the
-    residual, or exp overflowed at d = 0.
+    residual, or exp overflowed at the start.
     """
     h = np.asarray(h, dtype=np.float64)
-    d = np.zeros(h.shape[:2])
+    d = _dplus_start(h)
     lam, u, e, res = _dplus_eval(h, np.arange(len(h)), d)
     iters = np.ones(len(h), dtype=np.int64)
     # an overflowed residual gives no finite step: the sample stops there

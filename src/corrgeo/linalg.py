@@ -201,11 +201,11 @@ def _nilpotent_poly(nmat, coeffs, xi=None):
     with ``xi`` its directional derivative Dp(N)[xi]; returns (p(N), Dp or None).
 
     Paterson-Stockmeyer order: ~2 sqrt(d) matrix products, with the inner
-    block combinations fused into one tensor contraction.  The derivative
-    runs the product rule through the same scheme (Al-Mohy & Higham 2009):
-    D(N^i) = D(N^(i-1)) N + N^(i-1) xi, the power tables are contracted with
-    the same coefficients, and the block Horner step P <- P N^s + B_b has
-    derivative D <- D N^s + P D(N^s) + D(B_b).
+    block combinations fused into one matmul over the table of powers.  The
+    derivative runs the product rule through the same scheme (Al-Mohy &
+    Higham 2009): D(N^i) = D(N^(i-1)) N + N^(i-1) xi, the power tables are
+    contracted with the same coefficients, and the block Horner step
+    P <- P N^s + B_b has derivative D <- D N^s + P D(N^s) + D(B_b).
     """
     d = len(coeffs) - 1
     n = nmat.shape[-1]
@@ -213,26 +213,29 @@ def _nilpotent_poly(nmat, coeffs, xi=None):
     if d <= 0:
         return coeffs[0] * np.array(eye), None if xi is None else np.zeros_like(xi)
     s = max(1, math.isqrt(d) + (0 if math.isqrt(d) ** 2 == d else 1))
-    powers = [np.array(eye), np.asarray(nmat)]
-    for _ in range(2, s + 1):
-        powers.append(powers[-1] @ nmat)
     nblocks = (d + 1 + s - 1) // s
     cmat = np.zeros((nblocks, s))
     for j, c in enumerate(coeffs):
         cmat[j // s, j % s] = c
-    blocks = np.tensordot(cmat, np.stack(powers[:s]), axes=(1, 0))
+    # N^0 ... N^s in one table; the blocks are one matmul over its first s rows
+    table = np.empty((s + 1,) + nmat.shape)
+    table[0], table[1] = eye, nmat
+    for i in range(2, s + 1):
+        np.matmul(table[i - 1], nmat, out=table[i])
+    blocks = (cmat @ table[:s].reshape(s, -1)).reshape((nblocks,) + nmat.shape)
     out, dout = blocks[-1], None
     if xi is not None:
         xi = np.broadcast_to(xi, np.broadcast_shapes(nmat.shape, np.shape(xi)))
-        dpowers = [np.zeros(xi.shape), xi]
+        dtable = np.empty((s + 1,) + xi.shape)
+        dtable[0], dtable[1] = 0.0, xi
         for i in range(2, s + 1):
-            dpowers.append(dpowers[-1] @ nmat + powers[i - 1] @ xi)
-        dblocks = np.tensordot(cmat, np.stack(dpowers[:s]), axes=(1, 0))
+            np.add(dtable[i - 1] @ nmat, table[i - 1] @ xi, out=dtable[i])
+        dblocks = (cmat @ dtable[:s].reshape(s, -1)).reshape((nblocks,) + xi.shape)
         dout = dblocks[-1]
     for b in range(nblocks - 2, -1, -1):
         if xi is not None:
-            dout = dout @ powers[s] + out @ dpowers[s] + dblocks[b]
-        out = out @ powers[s] + blocks[b]
+            dout = dout @ table[s] + out @ dtable[s] + dblocks[b]
+        out = out @ table[s] + blocks[b]
     return out, dout
 
 

@@ -3,9 +3,11 @@
 Two solvers, each with an exact reverse-mode rule:
 
 * ``dplus``: the diagonal d making exp(diag(d) + H) unit-diagonal, by
-  backtracking Newton from d = 0 on the residual max|diag(exp(diag(d) + H)) - 1|
-  (Archakov & Hansen, 2021).  The solve returns the eigendecomposition of the
-  final diag(d) + H for reuse downstream.
+  backtracking Newton on the residual max|diag(exp(diag(d) + H)) - 1| from
+  d0 = -log diag p4(H), p4 the degree-4 Taylor polynomial of exp: the first
+  Archakov & Hansen (2021) fixed-point step from d = 0, without an eigh.
+  The solve returns the eigendecomposition of the final diag(d) + H for
+  reuse downstream.
 * ``dstar``: the positive vector x with (diag(x) C diag(x)) 1 = 1, i.e. the
   zero of f(x) = C x - 1/x (Marshall & Olkin, 1968), by backtracking Newton
   from x = 1 (``full``) or a single damped Newton step (``newton1``).

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from corrgeo import kernels
 from corrgeo import domain as dom
 from corrgeo import geometry as geo
+from corrgeo import layers as ly
 from corrgeo import linalg as la
 from corrgeo import solvers as sv
 from corrgeo.errors import DampingFailure, NoConvergence
@@ -62,6 +63,7 @@ def assert_matches_fixed_point(h, got, tol=1e-12):
 
 class TestDplusSolve:
     def test_zero_input(self):
+        assert np.array_equal(kernels._dplus_start(np.zeros((2, 4, 4))), np.zeros((2, 4)))
         d, iters, res, lam, u = kernels.dplus_solve(np.zeros((2, 4, 4)), 1e-12, 100)
         assert np.array_equal(d, np.zeros((2, 4)))
         assert np.array_equal(iters, [1, 1])
@@ -78,24 +80,32 @@ class TestDplusSolve:
 
     def test_rejected_trial_halves_from_base(self, monkeypatch):
         # a negated Jacobian makes every Newton trial raise the residual, so
-        # the solve evaluates d = 0 and then base + 2**-k step for k = 0..20
-        # from that base point, one eigh each, and stops there unconverged
-        h0_build, evaluate = kernels.h0_build, kernels._dplus_eval
-        points = []
+        # the solve evaluates the start d0 and then d0 + 2**-k step for
+        # k = 0..20 from that base point, one eigh each, and stops there
+        # unconverged
+        h0_build, evaluate, backtrack = kernels.h0_build, kernels._dplus_eval, kernels._backtrack
+        points, searches = [], []
 
         def recording(h, idx, d):
             points.append(d.copy())
             return evaluate(h, idx, d)
 
+        def searching(x, step, accept):
+            searches.append((x.copy(), step.copy()))
+            return backtrack(x, step, accept)
+
         monkeypatch.setattr(kernels, "h0_build", lambda u, lw: -h0_build(u, lw))
         monkeypatch.setattr(kernels, "_dplus_eval", recording)
+        monkeypatch.setattr(kernels, "_backtrack", searching)
         h = hollow_batch(3, 5, 70, 0.8)
         d, iters, res, lam, u = kernels.dplus_solve(h, 1e-12, 100)
         assert np.array_equal(iters, [22, 22, 22])
-        assert len(points) == 22 and not points[0].any()
+        assert len(points) == 22 and np.array_equal(points[0], kernels._dplus_start(h))
+        [(base, step)] = searches
+        assert np.array_equal(base, points[0])
         for k, trial in enumerate(points[1:]):
-            assert np.array_equal(trial, points[1] * 2.0**-k)
-        # what is returned is the base point d = 0 and its evaluation
+            assert np.array_equal(trial, base + 2.0**-k * step)
+        # what is returned is the base point d0 and its evaluation
         d0, _, res0, lam0, u0 = kernels.dplus_solve(h, 1e-12, 1)
         for got, want in ((d, d0), (res, res0), (lam, lam0), (u, u0)):
             assert np.array_equal(got, want)
@@ -151,14 +161,19 @@ class TestDplusSolve:
             geo.from_prototype("olm", big[0])
 
     def test_overflowed_step_stops_sample(self):
-        # at entries 705, exp(S) is finite at d = 0 but e log(e) overflows:
-        # the Newton step is not finite, so no trial is evaluated
-        far = np.array([[[0.0, 705.0], [705.0, 0.0]]])
+        # at entries 730, exp(S) is finite at the start but e log(e)
+        # overflows: the Newton step is not finite, so no trial is evaluated
+        far = np.array([[[0.0, 730.0], [730.0, 0.0]]])
         h = np.concatenate([hollow_batch(2, 2, 97, 0.5), far])
         got = kernels.dplus_solve(h, 1e-12, 100)
-        assert got[1][2] == 1 and not got[2][2] <= 1e-12
+        assert got[1][2] == 1 and np.isfinite(got[2][2]) and not got[2][2] <= 1e-12
         with pytest.raises(NoConvergence):
             sv.dplus_batch(far)
+        # at entries 705 the step overflowed at d = 0; from the start it does
+        # not, and exp(d + H) has unit diagonal at d = -log cosh(705)
+        d, iters, res, _, _ = kernels.dplus_solve(np.array([[[0.0, 705.0], [705.0, 0.0]]]), 1e-12, 100)
+        assert res[0] <= 1e-12
+        assert np.abs(d[0] + np.log(np.cosh(705.0))).max() <= 1e-12 * 705.0
 
     def test_batch_independent(self):
         h = np.concatenate([np.zeros((1, 6, 6)), hollow_batch(3, 6, 95, 0.5),
@@ -168,6 +183,45 @@ class TestDplusSolve:
             single = kernels.dplus_solve(h[k:k + 1], 1e-12, 100)
             for g, w in zip(got, single):
                 assert np.array_equal(g[k], w[0])
+
+    @pytest.mark.parametrize("scale", [0.1, 0.5, 1.0, 3.0, 12.0])
+    @pytest.mark.parametrize("n", [2, 5, 30])
+    def test_start_finite_nonpositive(self, n, scale):
+        # diag p4(H) >= 1 for hollow H, so d0 = -log diag p4(H) <= 0
+        d0 = kernels._dplus_start(hollow_batch(6, n, 10 * n + int(scale * 10), scale))
+        assert np.isfinite(d0).all() and (d0 <= 0.0).all()
+
+    def test_start_of_overflowed_sums_is_zero(self):
+        # entries 1e80 overflow diag H^4, so that sample starts from d = 0 and
+        # stops where exp overflows; its batch-mates are untouched
+        huge = np.array([[[0.0, 1e80], [1e80, 0.0]]])
+        h = np.concatenate([hollow_batch(2, 2, 98, 1.5), huge])
+        d0 = kernels._dplus_start(h)
+        assert np.array_equal(d0[2], [0.0, 0.0])
+        assert np.array_equal(d0[:2], kernels._dplus_start(h[:2])) and (d0[:2] < 0.0).all()
+        got = kernels.dplus_solve(h, 1e-12, 100)
+        assert got[1][2] == 1 and not got[2][2] <= 1e-12
+        for g, w in zip(got, kernels.dplus_solve(h[:2], 1e-12, 100)):
+            assert np.array_equal(g[:2], w)
+
+    def test_start_saves_an_evaluation(self, monkeypatch):
+        # olm FC(30 -> 20) outputs at bench_forward's initialization scale
+        # solve in 2 evaluations from the start (3 from d = 0)
+        counts = []
+        solve = kernels.dplus_solve
+
+        def counting(h, tol, max_iter):
+            got = solve(h, tol, max_iter)
+            counts.append(got[1])
+            return got
+
+        monkeypatch.setattr(kernels, "dplus_solve", counting)
+        rng = np.random.default_rng(20)
+        fc = ly.init_fc("olm", 30, 20, 1, 1, rng)
+        fc.z = rng.standard_normal(fc.z.shape) * ly.init_std(30) / 20
+        x = np.stack([dom.random_correlation(30, 1 / np.sqrt(30), rng)[None] for _ in range(8)])
+        ly.fc_forward(x, fc)
+        assert len(counts) == 1 and np.array_equal(counts[0], np.full(8, 2))
 
 
 class TestDstarFull:
