@@ -56,55 +56,30 @@ def draw_anchors(classes, channels, n, separation, rng):
     return anchors
 
 
-def _draw_channel(base, n, spread, rng):
-    """One sample channel: bumps of ``base`` until one clears MIN_EIG_FLOOR
-    (after SAMPLE_RETRIES draws the last is kept)."""
-    for _retry in range(SAMPLE_RETRIES):
-        bump = spread * dom.random_hollow(n, rng)
-        cand = geo.from_prototype("olm", base + bump)
-        if np.linalg.eigvalsh(cand).min() >= MIN_EIG_FLOOR:
-            break
-    return cand
-
-
 def generate(classes, per_class, n, channels, spread, separation, seed):
     """Returns (samples, labels) with samples of shape (classes*per_class, channels, n, n).
 
-    Each (sample, channel) draws its bumps from one generator, in order, until
-    one clears the eigenvalue floor.  The first bump of each is drawn ahead
-    and solved in chunks of GENERATE_CHUNK.  From the first one that fails the
-    floor (or the first chunk that raises) on, the rest are drawn one by one
-    from the generator rewound and replayed up to that draw, so retries and
-    errors are those of that loop.
+    Each round draws one bump for every (sample, channel) still pending, in
+    draw order, solves their olm inverses in chunks of GENERATE_CHUNK and
+    keeps the draws that clear the eigenvalue floor; the rest are pending in
+    the next round.  After SAMPLE_RETRIES rounds the last draws are kept.
     """
     rng = np.random.default_rng(seed)
     anchors = draw_anchors(classes, channels, n, separation, rng)
     labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
     protos = np.array([[geo.to_prototype("olm", a) for a in anchor] for anchor in anchors])
-    # class and channel of each draw, in draw order
-    cls, ch = np.repeat(labels, channels), np.tile(np.arange(channels), len(labels))
-    state = rng.bit_generator.state
-    samples = np.empty((len(cls), n, n))
-    redo = len(cls)
-    for start in range(0, len(cls), GENERATE_CHUNK):
-        stop = min(start + GENERATE_CHUNK, len(cls))
-        bumps = np.array([spread * dom.random_hollow(n, rng) for _ in range(start, stop)])
-        try:
-            cand = geo.from_prototype("olm", protos[cls[start:stop], ch[start:stop]] + bumps)
-        except CorrGeoError:
-            redo = start
+    # the anchor prototype of each draw, in draw order
+    base = protos[np.repeat(labels, channels), np.tile(np.arange(channels), len(labels))]
+    samples = np.empty(base.shape)
+    pending = np.arange(len(base))
+    for _round in range(SAMPLE_RETRIES):
+        for start in range(0, len(pending), GENERATE_CHUNK):
+            idx = pending[start : start + GENERATE_CHUNK]
+            bumps = np.array([spread * dom.random_hollow(n, rng) for _ in idx])
+            samples[idx] = geo.from_prototype("olm", base[idx] + bumps)
+        pending = pending[np.linalg.eigvalsh(samples[pending]).min(axis=-1) < MIN_EIG_FLOOR]
+        if not pending.size:
             break
-        samples[start:stop] = cand
-        low = np.flatnonzero(np.linalg.eigvalsh(cand).min(axis=-1) < MIN_EIG_FLOOR)
-        if low.size:
-            redo = start + int(low[0])
-            break
-    if redo < len(cls):
-        rng.bit_generator.state = state
-        for _ in range(redo):  # replay the draws that stand
-            dom.random_hollow(n, rng)
-        for k in range(redo, len(cls)):
-            samples[k] = _draw_channel(protos[cls[k], ch[k]], n, spread, rng)
     return samples.reshape(len(labels), channels, n, n), labels
 
 

@@ -121,9 +121,12 @@ def read_checkpoint(path):
         if not line or line.startswith("#"):
             continue
         if line.startswith("tensor "):
-            _, name, shape = line.split(" ", 2)
+            try:
+                _, name, shape = line.split(" ", 2)
+                expect = tuple(int(s) for s in shape.split(",") if s)
+            except ValueError as e:
+                raise IoError(f"{path / 'manifest.txt'}: bad tensor line {line!r}") from e
             arr = read_tensor(path / f"{name}.cort")
-            expect = tuple(int(s) for s in shape.split(",") if s)
             if arr.shape != expect:
                 raise IoError(f"{name}: shape {arr.shape} != manifest {expect}")
             params[name] = arr

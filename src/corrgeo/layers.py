@@ -404,54 +404,43 @@ def power_activation(sigma, p):
     return la.sym_pow(sigma, p)
 
 
-def tangent_relu_forward(x, metric, solver=None):
-    """ReLU applied to prototype coordinates: from_coords(relu(coords(phi(C)))).
-
-    Identity whenever all prototype coordinates are nonnegative.  Under the
-    poly-hyperbolic metric the rectification acts on the beta-concatenated
-    tangent vector at the ball origin.
+def tangent_relu_forward(inp):
+    """ReLU on the prototype coordinates of a ChartInput's value, returned as
+    a ChartInput in the same chart without a chart cache: from_coords(relu(
+    coords(X))) under a flat metric, under phcm the ReLU of the origin log of
+    each channel's beta-concatenated ball point.  The identity where no
+    coordinate is negative.  Under lsm the chart is that of the input's
+    ``dstar_mode``, so with newton1 the ReLU acts on the newton1 chart value.
     """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[-1]
-    if metric == "phcm":
-        seg = hyp.poly_segments(n)
-        parts, factors = hyp.cor_to_ppb(x)
-        pt = hyp.seg_concat(parts, seg)
+    cache = {"input": inp}
+    if inp.metric == "phcm":
+        seg = hyp.poly_segments(inp.n)
+        pt = hyp.seg_concat(inp.value, seg)
         tan = hyp.pb_log0(pt)
         mask = tan > 0.0
         rect = hyp.pb_exp0(tan * mask)
-        out = hyp.seg_split(rect, seg)
-        y, l_out = hyp.ppb_to_cor(out)
-        cache = {
-            "metric": metric, "seg": seg, "parts": parts, "factors": factors, "pt": pt,
-            "tan": tan, "mask": mask, "rect": rect, "out": out, "l_out": l_out,
-        }
-        return y, cache
-    # the rectification needs the exact diffeomorphism pair, so the scaled-log
-    # map always runs in full mode here even when training uses newton1
-    solver = {**(solver or {}), "dstar_mode": "full"}
-    px, pcache = geo.prototype_forward(metric, x, solver)
-    coords = geo.prototype_coords(metric, px)
-    mask = coords > 0.0
-    rect = geo.prototype_from_coords(metric, coords * mask, n)
-    y, icache = geo.inverse_forward(metric, rect, solver)
-    return y, {"metric": metric, "pcache": pcache, "mask": mask, "icache": icache}
+        value = hyp.seg_split(rect, seg)
+        cache.update(seg=seg, pt=pt, tan=tan, rect=rect)
+    else:
+        coords = geo.prototype_coords(inp.metric, inp.value)
+        mask = coords > 0.0
+        value = geo.prototype_from_coords(inp.metric, coords * mask, inp.n)
+    cache["mask"] = mask
+    return replace(inp, value=value, cache=None), cache
 
 
-def tangent_relu_vjp(cache, grad_y):
-    metric = cache["metric"]
-    if metric == "phcm":
+def tangent_relu_vjp(cache, grad):
+    """Adjoint of ``tangent_relu_forward``'s input from that of its output value."""
+    inp, mask = cache["input"], cache["mask"]
+    if inp.metric == "phcm":
         seg = cache["seg"]
-        gout = hyp.ppb_to_cor_vjp(cache["out"], cache["l_out"], grad_y)
-        grect = hyp.seg_split_vjp(cache["rect"], seg, gout)
-        gtan = hyp.pb_exp0_vjp(cache["tan"] * cache["mask"], grect) * cache["mask"]
-        gpt = hyp.pb_log0_vjp(cache["pt"], gtan)
-        return hyp.cor_to_ppb_vjp(cache["factors"], hyp.seg_concat_vjp(cache["parts"], seg, gpt))
-    n = grad_y.shape[-1]
-    grect = geo.inverse_vjp(metric, cache["icache"], grad_y)
-    gcoords = geo.prototype_from_coords_adjoint(metric, grect) * cache["mask"]
-    gpx = geo.prototype_coords_adjoint(metric, gcoords, n)
-    return geo.prototype_vjp(metric, cache["pcache"], gpx)
+        grect = hyp.seg_split_vjp(cache["rect"], seg, grad)
+        gtan = hyp.pb_exp0_vjp(cache["tan"] * mask, grect) * mask
+        gvalue = hyp.seg_concat_vjp(inp.value, seg, hyp.pb_log0_vjp(cache["pt"], gtan))
+    else:
+        gcoords = geo.prototype_from_coords_adjoint(inp.metric, grad) * mask
+        gvalue = geo.prototype_coords_adjoint(inp.metric, gcoords, inp.n)
+    return _input_adjoint(inp, gvalue)
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +525,9 @@ def _network_pass(net, x):
     y, conv_cache = conv_forward(network_input(net, x), net.conv, net.solver)
     act_cache = None
     if net.activation == "tangent_relu":
-        act, act_cache = tangent_relu_forward(y.reshape(-1, *y.shape[2:]), net.mlr.metric, net.solver)
-        y = act.reshape(y.shape)
+        # the activation acts on the MLR's chart value: the conv output is mapped once
+        y = _layer_input(y, net.mlr.metric, net.mlr.channels, net.mlr.n, net.solver)
+        y, act_cache = tangent_relu_forward(y)
     logits, mlr_cache = mlr_forward(y, net.mlr, net.solver)
     return logits, conv_cache, act_cache, mlr_cache
 
@@ -554,7 +544,7 @@ def forward_backward(net, x, labels):
     loss, grad_logits = softmax_xent(logits, labels)
     mlr_grads, g = mlr_vjp(net.mlr, mlr_cache, grad_logits)
     if act_cache is not None:
-        g = tangent_relu_vjp(act_cache, g.reshape(-1, *g.shape[2:])).reshape(g.shape)
+        g = tangent_relu_vjp(act_cache, g)
     conv_grads, _ = conv_vjp(net.conv, conv_cache, g, input_adjoint=False)
     grads = {f"conv.{k}": v for k, v in conv_grads.items()}
     grads.update({f"mlr.{k}": v for k, v in mlr_grads.items()})

@@ -10,7 +10,7 @@ from . import data as datamod
 from . import domain as dom
 from . import io
 from . import layers as ly
-from .errors import ConfigError, CorrGeoError, InvalidDimension, NonFiniteLoss
+from .errors import ConfigError, CorrGeoError, InvalidDimension, IoError, NonFiniteLoss
 
 
 def build_from_config(cfg):
@@ -68,6 +68,19 @@ def _check_labels(labels, classes):
         raise ConfigError(
             f"labels span {labels.min()}..{labels.max()}, outside 0..{classes - 1}"
         )
+
+
+def check_data_shape(samples, cfg):
+    """``samples`` as (N, C, n, n), a (N, n, n) stack being one channel;
+    ConfigError unless C and n are the config's."""
+    if samples.ndim == 3:
+        samples = samples[:, None]
+    if samples.shape[1:] != (cfg.channels, cfg.n_in, cfg.n_in):
+        raise ConfigError(
+            f"data shape {samples.shape} does not match config "
+            f"({cfg.channels} channels, n={cfg.n_in})"
+        )
+    return samples
 
 
 def _located(err, where):
@@ -129,13 +142,7 @@ def evaluate(net, samples, labels, batch_size=256):
 def train(cfg, data_dir, out_dir, log=print):
     """Full training run; writes a checkpoint and an append-only metrics CSV."""
     samples, labels = datamod.load_dataset(data_dir)
-    if samples.ndim == 3:
-        samples = samples[:, None]
-    if samples.shape[1] != cfg.channels or samples.shape[-1] != cfg.n_in:
-        raise ConfigError(
-            f"data shape {samples.shape} does not match config "
-            f"({cfg.channels} channels, n={cfg.n_in})"
-        )
+    samples = check_data_shape(samples, cfg)
     _check_labels(labels, cfg.classes)
     net = build_from_config(cfg)
     # the power activation and the conv chart depend on the data only
@@ -189,6 +196,15 @@ def load_checkpoint_network(ckpt_dir):
     text = "\n".join(f"{k} = {v}" for k, v in config_map.items())
     cfg = parse_config_text(text)
     net = build_from_config(cfg)
+    expect = net.param_dict()
+    if params.keys() != expect.keys():
+        raise IoError(f"{ckpt_dir}: blocks {sorted(params)}, the config needs {sorted(expect)}")
+    for name, arr in params.items():
+        # sizes, not shapes: an earlier layout holds the same numbers in row-major order
+        if arr.size != expect[name].size:
+            raise IoError(f"{ckpt_dir}: block {name} has {arr.size} entries, the config needs {expect[name].size}")
+        if not np.isfinite(arr).all():
+            raise IoError(f"{ckpt_dir}: block {name} has non-finite entries")
     net.load_param_dict(params)
     return cfg, net
 

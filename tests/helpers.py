@@ -4,7 +4,8 @@ solver entry points, the hemisphere-ball maps and hyperbolic distances the
 library does not call, the broadcast Poincare logit and list-of-parts
 poly-ball maps, per-sample reference loops for the batched solver kernels,
 and the correlation and structural validators, dense prototype bases,
-einsum contractions and the per-field conv loop the layers once used."""
+einsum contractions, the per-field conv loop and the correlation-matrix
+tangent ReLU the layers once used."""
 
 from dataclasses import dataclass
 
@@ -755,32 +756,49 @@ def conv_vjp_ref(params, cache, grad_y):
     return {"z": gz, "gamma": ggamma}, ly._input_adjoint(inp, gvalue)
 
 
+def tangent_relu_cor_ref(x, metric, solver):
+    """The tangent ReLU as a map of (B, C, n, n) correlation matrices, as the
+    network once ran it: rectify in ``metric``'s chart, then map back through
+    the chart inverse (under phcm, each channel's poly-ball point)."""
+    from corrgeo import geometry as geo
+
+    n = x.shape[-1]
+    if metric == "phcm":
+        seg = hyp.poly_segments(n)
+        tan = hyp.pb_log0(hyp.seg_concat(hyp.cor_to_ppb(x)[0], seg))
+        return hyp.ppb_to_cor(hyp.seg_split(hyp.pb_exp0(np.maximum(tan, 0.0)), seg))[0]
+    coords = geo.prototype_coords(metric, geo.to_prototype(metric, x, solver))
+    return geo.from_prototype(metric, geo.prototype_from_coords(metric, np.maximum(coords, 0.0), n), solver)
+
+
 # ---------------------------------------------------------------------------
 # the sample-by-sample dataset generator
 # ---------------------------------------------------------------------------
 
 def generate_ref(classes, per_class, n, channels, spread, separation, seed):
-    """data.generate drawn and solved one (sample, channel) at a time."""
+    """data.generate drawn and solved one (sample, channel) at a time: each
+    round draws one bump for every (sample, channel) still below the
+    eigenvalue floor, in order.  Returns (samples, labels, retries), retries
+    the draws beyond each (sample, channel)'s first."""
     from corrgeo import data as datamod
     from corrgeo import geometry as geo
 
     rng = np.random.default_rng(seed)
     anchors = datamod.draw_anchors(classes, channels, n, separation, rng)
-    samples = np.empty((classes * per_class, channels, n, n))
-    labels = np.empty(classes * per_class, dtype=np.int64)
-    retries = 0
-    idx = 0
-    for cls, anchor in enumerate(anchors):
-        base = [geo.to_prototype("olm", a) for a in anchor]
-        for _ in range(per_class):
-            for ch in range(channels):
-                for retry in range(datamod.SAMPLE_RETRIES):
-                    bump = spread * dom.random_hollow(n, rng)
-                    cand = geo.from_prototype("olm", base[ch] + bump)
-                    if np.linalg.eigvalsh(cand).min() >= datamod.MIN_EIG_FLOOR:
-                        break
-                retries += retry
-                samples[idx, ch] = cand
-            labels[idx] = cls
-            idx += 1
-    return samples, labels, retries
+    base = [[geo.to_prototype("olm", a) for a in anchor] for anchor in anchors]
+    labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
+    samples = np.empty((len(labels), channels, n, n))
+    pending = [(i, ch) for i in range(len(labels)) for ch in range(channels)]
+    draws = 0
+    for _ in range(datamod.SAMPLE_RETRIES):
+        missed = []
+        for i, ch in pending:
+            bump = spread * dom.random_hollow(n, rng)
+            samples[i, ch] = geo.from_prototype("olm", base[labels[i]][ch] + bump)
+            draws += 1
+            if np.linalg.eigvalsh(samples[i, ch]).min() < datamod.MIN_EIG_FLOOR:
+                missed.append((i, ch))
+        pending = missed
+        if not pending:
+            break
+    return samples, labels, draws - len(labels) * channels

@@ -363,6 +363,57 @@ class TestTrainEval:
                        str(tmp_path / "wrong"), "--out", str(tmp_path / "x")])
         assert rc == 1
 
+    def test_eval_shape_mismatch_is_config_error(self, tmp_path, capsys):
+        """eval checks the data against the checkpoint's config as train does;
+        a (N, n, n) file is one channel."""
+        cfg, cfg_path = write_tiny_setup(tmp_path, epochs=0)
+        assert cli.main(["train", "--config", str(cfg_path), "--data", str(tmp_path / "data"),
+                         "--out", str(tmp_path / "ckpt")]) == 0
+        samples, labels = datamod.generate(2, 4, 5, 2, 0.2, 1.5, seed=6)
+        datamod.save_dataset(tmp_path / "wrong_n", samples, labels)
+        datamod.save_dataset(tmp_path / "one_channel", samples[:, 0, :4, :4], labels)
+        capsys.readouterr()
+        for bad, shape in (("wrong_n", "(8, 2, 5, 5)"), ("one_channel", "(8, 1, 4, 4)")):
+            rc = cli.main(["eval", "--ckpt", str(tmp_path / "ckpt"), "--data", str(tmp_path / bad)])
+            assert rc == 1
+            assert capsys.readouterr().err.startswith(f"config error: data shape {shape} does not match")
+
+    def test_one_channel_file_trains_and_evaluates(self, tmp_path):
+        cfg = replace(write_tiny_setup(tmp_path)[0], channels=1, field_size=1, epochs=1)
+        (tmp_path / "one.cfg").write_text("\n".join(cfg.lines()) + "\n")
+        samples, labels = datamod.load_dataset(tmp_path / "data")
+        datamod.save_dataset(tmp_path / "one_channel", samples[:, 0], labels)
+        assert cli.main(["train", "--config", str(tmp_path / "one.cfg"), "--data",
+                         str(tmp_path / "one_channel"), "--out", str(tmp_path / "ckpt")]) == 0
+        assert cli.main(["eval", "--ckpt", str(tmp_path / "ckpt"), "--data", str(tmp_path / "one_channel")]) == 0
+
+    @pytest.mark.parametrize("case", ["no shape", "bad shape", "missing block", "wrong size", "non-finite"])
+    def test_bad_checkpoint_is_io_error(self, tmp_path, capsys, case):
+        cfg, cfg_path = write_tiny_setup(tmp_path, epochs=0)
+        ckpt = tmp_path / "ckpt"
+        assert cli.main(["train", "--config", str(cfg_path), "--data", str(tmp_path / "data"),
+                         "--out", str(ckpt)]) == 0
+        lines = (ckpt / "manifest.txt").read_text().splitlines()
+        at = {line.split()[1]: k for k, line in enumerate(lines) if line.startswith("tensor ")}
+        if case == "no shape":
+            lines[at["conv.z"]] = "tensor conv.z"
+        elif case == "bad shape":
+            lines[at["conv.z"]] = "tensor conv.z 1,x"
+        elif case == "missing block":
+            del lines[at["conv.gamma"]]
+        elif case == "wrong size":  # an MLR for 4 classes, not 2
+            io.write_tensor(ckpt / "mlr.gamma.cort", np.zeros(4))
+            lines[at["mlr.gamma"]] = "tensor mlr.gamma 4"
+        else:
+            z = io.read_tensor(ckpt / "mlr.z.cort")
+            z.flat[1] = np.nan
+            io.write_tensor(ckpt / "mlr.z.cort", z)
+        (ckpt / "manifest.txt").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = cli.main(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path / "data")])
+        err = capsys.readouterr().err
+        assert rc == 3 and err.startswith("io error: ") and "Traceback" not in err
+
 
 class TestGradcheckCli:
     def test_passes_on_tiny_config(self, tmp_path):

@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from corrgeo import domain as dom
 from corrgeo import geometry as geo
+from corrgeo import hyperbolic as hyp
 from corrgeo import layers as ly
 from corrgeo import train as trainmod
 from corrgeo.errors import ConfigError, InvalidDimension, NonFiniteInput, ShapeMismatch
 
 from helpers import (
     conv_forward_ref, conv_vjp_ref, diff_at_identity, fc_expand_ref, fc_gather_ref, fc_param_count,
-    flat_logits_ref, flat_logits_vjp_ref, metric_basis, rel_err,
+    flat_logits_ref, flat_logits_vjp_ref, metric_basis, rel_err, tangent_relu_cor_ref,
 )
 
 METRICS5 = ["ecm", "lecm", "olm", "lsm", "phcm"]
@@ -286,8 +287,9 @@ def hollow_batch(shape, n, rng):
 
 class TestLayerAdjoints:
     """Dot-product tests <J u, w> = <u, J^T w> for the olm, lsm and phcm layer
-    pullbacks, jointly in the input and the parameters; J u is a central
-    difference, so the bound is the difference's accuracy, not rounding."""
+    pullbacks (the activation's under all five metrics), jointly in the input
+    and the parameters; J u is a central difference, so the bound is the
+    difference's accuracy, not rounding."""
 
     cases = settings(derandomize=True, deadline=None, database=None, max_examples=20)
     inputs = given(
@@ -353,17 +355,22 @@ class TestLayerAdjoints:
         gap, scale = dot_product_gap(f, point, direction, rng.standard_normal((b, k)), pullback)
         assert gap <= self.TOL * scale
 
-    @pytest.mark.parametrize("metric", ["olm", "lsm", "phcm"])
+    @pytest.mark.parametrize("metric", METRICS5)
     @cases
     @inputs
     def test_tangent_relu(self, metric, n, b, c, k, seed):
+        """On a raw batch mapped with its chart's cache, so that the pullback
+        also runs through the chart's vjp."""
         rng = np.random.default_rng(seed)
         x, dx = self.point(rng, b, c, n)
-        x, dx = x.reshape(-1, n, n), dx.reshape(-1, n, n)
-        cache = ly.tangent_relu_forward(x, metric)[1]
+
+        def f(p):
+            return ly.tangent_relu_forward(ly.map_input(p["x"], metric))[0].value
+
+        cache = ly.tangent_relu_forward(ly.map_input(x, metric, keep_cache=True))[1]
         gap, scale = dot_product_gap(
-            lambda p: ly.tangent_relu_forward(p["x"], metric)[0], {"x": x}, {"x": dx},
-            rng.standard_normal(x.shape), lambda w: {"x": ly.tangent_relu_vjp(cache, w)},
+            f, {"x": x}, {"x": dx}, rng.standard_normal(f({"x": x}).shape),
+            lambda w: {"x": ly.tangent_relu_vjp(cache, w)},
         )
         assert gap <= self.TOL * scale
 
@@ -486,18 +493,34 @@ class TestActivations:
 
     @pytest.mark.parametrize("metric", METRICS5)
     def test_tangent_relu_identity_fixed(self, metric):
-        x = np.eye(4)[None]
-        y, _ = ly.tangent_relu_forward(x, metric)
-        assert np.abs(y - np.eye(4)).max() < 1e-9
+        inp = ly.map_input(np.eye(4)[None, None], metric)
+        out, _ = ly.tangent_relu_forward(inp)
+        assert np.abs(out.value - inp.value).max() < 1e-12
 
     @pytest.mark.parametrize("metric", FLAT)
     def test_tangent_relu_nonneg_identity(self, metric):
         rng = np.random.default_rng(21)
         coords = np.abs(rng.standard_normal(dom.lt0_dim(4))) * 0.3
         px = geo.prototype_from_coords(metric, coords, 4)
-        c = geo.from_prototype(metric, px)
-        y, _ = ly.tangent_relu_forward(c[None], metric)
-        assert np.abs(y[0] - c).max() < 1e-8
+        # full mode: the lsm chart value of C is then px, whose coordinates are nonnegative
+        inp = ly.map_input(geo.from_prototype(metric, px)[None, None], metric, {"dstar_mode": "full"})
+        out, _ = ly.tangent_relu_forward(inp)
+        assert np.abs(out.value - inp.value).max() < 1e-12
+
+    @pytest.mark.parametrize("metric, mode", [
+        ("ecm", "newton1"), ("lecm", "newton1"), ("olm", "newton1"), ("phcm", "newton1"), ("lsm", "full"),
+    ])
+    def test_tangent_relu_is_the_chart_composition(self, metric, mode):
+        """The activation on the chart value equals the activation on correlation
+        matrices (rectify in the chart, map back with the chart inverse) read
+        through the chart again."""
+        solver = {"dstar_mode": mode}
+        x = batch_of_correlations(5, 3, 4, 41)
+        inp = ly.map_input(x, metric, solver)
+        ref = ly.map_input(tangent_relu_cor_ref(x, metric, solver), metric, solver)
+        out, _ = ly.tangent_relu_forward(inp)
+        assert out.cache is None and (out.metric, out.n, out.solver) == (ref.metric, ref.n, ref.solver)
+        assert rel_err(out.value, ref.value) < 1e-10
 
 
 class TestSoftmax:
@@ -556,16 +579,41 @@ class TestNetworkGradients:
         for key in fd:
             assert rel_err(grads[key], fd[key]) < 1e-4, key
 
-    @pytest.mark.parametrize("metric", METRICS5)
-    def test_gradcheck_with_activation(self, metric):
-        net = tiny_network(metric, metric, seed=27)
+    @pytest.mark.parametrize("conv_metric, mlr_metric, mode", [
+        *(pytest.param(m, m, "newton1", id=m) for m in METRICS5),
+        pytest.param("lsm", "lsm", "full", id="lsm-full"),
+        pytest.param("ecm", "olm", "newton1", id="ecm-olm"),
+        pytest.param("phcm", "lsm", "newton1", id="phcm-lsm"),
+    ])
+    def test_gradcheck_with_activation(self, conv_metric, mlr_metric, mode):
+        net = tiny_network(conv_metric, mlr_metric, seed=27, solver={"dstar_mode": mode})
         net.activation = "tangent_relu"
         x = batch_of_correlations(2, 2, 4, 28)
         labels = np.array([2, 1])
         loss, grads, _ = ly.forward_backward(net, x, labels)
         fd = numeric_grads(net, x, labels)
         for key in fd:
-            assert rel_err(grads[key], fd[key]) < 1e-4, (metric, key)
+            assert rel_err(grads[key], fd[key]) < 1e-4, (conv_metric, mlr_metric, key)
+
+    @pytest.mark.parametrize("metric", ["olm", "lsm", "phcm"])
+    def test_activation_maps_the_chart_once(self, monkeypatch, metric):
+        """With the input mapped ahead, a training step with the activation maps
+        through each chart once each way: the conv output map and the MLR chart."""
+        if metric == "phcm":
+            module, names = hyp, ("cor_to_ppb", "cor_to_ppb_vjp", "ppb_to_cor", "ppb_to_cor_vjp")
+        else:
+            module, names = geo, ("prototype_forward", "prototype_vjp", "inverse_forward", "inverse_vjp")
+        net = tiny_network(metric, metric, seed=43)
+        net.activation = "tangent_relu"
+        inputs = ly.network_input(net, batch_of_correlations(3, 2, 4, 44))
+        calls = {}
+        for name in names:
+            def counting(*args, _inner=getattr(module, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        ly.forward_backward(net, inputs, np.array([0, 2, 1]))
+        assert calls == dict.fromkeys(names, 1)
 
     @pytest.mark.parametrize("metric", METRICS5)
     def test_gradient_keys_and_shapes_are_the_params(self, metric):
@@ -608,14 +656,13 @@ def forward_backward_with_input_adjoint(net, x, labels):
     if net.power != 1.0:
         x = dom.cor_of(ly.power_activation(x, net.power))
     y, conv_cache = ly.conv_forward(x, net.conv, net.solver)
-    shape = y.shape
+    act_cache = None
     if net.activation == "tangent_relu":
-        act, act_cache = ly.tangent_relu_forward(y.reshape(-1, *shape[2:]), net.mlr.metric, net.solver)
-        y = act.reshape(shape)
+        y, act_cache = ly.tangent_relu_forward(ly.map_input(y, net.mlr.metric, net.solver, keep_cache=True))
     logits, mlr_cache = ly.mlr_forward(y, net.mlr, net.solver)
     mlr_grads, g = ly.mlr_vjp(net.mlr, mlr_cache, ly.softmax_xent(logits, labels)[1])
-    if net.activation == "tangent_relu":
-        g = ly.tangent_relu_vjp(act_cache, g.reshape(-1, *shape[2:])).reshape(shape)
+    if act_cache is not None:
+        g = ly.tangent_relu_vjp(act_cache, g)
     conv_grads, gx = ly.conv_vjp(net.conv, conv_cache, g)
     grads = {f"conv.{k}": v for k, v in conv_grads.items()}
     grads.update({f"mlr.{k}": v for k, v in mlr_grads.items()})
