@@ -107,11 +107,10 @@ class TriangularChart:
         return dom.cor_of(sigma), {"x": x, "k": k, "sigma": sigma}
 
     def vjp(self, cache, g):
-        # adjoint of the theta differential below
+        # the adjoint of theta = L / diag(L), then of L = chol(C)
         l, t = cache["l"], cache["t"]
         g = self.log_adjoint(t, g)
-        abar = la.half_lower(la.transpose(t) @ g) - 0.5 * la.dmat(g @ la.transpose(t))
-        return la.sym(la.inner_solve_spd(la.transpose(l), abar))
+        return la.chol_backward(l, (g - la.dmat(g @ la.transpose(t))) / la.diagvec(l)[..., :, None])
 
     def inverse_vjp(self, cache, g):
         gk = 2.0 * dom.cor_of_backward(cache["sigma"], g) @ cache["k"]
@@ -155,9 +154,7 @@ class OffLogChart:
         return la.daleckii_krein(cache["u"], _log_loewner(cache["lam"]), la.offmat(la.sym(g)))
 
     def inverse_vjp(self, cache, g):
-        lam, u = cache["lam"], cache["u"]
-        gs = la.daleckii_krein(u, la.loewner(lam, np.exp, np.exp), la.sym(g))
-        return sv.dplus_backward_batch(gs, (lam, u))
+        return sv.dplus_backward_batch(g, (cache["lam"], cache["u"]))
 
     def push(self, cache, v):
         return la.offmat(la.daleckii_krein(cache["u"], _log_loewner(cache["lam"]), v))

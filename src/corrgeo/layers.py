@@ -26,7 +26,7 @@ from . import domain as dom
 from . import geometry as geo
 from . import hyperbolic as hyp
 from . import linalg as la
-from .errors import ConfigError, InvalidDimension, NonFiniteInput, ShapeMismatch
+from .errors import ConfigError, InvalidDimension, ShapeMismatch
 
 DEFAULT_LAYER_SOLVER = {"dstar_mode": "newton1"}
 
@@ -407,20 +407,18 @@ def power_activation(sigma, p):
 def tangent_relu_forward(inp):
     """ReLU on the prototype coordinates of a ChartInput's value, returned as
     a ChartInput in the same chart without a chart cache: from_coords(relu(
-    coords(X))) under a flat metric, under phcm the ReLU of the origin log of
-    each channel's beta-concatenated ball point.  The identity where no
-    coordinate is negative.  Under lsm the chart is that of the input's
-    ``dstar_mode``, so with newton1 the ReLU acts on the newton1 chart value.
+    coords(X))) under a flat metric, under phcm exp0(relu(log0)) per Poincare
+    part: the ReLU of the origin log, beta > 0 times the parts' logs, of each
+    channel's beta-concatenated ball.  The identity where no coordinate is
+    negative.  Under lsm it acts in the chart of the input's ``dstar_mode``.
     """
     cache = {"input": inp}
     if inp.metric == "phcm":
         seg = hyp.poly_segments(inp.n)
-        pt = hyp.seg_concat(inp.value, seg)
-        tan = hyp.pb_log0(pt)
+        tan = hyp.pb_log0(inp.value, seg)
         mask = tan > 0.0
-        rect = hyp.pb_exp0(tan * mask)
-        value = hyp.seg_split(rect, seg)
-        cache.update(seg=seg, pt=pt, tan=tan, rect=rect)
+        value = hyp.pb_exp0(tan * mask, seg)
+        cache.update(seg=seg, tan=tan)
     else:
         coords = geo.prototype_coords(inp.metric, inp.value)
         mask = coords > 0.0
@@ -434,9 +432,8 @@ def tangent_relu_vjp(cache, grad):
     inp, mask = cache["input"], cache["mask"]
     if inp.metric == "phcm":
         seg = cache["seg"]
-        grect = hyp.seg_split_vjp(cache["rect"], seg, grad)
-        gtan = hyp.pb_exp0_vjp(cache["tan"] * mask, grect) * mask
-        gvalue = hyp.seg_concat_vjp(inp.value, seg, hyp.pb_log0_vjp(cache["pt"], gtan))
+        gtan = hyp.pb_exp0_vjp(cache["tan"] * mask, grad, seg) * mask
+        gvalue = hyp.pb_log0_vjp(inp.value, gtan, seg)
     else:
         gcoords = geo.prototype_from_coords_adjoint(inp.metric, grad) * mask
         gvalue = geo.prototype_coords_adjoint(inp.metric, gcoords, inp.n)
@@ -503,8 +500,9 @@ def build_network(conv_metric, mlr_metric, n_in, channels, field_size, stride,
 def network_input(net, x):
     """The input of ``net`` as a ChartInput under its conv metric, power and solver.
 
-    A raw (B, C, n, n) batch is checked and mapped; a ChartInput must have
-    been mapped for a network with the same conv metric, power and solver.
+    A raw (B, C, n, n) batch is checked by ``domain.validate_correlation``
+    and mapped; a ChartInput must have been mapped for a network with the
+    same conv metric, power and solver.
     """
     if isinstance(x, ChartInput):
         want = (net.conv.fc.metric, net.power, {**DEFAULT_LAYER_SOLVER, **(net.solver or {})})
@@ -514,10 +512,7 @@ def network_input(net, x):
                 f"the network has metric {want[0]}, power {want[1]}, solver {want[2]}"
             )
         return x
-    x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise NonFiniteInput("network input has NaN or infinite entries")
-    return map_input(x, net.conv.fc.metric, net.solver, net.power)
+    return map_input(dom.validate_correlation(x), net.conv.fc.metric, net.solver, net.power)
 
 
 def _network_pass(net, x):

@@ -179,17 +179,14 @@ def inner_solve_spd(l, v):
 
 
 def chol_backward(l, grad_l):
-    """Adjoint of the SPD input of a Cholesky factorization.
-
-    Given the factor l and the adjoint of l, returns the symmetric adjoint of
-    p = l @ l.T (dl = <G, dP> with dP symmetric).
+    """Symmetric adjoint sym(l^-T Phi l^-1), Phi = half_lower(l^T grad_l), of
+    p = l @ l.T given its Cholesky factor l and the adjoint of l (dl = <G, dP>
+    with dP symmetric; Murray 2016); only the lower triangle of grad_l is read.
     """
     l = np.asarray(l, dtype=np.float64)
     if diagvec(l).min() <= EPS_PD:
         raise SingularFactor("cholesky factor diagonal at or below threshold")
-    pmat = half_lower(transpose(l) @ grad_l)
-    m = pmat + transpose(pmat)
-    return 0.5 * sym(inner_solve_spd(transpose(l), m))
+    return sym(inner_solve_spd(transpose(l), half_lower(transpose(l) @ grad_l)))
 
 
 # ---------------------------------------------------------------------------

@@ -81,12 +81,12 @@ def dstar_batch(c, mode="full", tol=DSTAR_TOL, max_iter=DSTAR_MAX_ITER):
 # exact reverse-mode rules
 # ---------------------------------------------------------------------------
 
-def dplus_backward_batch(grad_y, eig):
-    """Adjoint of h -> diag(dplus(h)) + h given the adjoint of that sum.
+def dplus_backward_batch(grad_c, eig):
+    """Adjoint of h -> C = exp(diag(dplus(h)) + h) given the adjoint of C.
 
-    ``eig`` is the eigendecomposition (lam, u) of diag(d) + h at the solved
-    shift, as returned by ``dplus_batch``.  Returns a hollow symmetric
-    adjoint (pairs with symmetric hollow dh).
+    ``eig`` is (lam, u) of diag(d) + h at the solved shift (``dplus_batch``).
+    With DK the Daleckii-Krein map of exp there, G = sym(grad_c) and
+    w = H0^-1 diag DK(G), returns offmat(DK(G - diag w)), which pairs with hollow dh.
     """
     lam, u = eig
     lw = la.loewner(lam, np.exp, np.exp)
@@ -95,10 +95,9 @@ def dplus_backward_batch(grad_y, eig):
     ev = np.linalg.eigvalsh(h0)
     if (ev[..., -1] > H0_COND_LIMIT * ev[..., 0]).any():
         raise SingularH0("eigenbasis coupling matrix condition exceeds 1e12")
-    g = la.diagvec(grad_y)
-    w = np.linalg.solve(h0, g[..., None])[..., 0]
-    corr = la.daleckii_krein(u, lw, la.diag_from_vec(w))
-    return la.offmat(np.asarray(grad_y) - corr)
+    g = la.sym(np.asarray(grad_c, dtype=np.float64))
+    w = np.linalg.solve(h0, la.diagvec(la.daleckii_krein(u, lw, g))[..., None])[..., 0]
+    return la.offmat(la.daleckii_krein(u, lw, g - la.diag_from_vec(w)))
 
 
 def dstar_backward_batch(sigma, grad_sigma, x):

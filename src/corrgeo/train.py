@@ -72,9 +72,11 @@ def _check_labels(labels, classes):
 
 def check_data_shape(samples, cfg):
     """``samples`` as (N, C, n, n), a (N, n, n) stack being one channel;
-    ConfigError unless C and n are the config's."""
+    ConfigError unless N > 0 and C and n are the config's."""
     if samples.ndim == 3:
         samples = samples[:, None]
+    if len(samples) == 0:
+        raise ConfigError("the dataset has no samples")
     if samples.shape[1:] != (cfg.channels, cfg.n_in, cfg.n_in):
         raise ConfigError(
             f"data shape {samples.shape} does not match config "

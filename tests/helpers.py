@@ -244,10 +244,11 @@ def scaled_spd_batch(c, mode="full", tol=sv.DSTAR_TOL, max_iter=sv.DSTAR_MAX_ITE
     return np.asarray(c, dtype=np.float64) * x[..., :, None] * x[..., None, :], x
 
 
-def dplus_backward(h, grad_y, tol=sv.DPLUS_TOL, max_iter=sv.DPLUS_MAX_ITER):
-    """dplus_backward_batch for one sample, at its solved shift."""
+def dplus_backward(h, grad_c, tol=sv.DPLUS_TOL, max_iter=sv.DPLUS_MAX_ITER):
+    """dplus_backward_batch for one sample, at its solved shift: the adjoint
+    of h given that of exp(diag(dplus(h)) + h)."""
     _, _, _, lam, u = sv.dplus_batch(np.asarray(h, dtype=np.float64)[None], tol, max_iter)
-    return sv.dplus_backward_batch(np.asarray(grad_y)[None], (lam, u))[0]
+    return sv.dplus_backward_batch(np.asarray(grad_c)[None], (lam, u))[0]
 
 
 def dstar_backward(c, grad_sigma, tol=sv.DSTAR_TOL, max_iter=sv.DSTAR_MAX_ITER):

@@ -378,6 +378,23 @@ class TestTrainEval:
             assert rc == 1
             assert capsys.readouterr().err.startswith(f"config error: data shape {shape} does not match")
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_empty_dataset_is_config_error(self, tmp_path, capsys, command):
+        """A dataset of 0 samples has no mean loss and no accuracy."""
+        cfg, cfg_path = write_tiny_setup(tmp_path, epochs=0)
+        assert cli.main(["train", "--config", str(cfg_path), "--data", str(tmp_path / "data"),
+                         "--out", str(tmp_path / "ckpt")]) == 0
+        samples, labels = datamod.load_dataset(tmp_path / "data")
+        datamod.save_dataset(tmp_path / "empty", samples[:0], labels[:0])
+        capsys.readouterr()
+        if command == "train":
+            args = ["--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        else:
+            args = ["--ckpt", str(tmp_path / "ckpt")]
+        assert cli.main([command, *args, "--data", str(tmp_path / "empty")]) == 1
+        assert capsys.readouterr().err.startswith("config error: the dataset has no samples")
+        assert not (tmp_path / "out").exists()
+
     def test_one_channel_file_trains_and_evaluates(self, tmp_path):
         cfg = replace(write_tiny_setup(tmp_path)[0], channels=1, field_size=1, epochs=1)
         (tmp_path / "one.cfg").write_text("\n".join(cfg.lines()) + "\n")

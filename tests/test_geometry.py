@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from corrgeo import domain as dom
 from corrgeo import geometry as geo
+from corrgeo import layers as ly
 from corrgeo import linalg as la
 from corrgeo import solvers as sv
 from corrgeo.errors import UnsupportedMetric
@@ -336,6 +337,55 @@ class TestFactorizationCounts:
         else:
             got = self.count(monkeypatch, lambda: geo.riem_exp(metric, c, v))
         assert got == expect
+
+    @staticmethod
+    def count_matrices(monkeypatch, op):
+        """Matrices through each LAPACK routine during op(): batch sizes summed."""
+        tally = dict.fromkeys(("cholesky", "eigh", "eigvalsh", "solve"), 0)
+
+        def counting(name, fn):
+            def wrapped(a, *args, **kwargs):
+                batch = np.shape(a)[:-2]
+                if name == "solve":
+                    batch = np.broadcast_shapes(batch, np.shape(args[0])[:-2])
+                tally[name] += int(np.prod(batch))
+                return fn(a, *args, **kwargs)
+            return wrapped
+
+        with monkeypatch.context() as mp:
+            for name in tally:
+                mp.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+            op()
+        return {k: v for k, v in tally.items() if v}
+
+    @pytest.mark.parametrize("metric, forward, vjp", [
+        ("ecm", {"cholesky": 12}, {"solve": 24}),
+        ("lecm", {"cholesky": 12}, {"solve": 24}),
+        ("phcm", {"cholesky": 12}, {"solve": 24}),
+        ("olm", {"eigh": 25, "solve": 9}, {"eigvalsh": 4, "solve": 4}),
+        ("lsm", {"eigh": 16, "solve": 88}, {"solve": 12}),
+    ])
+    def test_fc_mlr_layers(self, monkeypatch, metric, forward, vjp):
+        """Matrices factored by an FC(8 -> 6, 2 channels) + MLR(3 classes)
+        forward and vjp on 4 samples; lsm in full mode."""
+        rng = np.random.default_rng(95)
+        solver = {"dstar_mode": "full"}
+        fc = ly.init_fc(metric, 8, 6, 2, 1, rng)
+        mlr = ly.init_mlr(metric, 6, 1, 3, rng)
+        x = np.stack([[rand_cor(8, 96 + 2 * b + c) for c in range(2)] for b in range(4)])
+        grad_v = rng.standard_normal((4, 3))
+        caches = {}
+
+        def run_forward():
+            caches["y"], caches["fc"] = ly.fc_forward(x, fc, solver)
+            caches["mlr"] = ly.mlr_forward(caches["y"], mlr, solver)[1]
+
+        def run_vjp():
+            gy = ly.mlr_vjp(mlr, caches["mlr"], grad_v)[1]
+            ly.fc_vjp(fc, caches["fc"], gy)
+
+        assert self.count_matrices(monkeypatch, run_forward) == forward
+        assert self.count_matrices(monkeypatch, run_vjp) == vjp
 
 
 class TestRiemannianOps:

@@ -8,7 +8,10 @@ from corrgeo import geometry as geo
 from corrgeo import hyperbolic as hyp
 from corrgeo import layers as ly
 from corrgeo import train as trainmod
-from corrgeo.errors import ConfigError, InvalidDimension, NonFiniteInput, ShapeMismatch
+from corrgeo.errors import (
+    ConfigError, InvalidDimension, NonFiniteInput, NonPositiveDiagonal, NotPositiveDefinite, NotSymmetric,
+    ShapeMismatch,
+)
 
 from helpers import (
     conv_forward_ref, conv_vjp_ref, diff_at_identity, fc_expand_ref, fc_gather_ref, fc_param_count,
@@ -640,6 +643,26 @@ class TestNetworkGradients:
         x[1, 0, 2, 1] = x[1, 0, 1, 2] = bad
         with pytest.raises(NonFiniteInput):
             ly.network_forward(net, x)
+
+    @pytest.mark.parametrize("metric", METRICS5)
+    @pytest.mark.parametrize("bad, err", [
+        ("scaled", NonPositiveDiagonal), ("asymmetric", NotSymmetric), ("indefinite", NotPositiveDefinite),
+    ])
+    def test_non_correlation_input_rejected(self, metric, bad, err):
+        """A raw batch is validated before the chart, which would map a scaled
+        or asymmetric matrix silently; the error names the first bad matrix."""
+        net = tiny_network(metric, metric, seed=33)
+        x = batch_of_correlations(2, 2, 4, 34)
+        if bad == "scaled":
+            x[1, 1] *= 2.0
+        elif bad == "asymmetric":
+            x[1, 1, 2, 1] += 0.1
+        else:
+            x[1, 1] = np.full((4, 4), -0.5) + 1.5 * np.eye(4)
+        with pytest.raises(err, match=r"^matrix \(1, 1\): "):
+            ly.network_forward(net, x)
+        with pytest.raises(err):
+            ly.forward_backward(net, x, np.array([0, 1]))
 
     def test_power_preprocessing(self):
         net = tiny_network("ecm", "ecm", seed=31)

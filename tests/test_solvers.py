@@ -88,12 +88,9 @@ class TestDplusBackward:
             return off_exp_batch(hol[None])[0][0, 1]
 
         hol = np.array([[0.0, h], [h, 0.0]])
-        d = sv.dplus_batch(hol[None])[0]
-        s = hol + np.diag(d[0])
         grad_c = np.zeros((2, 2))
         grad_c[0, 1] = 1.0
-        grad_y = la.sym_fun_diff("exp", s, la.sym(grad_c))
-        g = dplus_backward(hol, grad_y)
+        g = dplus_backward(hol, grad_c)
         # loss = tanh(h) along the symmetric pair, so <G, E01 + E10> = sech(h)^2
         analytic = np.cosh(h) ** -2
         assert abs(2 * g[0, 1] - analytic) < 1e-8
@@ -107,10 +104,7 @@ class TestDplusBackward:
         def loss(hol):
             return np.sum(off_exp_batch(hol[None])[0] * w)
 
-        d = sv.dplus_batch(h[None])[0]
-        s = h + np.diag(d[0])
-        grad_y = la.sym_fun_diff("exp", s, w)
-        g = dplus_backward(h, grad_y)
+        g = dplus_backward(h, w)
         fd = fd_grad_sym(loss, h)
         np.fill_diagonal(fd, 0.0)
         assert rel_err(sym_adjoint_as_fd(g), fd) < 1e-5
