@@ -94,9 +94,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cfg, net = trainmod.load_checkpoint_network(args.ckpt)
-    samples, labels = datamod.load_dataset(args.data)
-    samples = trainmod.check_data_shape(samples, cfg)
-    acc, confusion = trainmod.evaluate(net, samples, labels)
+    acc, confusion = trainmod.evaluate(net, *trainmod.load_inputs(net, cfg, args.data))
     print(f"accuracy {acc:.6f}")
     print("confusion (rows true, cols predicted):")
     for row in confusion:

@@ -190,12 +190,17 @@ def chol_backward(l, grad_l):
 
 
 # ---------------------------------------------------------------------------
-# nilpotent triangular log/exp (finite series, Paterson-Stockmeyer order)
+# matrix polynomials (Paterson-Stockmeyer order); nilpotent triangular log/exp
 # ---------------------------------------------------------------------------
 
-def _nilpotent_poly(nmat, coeffs, xi=None):
-    """Evaluate p(N) = sum_j coeffs[j] * N^j for nilpotent N (stacked), and
-    with ``xi`` its directional derivative Dp(N)[xi]; returns (p(N), Dp or None).
+def matrix_poly(nmat, coeffs, xi=None):
+    """Evaluate p(N) = sum_j coeffs[j] * N^j for square N (stacked), and with
+    ``xi`` its directional derivative Dp(N)[xi]; returns (p(N), Dp or None,
+    the power table N^0, ..., N^s the evaluation built).
+
+    For nilpotent N a series of degree >= its index is exact (the triangular
+    log/exp below); at any other N, p is a truncated series, such as the
+    Taylor polynomials of exp in ``kernels``' dplus solve.
 
     Paterson-Stockmeyer order: ~2 sqrt(d) matrix products, with the inner
     block combinations fused into one matmul over the table of powers.  The
@@ -208,7 +213,7 @@ def _nilpotent_poly(nmat, coeffs, xi=None):
     n = nmat.shape[-1]
     eye = np.broadcast_to(np.eye(n), nmat.shape)
     if d <= 0:
-        return coeffs[0] * np.array(eye), None if xi is None else np.zeros_like(xi)
+        return coeffs[0] * np.array(eye), None if xi is None else np.zeros_like(xi), eye[None]
     s = max(1, math.isqrt(d) + (0 if math.isqrt(d) ** 2 == d else 1))
     nblocks = (d + 1 + s - 1) // s
     cmat = np.zeros((nblocks, s))
@@ -233,7 +238,7 @@ def _nilpotent_poly(nmat, coeffs, xi=None):
         if xi is not None:
             dout = dout @ table[s] + out @ dtable[s] + dblocks[b]
         out = out @ table[s] + blocks[b]
-    return out, dout
+    return out, dout, table
 
 
 def _log_coeffs(d):
@@ -261,14 +266,14 @@ def tri_log(k):
     """Logarithm of a unit-diagonal lower-triangular matrix (exact finite series)."""
     k = _check_unit_lower(k)
     n = k.shape[-1]
-    return _nilpotent_poly(k - np.eye(n), _log_coeffs(n - 1))[0]
+    return matrix_poly(k - np.eye(n), _log_coeffs(n - 1))[0]
 
 
 def tri_exp(x):
     """Exponential of a strictly lower-triangular matrix (exact finite series)."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[-1]
-    return _nilpotent_poly(x, _exp_coeffs(n - 1))[0]
+    return matrix_poly(x, _exp_coeffs(n - 1))[0]
 
 
 # The series have degree n - 1: for strictly lower N and xi every term of
@@ -281,13 +286,13 @@ def tri_log_diff(k, xi):
     """Directional derivative of tri_log at k along strictly lower xi."""
     k = np.asarray(k, dtype=np.float64)
     n = k.shape[-1]
-    return _nilpotent_poly(k - np.eye(n), _log_coeffs(n - 1), xi)[1]
+    return matrix_poly(k - np.eye(n), _log_coeffs(n - 1), xi)[1]
 
 
 def tri_exp_diff(x, xi):
     """Directional derivative of tri_exp at x along strictly lower xi."""
     x = np.asarray(x, dtype=np.float64)
-    return _nilpotent_poly(x, _exp_coeffs(x.shape[-1] - 1), xi)[1]
+    return matrix_poly(x, _exp_coeffs(x.shape[-1] - 1), xi)[1]
 
 
 def tri_log_diff_adjoint(k, zbar):
@@ -296,7 +301,7 @@ def tri_log_diff_adjoint(k, zbar):
     k = np.asarray(k, dtype=np.float64)
     n = k.shape[-1]
     nt = np.ascontiguousarray(transpose(k - np.eye(n)))
-    return _nilpotent_poly(nt, _log_coeffs(n - 1), zbar)[1]
+    return matrix_poly(nt, _log_coeffs(n - 1), zbar)[1]
 
 
 def tri_exp_diff_adjoint(x, zbar):
@@ -304,4 +309,4 @@ def tri_exp_diff_adjoint(x, zbar):
     exact on the strictly lower part."""
     x = np.asarray(x, dtype=np.float64)
     nt = np.ascontiguousarray(transpose(x))
-    return _nilpotent_poly(nt, _exp_coeffs(x.shape[-1] - 1), zbar)[1]
+    return matrix_poly(nt, _exp_coeffs(x.shape[-1] - 1), zbar)[1]

@@ -2,12 +2,15 @@
 
 Two solvers, each with an exact reverse-mode rule:
 
-* ``dplus``: the diagonal d making exp(diag(d) + H) unit-diagonal, by
-  backtracking Newton on the residual max|diag(exp(diag(d) + H)) - 1| from
+* ``dplus``: the diagonal d making exp(diag(d) + H) unit-diagonal, from
   d0 = -log diag p4(H), p4 the degree-4 Taylor polynomial of exp: the first
   Archakov & Hansen (2021) fixed-point step from d = 0, without an eigh.
-  The solve returns the eigendecomposition of the final diag(d) + H for
-  reuse downstream.
+  Samples whose diag(d0) + H has infinity norm at most 1 then take up to 4
+  Newton steps in Taylor arithmetic of degree 16, without an eigh; every
+  sample then goes on by backtracking Newton on the residual
+  max|diag(exp(diag(d) + H)) - 1|, one eigh per evaluated point.  The
+  iteration count is the number of those evaluations.  The solve returns
+  the eigendecomposition of the final diag(d) + H for reuse downstream.
 * ``dstar``: the positive vector x with (diag(x) C diag(x)) 1 = 1, i.e. the
   zero of f(x) = C x - 1/x (Marshall & Olkin, 1968), by backtracking Newton
   from x = 1 (``full``) or a single damped Newton step (``newton1``).
@@ -43,7 +46,8 @@ def dplus_batch(h, tol=DPLUS_TOL, max_iter=DPLUS_MAX_ITER):
     """Batched diagonal solve; raises NoConvergence if any sample fails.
 
     Returns (d, iterations, residuals, lam, u) with (lam, u) the
-    eigendecomposition of diag(d) + h at the solved shift.
+    eigendecomposition of diag(d) + h at the solved shift; the iterations
+    count eigh evaluations (``kernels.dplus_solve``).
     """
     hb = _as_batch(h)
     d, iters, res, lam, u = kernels.dplus_solve(hb, tol, max_iter)

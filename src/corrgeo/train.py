@@ -93,25 +93,44 @@ def _located(err, where):
     return located
 
 
-def map_dataset(net, samples, batch_size):
-    """``ly.network_input`` of a whole dataset, mapped ``batch_size`` samples
-    at a time so that the chart's temporaries stay batch-sized.
-
-    A chart error keeps its class and names the samples it came from.  A
-    dataset already mapped is checked against ``net`` and returned.
-    """
-    if isinstance(samples, ly.ChartInput):
-        return ly.network_input(net, samples)
+def _map_chunks(net, samples, batch_size):
+    """``ly.map_input`` of checked (N, C, n, n) samples under ``net``'s conv
+    metric, power and solver, ``batch_size`` samples at a time so that the
+    chart's temporaries stay batch-sized.  A chart error keeps its class and
+    names the samples it came from."""
     chunks = []
     for start in range(0, len(samples), batch_size):
         stop = min(start + batch_size, len(samples))
         try:
-            chunks.append(ly.network_input(net, samples[start:stop]))
+            chunks.append(ly.map_input(samples[start:stop], net.conv.fc.metric, net.solver, net.power))
         except CorrGeoError as e:
             raise _located(e, f"input chart, samples {start}-{stop - 1}") from e
     if not chunks:
         return samples
     return replace(chunks[0], value=np.concatenate([c.value for c in chunks]))
+
+
+def map_dataset(net, samples, batch_size):
+    """``ly.network_input`` of a whole dataset: raw samples are checked by
+    ``domain.validate_correlation``, then mapped ``batch_size`` at a time.
+
+    A dataset already mapped is checked against ``net`` and returned.
+    """
+    if isinstance(samples, ly.ChartInput):
+        return ly.network_input(net, samples)
+    return _map_chunks(net, dom.validate_correlation(samples), batch_size)
+
+
+def load_inputs(net, cfg, data_dir):
+    """(inputs, labels) of the dataset in ``data_dir``, mapped for ``net``.
+
+    ``data.load_dataset`` checks every sample, so the mapping does not check
+    them again; the shape must be the config's and the labels its classes.
+    """
+    samples, labels = datamod.load_dataset(data_dir)
+    samples = check_data_shape(samples, cfg)
+    _check_labels(labels, cfg.classes)
+    return _map_chunks(net, samples, cfg.batch_size), labels
 
 
 def evaluate(net, samples, labels, batch_size=256):
@@ -143,12 +162,9 @@ def evaluate(net, samples, labels, batch_size=256):
 
 def train(cfg, data_dir, out_dir, log=print):
     """Full training run; writes a checkpoint and an append-only metrics CSV."""
-    samples, labels = datamod.load_dataset(data_dir)
-    samples = check_data_shape(samples, cfg)
-    _check_labels(labels, cfg.classes)
     net = build_from_config(cfg)
     # the power activation and the conv chart depend on the data only
-    inputs = map_dataset(net, samples, cfg.batch_size)
+    inputs, labels = load_inputs(net, cfg, data_dir)
     params = {k: v.copy() for k, v in net.param_dict().items()}
     opt = make_optimizer(cfg, params)
     order_rng = np.random.default_rng(cfg.seed + 1)
@@ -159,7 +175,7 @@ def train(cfg, data_dir, out_dir, log=print):
     with open(metrics_path, "w") as fh:
         fh.write("epoch,loss,acc,seconds\n")
 
-    count = len(samples)
+    count = len(labels)
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         order = order_rng.permutation(count)

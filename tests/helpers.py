@@ -577,6 +577,46 @@ def h0_build_ref(u, lw):
     return np.einsum("...ilj,...jk,...ilk->...il", p, lw, p)
 
 
+def _dplus_eval_ref(h, d):
+    lam, u = np.linalg.eigh(h + np.diag(d))
+    e = (u * u) @ np.exp(lam)
+    return lam, u, e, np.abs(e - 1.0).max()
+
+
+def dplus_newton_ref(h, tol=1e-12, max_iter=100):
+    """dplus by eigh alone, one sample at a time: (d, evaluations, residuals, lam, u).
+
+    Backtracking Newton on log diag exp(diag(d) + h) = 0 from d0 = -log diag
+    p4(h), p4 the degree-4 Taylor polynomial of exp, with the Jacobian
+    h0_build_ref(U, loewner(lam, exp, exp)); each evaluated point is one eigh
+    and counts against max_iter, and a trial is taken once its residual
+    max|e - 1| is below its base point's.
+    """
+    h = np.asarray(h, dtype=np.float64)
+    b, n = h.shape[0], h.shape[1]
+    d, evals, res = np.zeros((b, n)), np.ones(b, dtype=np.int64), np.zeros(b)
+    lam, u = np.zeros((b, n)), np.zeros((b, n, n))
+    for k in range(b):
+        h2 = h[k] @ h[k]
+        d[k] = -np.log(la.diagvec(np.eye(n) + h[k] + h2 / 2 + h2 @ h[k] / 6 + h2 @ h2 / 24))
+        lam[k], u[k], e, res[k] = _dplus_eval_ref(h[k], d[k])
+        while res[k] > tol and evals[k] < max_iter:
+            h0 = h0_build_ref(u[k], la.loewner(lam[k], np.exp, np.exp))
+            step = np.linalg.solve(h0, -e * np.log(e))
+            for alpha in 0.5 ** np.arange(MAX_HALVINGS + 1):
+                if evals[k] >= max_iter:
+                    break
+                evals[k] += 1
+                trial = d[k] + alpha * step
+                lam_t, u_t, e_t, r_t = _dplus_eval_ref(h[k], trial)
+                if r_t < res[k]:
+                    d[k], lam[k], u[k], e, res[k] = trial, lam_t, u_t, e_t, r_t
+                    break
+            else:
+                break  # no step length lowered the residual
+    return d, evals, res, lam, u
+
+
 def dplus_history(h, tol=1e-12, max_iter=100):
     """Fixed point d <- d - log(diag(exp(diag(d) + h))) from d = 0 for one sample.
 

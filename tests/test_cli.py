@@ -337,6 +337,41 @@ class TestTrainEval:
         assert rc == 3
         assert "matrix (5, 1)" in capsys.readouterr().err
 
+    def test_train_and_eval_validate_each_sample_once(self, tmp_path, monkeypatch):
+        """load_dataset checks the 16 two-channel samples; the mapping that
+        follows, the training steps and the evaluations do not check them again."""
+        from corrgeo import domain as dom
+
+        cfg, cfg_path = write_tiny_setup(tmp_path)
+        checked = []
+        validate = dom.validate_correlation
+        monkeypatch.setattr(dom, "validate_correlation",
+                            lambda c, *a: checked.append(np.shape(c)[:-2]) or validate(c, *a))
+        assert cli.main(["train", "--config", str(cfg_path), "--data", str(tmp_path / "data"),
+                         "--out", str(tmp_path / "ckpt")]) == 0
+        assert checked == [(16, 2)]
+        checked.clear()
+        assert cli.main(["eval", "--ckpt", str(tmp_path / "ckpt"), "--data", str(tmp_path / "data")]) == 0
+        assert checked == [(16, 2)]
+
+    @pytest.mark.parametrize("batch_size", [5, 256])
+    def test_evaluate_checks_raw_samples(self, tmp_path, batch_size):
+        """A raw array given to evaluate is checked before it is mapped; the
+        error names the bad matrix by its place in the whole dataset."""
+        from corrgeo.errors import NonFiniteInput, NotSymmetric
+
+        cfg, _ = write_tiny_setup(tmp_path)
+        net = trainmod.build_from_config(cfg)
+        samples, labels = datamod.load_dataset(tmp_path / "data")
+        bad = samples.copy()
+        bad[9, 1, 2, 0] = bad[9, 1, 0, 2] = np.inf
+        with pytest.raises(NonFiniteInput, match=r"^matrix \(9, 1\): non-finite"):
+            trainmod.evaluate(net, bad, labels, batch_size=batch_size)
+        bad = samples.copy()
+        bad[12, 0, 3, 1] += 0.1
+        with pytest.raises(NotSymmetric, match=r"^matrix \(12, 0\): asymmetric"):
+            trainmod.evaluate(net, bad, labels, batch_size=batch_size)
+
     @pytest.mark.parametrize("count", [10, 20])
     def test_label_count_mismatch_is_io_error(self, tmp_path, capsys, count):
         cfg, cfg_path = write_tiny_setup(tmp_path)

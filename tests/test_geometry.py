@@ -358,6 +358,53 @@ class TestFactorizationCounts:
             op()
         return {k: v for k, v in tally.items() if v}
 
+    @staticmethod
+    def fc_mlr(metric, bench=False):
+        """(rng, FC, MLR, 4 input samples): FC(8 -> 6, 2 channels) + MLR(3
+        classes), or with ``bench`` FC(30 -> 20) + MLR(10 classes) with the
+        weights and inputs of ``corrgeo bench``."""
+        if not bench:
+            rng = np.random.default_rng(95)
+            fc = ly.init_fc(metric, 8, 6, 2, 1, rng)
+            mlr = ly.init_mlr(metric, 6, 1, 3, rng)
+            x = np.stack([[rand_cor(8, 96 + 2 * b + c) for c in range(2)] for b in range(4)])
+            return rng, fc, mlr, x
+        rng = np.random.default_rng(20)
+        fc = ly.init_fc(metric, 30, 20, 1, 1, rng)
+        fc.z = rng.standard_normal(fc.z.shape) * ly.init_std(30) / 20
+        mlr = ly.init_mlr(metric, 20, 1, 10, rng)
+        mlr.z = rng.standard_normal(mlr.z.shape) * ly.init_std(20)
+        x = np.stack([dom.random_correlation(30, 1 / np.sqrt(30), rng)[None] for _ in range(4)])
+        return rng, fc, mlr, x
+
+    @pytest.mark.parametrize("metric, small, bench", [
+        ("ecm", [], []), ("lecm", [], []), ("phcm", [], []),
+        ("olm", [("dplus", [3, 3, 3, 4])], [("dplus", [1, 1, 1, 1])]),
+        ("lsm", [("dstar", [8, 8, 6, 6, 5, 6, 7, 8]), ("dstar", [5, 4, 8, 5])],
+         [("dstar", [5, 5, 5, 5]), ("dstar", [3, 3, 3, 3])]),
+    ])
+    def test_fc_mlr_solver_iterations(self, monkeypatch, metric, small, bench):
+        """dplus evaluations and dstar steps per sample, solve by solve, of
+        one FC + MLR forward in full mode: FC(8 -> 6, 2 channels) + MLR(3
+        classes) as in test_fc_mlr_layers, and FC(30 -> 20) + MLR(10 classes)."""
+        solver = {"dstar_mode": "full"}
+        for at_bench, want in ((False, small), (True, bench)):
+            _, fc, mlr, x = self.fc_mlr(metric, at_bench)
+            calls = []
+
+            def recording(name, fn):
+                def wrapped(*args, **kwargs):
+                    out = fn(*args, **kwargs)
+                    calls.append((name, out[1].tolist()))
+                    return out
+                return wrapped
+
+            with monkeypatch.context() as mp:
+                mp.setattr(sv, "dplus_batch", recording("dplus", sv.dplus_batch))
+                mp.setattr(sv, "dstar_batch", recording("dstar", sv.dstar_batch))
+                ly.mlr_forward(ly.fc_forward(x, fc, solver)[0], mlr, solver)
+            assert calls == want, at_bench
+
     @pytest.mark.parametrize("metric, forward, vjp", [
         ("ecm", {"cholesky": 12}, {"solve": 24}),
         ("lecm", {"cholesky": 12}, {"solve": 24}),
@@ -368,11 +415,8 @@ class TestFactorizationCounts:
     def test_fc_mlr_layers(self, monkeypatch, metric, forward, vjp):
         """Matrices factored by an FC(8 -> 6, 2 channels) + MLR(3 classes)
         forward and vjp on 4 samples; lsm in full mode."""
-        rng = np.random.default_rng(95)
+        rng, fc, mlr, x = self.fc_mlr(metric)
         solver = {"dstar_mode": "full"}
-        fc = ly.init_fc(metric, 8, 6, 2, 1, rng)
-        mlr = ly.init_mlr(metric, 6, 1, 3, rng)
-        x = np.stack([[rand_cor(8, 96 + 2 * b + c) for c in range(2)] for b in range(4)])
         grad_v = rng.standard_normal((4, 3))
         caches = {}
 

@@ -1,5 +1,7 @@
 """The batched solver kernels match per-sample reference loops exactly."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,8 @@ from corrgeo import solvers as sv
 from corrgeo.errors import DampingFailure, NoConvergence
 
 from helpers import (
-    damped_update_ref, dplus_history, dstar_full_ref, dstar_newton1_ref, h0_build_ref,
-    random_hollow,
+    damped_update_ref, dplus_history, dplus_newton_ref, dstar_full_ref, dstar_newton1_ref,
+    h0_build_ref, random_hollow,
 )
 
 
@@ -47,6 +49,32 @@ def assert_same(got, want):
 def hollow_batch(b, n, seed, scale):
     rng = np.random.default_rng(seed)
     return np.stack([random_hollow(n, rng, scale) for _ in range(b)])
+
+
+def fc30_dplus_inputs(b, seed):
+    """The dplus inputs of an olm FC(30 -> 20) forward on b samples at
+    ``corrgeo bench``'s initialization scale: (b, 20, 20), as in infer30."""
+    inputs = []
+    solve = kernels.dplus_solve
+
+    def recording(h, tol, max_iter):
+        inputs.append(h.copy())
+        return solve(h, tol, max_iter)
+
+    rng = np.random.default_rng(seed)
+    fc = ly.init_fc("olm", 30, 20, 1, 1, rng)
+    fc.z = rng.standard_normal(fc.z.shape) * ly.init_std(30) / 20
+    x = np.stack([dom.random_correlation(30, 1 / np.sqrt(30), rng)[None] for _ in range(b)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "dplus_solve", recording)
+        ly.fc_forward(x, fc)
+    [h] = inputs
+    return h
+
+
+def start_norms(h):
+    """Infinity norm of diag(d0) + h at dplus_solve's start d0."""
+    return np.abs(h + la.diag_from_vec(kernels._dplus_start(h))).sum(axis=-1).max(axis=-1)
 
 
 def assert_matches_fixed_point(h, got, tol=1e-12):
@@ -176,8 +204,10 @@ class TestDplusSolve:
         assert np.abs(d[0] + np.log(np.cosh(705.0))).max() <= 1e-12 * 705.0
 
     def test_batch_independent(self):
+        # the scale-0.1 samples start inside the polynomial phase's bound
         h = np.concatenate([np.zeros((1, 6, 6)), hollow_batch(3, 6, 95, 0.5),
-                            hollow_batch(3, 6, 96, 5.0)])
+                            hollow_batch(3, 6, 96, 5.0), hollow_batch(3, 6, 94, 0.1)])
+        assert (start_norms(h[-3:]) <= kernels._POLY_BOUND).all()
         got = kernels.dplus_solve(h, 1e-12, 100)
         for k in range(len(h)):
             single = kernels.dplus_solve(h[k:k + 1], 1e-12, 100)
@@ -204,24 +234,88 @@ class TestDplusSolve:
         for g, w in zip(got, kernels.dplus_solve(h[:2], 1e-12, 100)):
             assert np.array_equal(g[:2], w)
 
-    def test_start_saves_an_evaluation(self, monkeypatch):
+    def test_start_saves_an_evaluation(self):
         # olm FC(30 -> 20) outputs at bench_forward's initialization scale
-        # solve in 2 evaluations from the start (3 from d = 0)
-        counts = []
-        solve = kernels.dplus_solve
+        # solve in 1 evaluation: the polynomial steps from the start leave
+        # them converged (2 evaluations from the start without those steps,
+        # 3 from d = 0)
+        h = fc30_dplus_inputs(8, 20)
+        iters = kernels.dplus_solve(h, sv.DPLUS_TOL, sv.DPLUS_MAX_ITER)[1]
+        assert np.array_equal(iters, np.full(8, 1))
 
-        def counting(h, tol, max_iter):
-            got = solve(h, tol, max_iter)
-            counts.append(got[1])
-            return got
+    def test_poly_phase_matches_eigh_reference(self, monkeypatch):
+        # infer30 shapes: one polynomial step, the polynomial evaluation that
+        # finds it converged, then the one eigh; an eigh-only Newton takes two
+        h = fc30_dplus_inputs(32, 21)
+        assert h.shape == (32, 20, 20) and (start_norms(h) <= kernels._POLY_BOUND).all()
+        polys = []
+        poly = la.matrix_poly
+        monkeypatch.setattr(la, "matrix_poly", lambda *a: polys.append(len(a[0])) or poly(*a))
+        d, iters, res, lam, u = kernels.dplus_solve(h, 1e-12, 100)
+        assert polys == [32, 32]
+        d_ref, evals, res_ref, lam_ref, u_ref = dplus_newton_ref(h, 1e-12, 100)
+        assert np.array_equal(iters, np.ones(32)) and np.array_equal(evals, np.full(32, 2))
+        assert (res <= 1e-12).all() and (res_ref <= 1e-12).all()
+        assert np.abs(d - d_ref).max() <= 1e-11
+        assert np.abs(lam - lam_ref).max() <= 1e-11
+        assert np.abs(la.from_eig(lam, u) - la.from_eig(lam_ref, u_ref)).max() <= 1e-11
+        c, c_ref = la.from_eig(np.exp(lam), u), la.from_eig(np.exp(lam_ref), u_ref)
+        assert np.abs(c - c_ref).max() <= 1e-11
+        # (lam, u) is the eigendecomposition of the returned point
+        want_lam, want_u = np.linalg.eigh(h + la.diag_from_vec(d))
+        assert np.array_equal(lam, want_lam) and np.array_equal(u, want_u)
 
-        monkeypatch.setattr(kernels, "dplus_solve", counting)
-        rng = np.random.default_rng(20)
-        fc = ly.init_fc("olm", 30, 20, 1, 1, rng)
-        fc.z = rng.standard_normal(fc.z.shape) * ly.init_std(30) / 20
-        x = np.stack([dom.random_correlation(30, 1 / np.sqrt(30), rng)[None] for _ in range(8)])
-        ly.fc_forward(x, fc)
-        assert len(counts) == 1 and np.array_equal(counts[0], np.full(8, 2))
+    def test_samples_above_bound_take_the_eigh_path(self, monkeypatch):
+        # scaled by 6, FC outputs start outside the bound: their (d, iters,
+        # residual, lam, u) are those of the solve without polynomial steps
+        below = fc30_dplus_inputs(5, 22)
+        h = np.concatenate([below[:2], 6.0 * below[2:], below[2:]])
+        above = start_norms(h) > kernels._POLY_BOUND
+        assert np.array_equal(above, [False, False, True, True, True, False, False, False])
+        got = kernels.dplus_solve(h, 1e-12, 100)
+        monkeypatch.setattr(kernels, "_POLY_STEPS", 0)
+        eigh_only = kernels.dplus_solve(h, 1e-12, 100)
+        for g, w in zip(got, eigh_only):
+            assert np.array_equal(g[above], w[above])
+        assert (got[1][~above] == 1).all() and (eigh_only[1][~above] == 2).all()
+        assert (got[2] <= 1e-12).all()
+
+    def test_poly_residual_above_tol_continues_on_eigh(self, monkeypatch):
+        # near the bound one polynomial step leaves these 2 x 2 samples above
+        # tol; the eigh Newton goes on from there to d = -log cosh t
+        monkeypatch.setattr(kernels, "_POLY_STEPS", 1)
+        t = np.array([0.6, 0.7, 0.74])
+        h = np.zeros((3, 2, 2))
+        h[:, 0, 1] = h[:, 1, 0] = t
+        assert (start_norms(h) <= kernels._POLY_BOUND).all()
+        d0 = kernels._dplus_start(h)
+        d1 = kernels._dplus_poly_newton(h, d0.copy(), 1e-12)
+        assert (d1 != d0).all()
+        assert (kernels._dplus_eval(h, np.arange(3), d1)[3] > 1e-12).all()
+        d, iters, res, _, _ = kernels.dplus_solve(h, 1e-12, 100)
+        assert (iters >= 2).all() and (res <= 1e-12).all()
+        assert np.abs(d + np.log(np.cosh(t))[:, None]).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_poly_jacobian_is_the_series_derivative(self, n):
+        # column j is the derivative of diag p(A) along E_jj, p the Taylor
+        # polynomial of degree s + 1 for the power table A^0 ... A^s
+        rng = np.random.default_rng(n)
+        a = np.stack([random_hollow(n, rng) + np.diag(rng.standard_normal(n)) for _ in range(3)])
+        a /= np.abs(a).sum(axis=-1).max(axis=-1)[:, None, None]
+        table = la.matrix_poly(a, kernels._EXP_TAYLOR)[2]
+        jac = kernels._poly_jacobian(table)
+        coeffs = kernels._EXP_TAYLOR[: len(table) + 1]
+        for j in range(n):
+            e_j = np.zeros((n, n))
+            e_j[j, j] = 1.0
+            column = la.diagvec(la.matrix_poly(a, coeffs, e_j)[1])
+            assert np.abs(jac[:, :, j] - column).max() <= 1e-14
+
+    def test_poly_truncation_below_tol(self):
+        # at the bound the Taylor remainder sits well below the tolerance
+        q = kernels._POLY_DEGREE
+        assert kernels._POLY_BOUND ** (q + 1) / math.factorial(q + 1) <= sv.DPLUS_TOL / 100
 
 
 class TestDstarFull:

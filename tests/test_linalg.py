@@ -330,7 +330,7 @@ class TestTriSeries:
         x = np.tril(rng.standard_normal((4, n, n)), -1)
         xi = np.tril(rng.standard_normal((4, n, n)), -1)
         coeffs = la._log_coeffs(n - 1)
-        alone, none = la._nilpotent_poly(x, coeffs)
-        with_diff, _ = la._nilpotent_poly(x, coeffs, xi)
+        alone, none, _ = la.matrix_poly(x, coeffs)
+        with_diff, _, _ = la.matrix_poly(x, coeffs, xi)
         assert none is None
         assert np.array_equal(alone, with_diff)
