@@ -78,23 +78,28 @@ def cor_of(sigma):
     return c
 
 
-def cor_of_backward(sigma, grad_c):
-    """Symmetric adjoint of sigma -> cor_of(sigma).
+def cor_of_diff(c, d, dsigma):
+    """Differential of sigma -> cor_of(sigma) along dsigma, at the sigma with
+    C = cor_of(sigma) and d = diag(sigma)^-1/2: with Q = D dsigma D, D = diag(d),
+    Q - diag(e) C - C diag(e), e = diag(Q) / 2; its diagonal is exactly 0.
+    """
+    q = dsigma * d[..., :, None] * d[..., None, :]
+    e = 0.5 * la.diagvec(q)
+    return q - e[..., :, None] * c - c * e[..., None, :]
+
+
+def cor_of_backward(c, d, grad_c):
+    """Symmetric adjoint of ``cor_of_diff(c, d, .)``: with G = sym(grad_c),
+    G o d d^T - diag(d^2 o rowsum(G o C)).
 
     The unit diagonal of the output is constant, so any diagonal component of
     grad_c cancels analytically.
     """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    d = la.diagvec(sigma)
-    s = 1.0 / np.sqrt(d)
-    c = cor_of(sigma)
-    g = np.asarray(grad_c, dtype=np.float64)
-    term = g * s[..., :, None] * s[..., None, :]
-    gc = g @ c
-    cg = c @ g
-    diag = la.diagvec(gc) + la.diagvec(cg)
-    term2 = la.diag_from_vec(0.5 * diag / d)
-    return la.sym(term - term2)
+    g = la.sym(np.asarray(grad_c, dtype=np.float64))
+    out = g * (d[..., :, None] * d[..., None, :])
+    idx = np.arange(out.shape[-1])
+    out[..., idx, idx] -= d * d * (g * c).sum(axis=-1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,16 @@ return the mapped value and a cache of the input and its factorization:
     lsm     logm(D* C D*)           c, D* = diag(x), D* C D*, cor_of(expm(X))
                                     its (lam, U), newton1 alpha
 
-The inverse caches hold X with K and K K^T (ecm, lecm), the (lam, U) dplus
-ends on (olm), or (lam, U) of X and expm(X) (lsm).  The differentials
-(``push``, ``push_inv``) and adjoints (``vjp``, ``inverse_vjp``) take the
-cache, never the point, so no base point is factored twice; ``coords``,
-``from_coords`` and their adjoints vectorize the prototype space.  The
+The inverse caches hold X with K, K K^T and C (ecm, lecm), the (lam, U)
+dplus ends on (olm), or (lam, U) of X, expm(X) and C (lsm).  The
+differentials (``push``, ``push_inv``) and adjoints (``vjp``,
+``inverse_vjp``) take the cache, never the point, so no base point is
+factored twice.  Each inverse ends in cor_of (ecm, lecm, lsm) or in the
+dplus shift (olm), and its differential ``push_inv`` and adjoint
+``inverse_vjp`` end in that map's: ``dom.cor_of_diff`` and
+``dom.cor_of_backward``, or ``sv.dplus_diff`` and
+``sv.dplus_backward_batch``.  ``coords``, ``from_coords`` and their
+adjoints vectorize the prototype space.  The
 lsm differentials are those of the full-mode scaling and reject a newton1
 cache, so the Riemannian operators solve lsm in full mode whatever
 ``dstar_mode`` they are given.
@@ -32,7 +37,6 @@ symmetric arguments.
 import numpy as np
 
 from . import domain as dom
-from . import kernels
 from . import linalg as la
 from . import solvers as sv
 from .errors import UnsupportedMetric
@@ -104,7 +108,8 @@ class TriangularChart:
     def inverse(self, x, solver):
         k = self.exp(x)
         sigma = k @ la.transpose(k)
-        return dom.cor_of(sigma), {"x": x, "k": k, "sigma": sigma}
+        c = dom.cor_of(sigma)
+        return c, {"x": x, "k": k, "sigma": sigma, "c": c}
 
     def vjp(self, cache, g):
         # the adjoint of theta = L / diag(L), then of L = chol(C)
@@ -113,7 +118,8 @@ class TriangularChart:
         return la.chol_backward(l, (g - la.dmat(g @ la.transpose(t))) / la.diagvec(l)[..., :, None])
 
     def inverse_vjp(self, cache, g):
-        gk = 2.0 * dom.cor_of_backward(cache["sigma"], g) @ cache["k"]
+        gsigma = dom.cor_of_backward(cache["c"], la.diagvec(cache["sigma"]) ** -0.5, g)
+        gk = 2.0 * gsigma @ cache["k"]
         return la.strict_lower(self.exp_adjoint(cache["x"], gk))
 
     def push(self, cache, v):
@@ -122,14 +128,9 @@ class TriangularChart:
         return self.log_diff(t, t @ la.half_lower(a) - 0.5 * la.dmat(a) @ t)
 
     def push_inv(self, cache, w):
-        # inverse of the theta differential applied to d theta = exp_*(w)
-        l, c = cache["l"], cache["c"]
-        dl_vec = la.diagvec(l)
-        lxt = l @ la.transpose(self.exp_diff(cache["x"], w))
-        dvec = la.diagvec(lxt)
-        left = (lxt - c * dvec[..., None, :]) * dl_vec[..., None, :]
-        right = dl_vec[..., :, None] * (la.transpose(lxt) - dvec[..., :, None] * c)
-        return left + right
+        # C = cor_of(theta theta^T) with diag(theta theta^T) = diag(L)^-2
+        dk = self.exp_diff(cache["x"], w) @ la.transpose(cache["t"])
+        return dom.cor_of_diff(cache["c"], la.diagvec(cache["l"]), dk + la.transpose(dk))
 
 
 class OffLogChart:
@@ -160,12 +161,8 @@ class OffLogChart:
         return la.offmat(la.daleckii_krein(cache["u"], _log_loewner(cache["lam"]), v))
 
     def push_inv(self, cache, w):
-        # the inverse differential is that of exp at log(c) = U log(lam) U^T
-        u = cache["u"]
-        lw = la.loewner(np.log(cache["lam"]), np.exp, np.exp)
-        rhs = la.diagvec(la.daleckii_krein(u, lw, w))
-        dshift = -np.linalg.solve(kernels.h0_build(u, lw), rhs[..., None])[..., 0]
-        return la.daleckii_krein(u, lw, w + la.diag_from_vec(dshift))
+        # log(c) = U diag(log lam) U^T is the point diag(dplus(X)) + X
+        return sv.dplus_diff((np.log(cache["lam"]), cache["u"]), w)
 
 
 class ScaledLogChart:
@@ -193,7 +190,7 @@ class ScaledLogChart:
         tol = solver.get("dstar_tol", sv.DSTAR_TOL)
         s, _, _, alpha = sv.dstar_batch(c, solver.get("dstar_mode", "full"), tol)
         sigma = c * s[..., :, None] * s[..., None, :]
-        r, lam, u = _log_eig(sigma, "sym_fun(log)")
+        r, lam, u = _log_eig(sigma, "scaled log")
         if alpha is not None:
             # one newton1 step leaves the row sums off zero
             r = project_rowzero(r)
@@ -202,7 +199,8 @@ class ScaledLogChart:
     def inverse(self, x, solver):
         lam, u = np.linalg.eigh(x)
         sigma = la.from_eig(np.exp(lam), u)
-        return dom.cor_of(sigma), {"x": x, "lam": lam, "u": u, "sigma": sigma}
+        c = dom.cor_of(sigma)
+        return c, {"x": x, "lam": lam, "u": u, "sigma": sigma, "c": c}
 
     def vjp(self, cache, g):
         gs = la.sym(g) if cache["alpha"] is None else project_rowzero(la.sym(g))
@@ -212,7 +210,7 @@ class ScaledLogChart:
         return sv.dstar_newton1_backward_batch(cache["c"], gsigma, cache["s"], cache["alpha"])
 
     def inverse_vjp(self, cache, g):
-        gsigma = dom.cor_of_backward(cache["sigma"], g)
+        gsigma = dom.cor_of_backward(cache["c"], la.diagvec(cache["sigma"]) ** -0.5, g)
         return la.daleckii_krein(cache["u"], la.loewner(cache["lam"], np.exp, np.exp), gsigma)
 
     @staticmethod
@@ -231,15 +229,11 @@ class ScaledLogChart:
         return la.daleckii_krein(cache["u"], _log_loewner(cache["lam"]), inner)
 
     def push_inv(self, cache, w):
-        # (log lam, U) is the eigendecomposition of the prototype point R
-        s, sigma = self._full_mode(cache)
-        e = la.daleckii_krein(cache["u"], la.loewner(np.log(cache["lam"]), np.exp, np.exp), w)
-        dvec = la.diagvec(e)
-        sinv2 = 1.0 / (s * s)
-        corr = sinv2[..., :, None] * dvec[..., :, None] * sigma + sigma * (dvec * sinv2)[..., None, :]
-        inner = e - 0.5 * corr
-        sinv = 1.0 / s
-        return sinv[..., :, None] * inner * sinv[..., None, :]
+        # (log lam, U) is the eigendecomposition of the prototype point
+        # R = log(sigma), and C = cor_of(sigma) with diag(sigma) = s^2
+        s = self._full_mode(cache)[0]
+        dsigma = la.daleckii_krein(cache["u"], la.loewner(np.log(cache["lam"]), np.exp, np.exp), w)
+        return dom.cor_of_diff(cache["c"], 1.0 / s, dsigma)
 
 
 CHARTS = {
@@ -347,6 +341,7 @@ def riem_log(metric, c, c2, solver=None):
 
 
 def geodesic(metric, c, c2, t, solver=None):
+    solver = _full(solver)
     x = to_prototype(metric, c, solver)
     x2 = to_prototype(metric, c2, solver)
     return from_prototype(metric, (1.0 - t) * x + t * x2, solver)
@@ -356,6 +351,7 @@ def riem_dist(metric, c, c2, solver=None):
     check_metric(metric)
     if metric == "phcm":
         return phcm_dist(c, c2)
+    solver = _full(solver)
     x = to_prototype(metric, c, solver)
     x2 = to_prototype(metric, c2, solver)
     return np.sqrt(np.sum((x - x2) ** 2, axis=(-2, -1)))
@@ -369,6 +365,7 @@ def parallel_transport(metric, c, c2, v, solver=None):
 
 def frechet_mean(metric, cs, solver=None):
     """Closed-form mean: inverse image of the prototype-space average."""
+    solver = _full(solver)
     return from_prototype(metric, to_prototype(metric, np.asarray(cs), solver).mean(axis=0), solver)
 
 

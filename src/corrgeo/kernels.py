@@ -7,7 +7,6 @@ once, with a per-sample stop test and backtracking, so a sample's result
 """
 
 import functools
-import math
 
 import numpy as np
 
@@ -85,7 +84,7 @@ def _dplus_start(h):
 _POLY_BOUND = 1.0
 _POLY_DEGREE = 16
 _POLY_STEPS = 4
-_EXP_TAYLOR = [1.0 / math.factorial(j) for j in range(_POLY_DEGREE + 1)]
+_EXP_TAYLOR = la._exp_coeffs(_POLY_DEGREE)
 
 
 def _poly_jacobian(table):

@@ -73,24 +73,6 @@ def transpose(m):
 # eigendecomposition and matrix functions
 # ---------------------------------------------------------------------------
 
-_FUNS = {
-    "exp": (np.exp, np.exp, False),
-    "log": (np.log, lambda x: 1.0 / x, True),
-}
-
-
-def _fun_pair(kind, p):
-    if kind in _FUNS:
-        f, df, needs_pd = _FUNS[kind]
-        return f, df, needs_pd
-    if kind == "power":
-        if p is None:
-            raise ValueError("power requires an exponent")
-        needs_pd = float(p) != int(p) or p < 0
-        return (lambda x: x**p), (lambda x: p * x ** (p - 1.0)), needs_pd
-    raise ValueError(f"unknown matrix function {kind!r}")
-
-
 def _check_pd_eigs(lam, what):
     if lam.min() <= EPS_PD:
         raise NotPositiveDefinite(f"{what}: min eigenvalue {lam.min():.3e} <= {EPS_PD:.0e}")
@@ -128,36 +110,19 @@ def daleckii_krein(u, lw, v):
     return u @ (lw * (ut @ v @ u)) @ ut
 
 
-def sym_fun(kind, s, p=None):
-    """Matrix function U f(lam) U^T of a symmetric matrix (stack)."""
-    f, _, needs_pd = _fun_pair(kind, p)
-    s = np.asarray(s, dtype=np.float64)
-    lam, u = np.linalg.eigh(s)
-    if needs_pd:
-        _check_pd_eigs(lam, f"sym_fun({kind})")
-    return from_eig(f(lam), u)
-
-
-def sym_fun_diff(kind, s, v, p=None):
-    """Directional derivative of a symmetric matrix function at s along v.
-
-    Self-adjoint in v, so the same routine backpropagates an output adjoint.
-    """
-    f, df, needs_pd = _fun_pair(kind, p)
-    s = np.asarray(s, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    lam, u = np.linalg.eigh(s)
-    if needs_pd:
-        _check_pd_eigs(lam, f"sym_fun_diff({kind})")
-    return daleckii_krein(u, loewner(lam, f, df), v)
-
-
 def sym_exp(s):
-    return sym_fun("exp", s)
+    """Matrix exponential U exp(lam) U^T of a symmetric matrix (stack)."""
+    lam, u = np.linalg.eigh(np.asarray(s, dtype=np.float64))
+    return from_eig(np.exp(lam), u)
 
 
 def sym_pow(s, p):
-    return sym_fun("power", s, p=p)
+    """Matrix power U lam^p U^T of a symmetric matrix (stack); a non-integer
+    or negative p needs it positive definite."""
+    lam, u = np.linalg.eigh(np.asarray(s, dtype=np.float64))
+    if float(p) != int(p) or p < 0:
+        _check_pd_eigs(lam, f"sym_pow({p})")
+    return from_eig(lam**p, u)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +211,8 @@ def _log_coeffs(d):
 
 
 def _exp_coeffs(d):
-    c = [1.0]
-    for j in range(1, d + 1):
-        c.append(c[-1] / j)
-    return c
+    """The Taylor coefficients 1/j! of exp for j = 0, ..., d, correctly rounded."""
+    return [1 / math.factorial(j) for j in range(d + 1)]
 
 
 def _check_unit_lower(k):

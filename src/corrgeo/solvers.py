@@ -10,7 +10,9 @@ Two solvers, each with an exact reverse-mode rule:
   sample then goes on by backtracking Newton on the residual
   max|diag(exp(diag(d) + H)) - 1|, one eigh per evaluated point.  The
   iteration count is the number of those evaluations.  The solve returns
-  the eigendecomposition of the final diag(d) + H for reuse downstream.
+  the eigendecomposition of the final diag(d) + H, from which
+  ``dplus_diff`` forms the differential of H -> exp(diag(d) + H) and
+  ``dplus_backward_batch`` its adjoint.
 * ``dstar``: the positive vector x with (diag(x) C diag(x)) 1 = 1, i.e. the
   zero of f(x) = C x - 1/x (Marshall & Olkin, 1968), by backtracking Newton
   from x = 1 (``full``) or a single damped Newton step (``newton1``).
@@ -85,12 +87,13 @@ def dstar_batch(c, mode="full", tol=DSTAR_TOL, max_iter=DSTAR_MAX_ITER):
 # exact reverse-mode rules
 # ---------------------------------------------------------------------------
 
-def dplus_backward_batch(grad_c, eig):
-    """Adjoint of h -> C = exp(diag(dplus(h)) + h) given the adjoint of C.
+def dplus_diff(eig, v):
+    """Differential of h -> C = exp(diag(dplus(h)) + h) along symmetric v.
 
     ``eig`` is (lam, u) of diag(d) + h at the solved shift (``dplus_batch``).
-    With DK the Daleckii-Krein map of exp there, G = sym(grad_c) and
-    w = H0^-1 diag DK(G), returns offmat(DK(G - diag w)), which pairs with hollow dh.
+    With DK the Daleckii-Krein map of exp there and w = H0^-1 diag DK(v),
+    returns DK(v - diag w): -w is the shift's differential, which keeps the
+    unit diagonal.  The map ignores the diagonal of v and is self-adjoint.
     """
     lam, u = eig
     lw = la.loewner(lam, np.exp, np.exp)
@@ -99,9 +102,14 @@ def dplus_backward_batch(grad_c, eig):
     ev = np.linalg.eigvalsh(h0)
     if (ev[..., -1] > H0_COND_LIMIT * ev[..., 0]).any():
         raise SingularH0("eigenbasis coupling matrix condition exceeds 1e12")
-    g = la.sym(np.asarray(grad_c, dtype=np.float64))
-    w = np.linalg.solve(h0, la.diagvec(la.daleckii_krein(u, lw, g))[..., None])[..., 0]
-    return la.offmat(la.daleckii_krein(u, lw, g - la.diag_from_vec(w)))
+    w = np.linalg.solve(h0, la.diagvec(la.daleckii_krein(u, lw, v))[..., None])[..., 0]
+    return la.daleckii_krein(u, lw, v - la.diag_from_vec(w))
+
+
+def dplus_backward_batch(grad_c, eig):
+    """Adjoint of h -> C = exp(diag(dplus(h)) + h) given the adjoint of C:
+    offmat(dplus_diff(eig, sym(grad_c))), which pairs with hollow dh."""
+    return la.offmat(dplus_diff(eig, la.sym(np.asarray(grad_c, dtype=np.float64))))
 
 
 def dstar_backward_batch(sigma, grad_sigma, x):

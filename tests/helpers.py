@@ -1,5 +1,6 @@
 """Shared oracles: central finite differences, random test inputs,
-linear-algebra routines without a caller in the library, single-sample
+linear-algebra routines without a caller in the library (among them the
+spectral matrix functions and their differentials), single-sample
 solver entry points, the hemisphere-ball maps and hyperbolic distances the
 library does not call, the broadcast Poincare logit and list-of-parts
 poly-ball maps, per-sample reference loops for the batched solver kernels,
@@ -171,8 +172,45 @@ def tri_diff_block(name, a, xi):
     return out[..., :n, n:]
 
 
+_FUNS = {
+    "exp": (np.exp, np.exp, False),
+    "log": (np.log, lambda x: 1.0 / x, True),
+}
+
+
+def _fun_pair(kind, p):
+    if kind in _FUNS:
+        return _FUNS[kind]
+    if kind == "power":
+        if p is None:
+            raise ValueError("power requires an exponent")
+        needs_pd = float(p) != int(p) or p < 0
+        return (lambda x: x**p), (lambda x: p * x ** (p - 1.0)), needs_pd
+    raise ValueError(f"unknown matrix function {kind!r}")
+
+
+def sym_fun(kind, s, p=None):
+    """Matrix function U f(lam) U^T of a symmetric matrix (stack): "exp",
+    "log" or "power" with exponent p."""
+    f, _, needs_pd = _fun_pair(kind, p)
+    lam, u = np.linalg.eigh(np.asarray(s, dtype=np.float64))
+    if needs_pd:
+        la._check_pd_eigs(lam, f"sym_fun({kind})")
+    return la.from_eig(f(lam), u)
+
+
+def sym_fun_diff(kind, s, v, p=None):
+    """Directional derivative of sym_fun(kind, ., p) at s along v, by the
+    Daleckii-Krein formula; self-adjoint in v."""
+    f, df, needs_pd = _fun_pair(kind, p)
+    lam, u = np.linalg.eigh(np.asarray(s, dtype=np.float64))
+    if needs_pd:
+        la._check_pd_eigs(lam, f"sym_fun_diff({kind})")
+    return la.daleckii_krein(u, la.loewner(lam, f, df), np.asarray(v, dtype=np.float64))
+
+
 def sym_log(s):
-    return la.sym_fun("log", s)
+    return sym_fun("log", s)
 
 
 def theta(c):

@@ -20,6 +20,7 @@ from corrgeo.config import RunConfig
 from helpers import (
     beta_concat, beta_split, dplus, dplus_backward, dstar, dstar_backward, fd_grad_sym, hs_to_pb,
     hyperboloid_dist, off_exp_batch, pb_to_hs, poincare_dist, random_hollow, random_spd, rel_err, scaled_spd_batch, sym_adjoint_as_fd,
+    sym_fun_diff,
 )
 
 LE = ("ecm", "lecm", "olm", "lsm")
@@ -115,7 +116,7 @@ def test_criterion_03_gradient_suite():
     from helpers import central_fd_dir
 
     fd = central_fd_dir(la.sym_exp, s, v)
-    assert rel_err(la.sym_fun_diff("exp", s, v), fd) < 1e-5
+    assert rel_err(sym_fun_diff("exp", s, v), fd) < 1e-5
 
     # full models, one per metric, against central differences (1e-4)
     from test_layers import batch_of_correlations, numeric_grads, tiny_network

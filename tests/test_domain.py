@@ -6,7 +6,7 @@ from corrgeo import linalg as la
 from corrgeo.errors import NonFiniteInput, NonPositiveDiagonal, NotPositiveDefinite, NotSymmetric
 
 from helpers import (
-    fd_grad_sym, has_unit_rows, hol_basis, is_rowzero, is_valid_correlation, random_spd, rel_err,
+    central_fd_dir, fd_grad_sym, has_unit_rows, hol_basis, is_rowzero, is_valid_correlation, random_spd, rel_err,
     rowzero_basis, rowzero_inner, sym_adjoint_as_fd, theta, theta_inv,
 )
 
@@ -42,8 +42,30 @@ class TestCorOf:
         def loss(s):
             return np.sum(dom.cor_of(s) * g)
 
-        got = dom.cor_of_backward(sigma, g)
+        got = dom.cor_of_backward(dom.cor_of(sigma), np.diag(sigma) ** -0.5, g)
         assert rel_err(sym_adjoint_as_fd(got), fd_grad_sym(loss, sigma)) < 1e-6
+
+    @pytest.mark.parametrize("n, seed", [(2, 3), (5, 4), (9, 5)])
+    def test_diff_matches_finite_differences(self, n, seed):
+        rng = np.random.default_rng(seed)
+        sigma, ds = random_spd(n, rng), la.sym(rng.standard_normal((n, n)))
+        got = dom.cor_of_diff(dom.cor_of(sigma), np.diag(sigma) ** -0.5, ds)
+        assert rel_err(got, central_fd_dir(dom.cor_of, sigma, ds)) < 1e-7
+        assert np.array_equal(np.diag(got), np.zeros(n))
+
+    @pytest.mark.parametrize("n, seed", [(2, 6), (5, 7), (9, 8)])
+    def test_diff_pairs_with_backward(self, n, seed):
+        """<cor_of_diff(ds), G> = <ds, cor_of_backward(G)>, batched, G not symmetric."""
+        rng = np.random.default_rng(seed)
+        sigma = np.stack([random_spd(n, rng) for _ in range(3)])
+        ds = la.sym(rng.standard_normal((3, n, n)))
+        g = rng.standard_normal((3, n, n))
+        c, d = dom.cor_of(sigma), la.diagvec(sigma) ** -0.5
+        jv, jtg = dom.cor_of_diff(c, d, ds), dom.cor_of_backward(c, d, g)
+        assert np.array_equal(jtg, la.transpose(jtg))
+        lhs, rhs = np.sum(jv * g, axis=(-2, -1)), np.sum(ds * jtg, axis=(-2, -1))
+        scale = np.linalg.norm(jv) * np.linalg.norm(g) + np.linalg.norm(ds) * np.linalg.norm(jtg)
+        assert np.abs(lhs - rhs).max() < 1e-13 * scale
 
 
 class TestValidation:

