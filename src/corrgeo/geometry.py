@@ -13,8 +13,10 @@ return the mapped value and a cache of the input and its factorization:
     lsm     logm(D* C D*)           c, D* = diag(x), D* C D*, cor_of(expm(X))
                                     its (lam, U), newton1 alpha
 
-The inverse caches hold X with K, K K^T and C (ecm, lecm), the (lam, U)
-dplus ends on (olm), or (lam, U) of X, expm(X) and C (lsm).  The
+The inverse caches hold X with K, K K^T and C (ecm, lecm), X with the shift
+d and the (lam, U) of diag(d) + X the dplus solve formed (olm; the rest are
+formed on the first ``inverse_vjp`` and kept), or (lam, U) of X, expm(X)
+and C (lsm).  The
 differentials (``push``, ``push_inv``) and adjoints (``vjp``,
 ``inverse_vjp``) take the cache, never the point, so no base point is
 factored twice.  Each inverse ends in cor_of (ecm, lecm, lsm) or in the
@@ -148,13 +150,15 @@ class OffLogChart:
     def inverse(self, x, solver):
         tol = solver.get("dplus_tol", sv.DPLUS_TOL)
         max_iter = solver.get("dplus_max_iter", sv.DPLUS_MAX_ITER)
-        _, _, _, lam, u = sv.dplus_batch(x, tol, max_iter)
-        return la.from_eig(np.exp(lam), u), {"x": x, "lam": lam, "u": u}
+        d, iters, _, c, eig = sv.dplus_batch(x, tol, max_iter)
+        return c, {"x": x, "d": d, "iters": iters, "eig": eig}
 
     def vjp(self, cache, g):
         return la.daleckii_krein(cache["u"], _log_loewner(cache["lam"]), la.offmat(la.sym(g)))
 
     def inverse_vjp(self, cache, g):
+        if "lam" not in cache:
+            cache["lam"], cache["u"] = sv.dplus_eig(cache["x"], cache["d"], cache["iters"], cache.pop("eig"))
         return sv.dplus_backward_batch(g, (cache["lam"], cache["u"]))
 
     def push(self, cache, v):

@@ -74,9 +74,10 @@ def _dplus_start(h):
 
 
 # dplus_solve's polynomial phase runs at points A = diag(d) + h with infinity
-# norm at most _POLY_BOUND, so ||A||_2 <= 1 and the Taylor polynomial of exp
-# of degree _POLY_DEGREE is off diag exp(A) by at most 1/17! = 2.8e-15, below
-# DPLUS_TOL / 100.  Its Jacobian keeps the terms of degree <= 4 that the
+# norm at most _POLY_BOUND, so ||A||_2 <= 1 and the Taylor polynomial p of exp
+# of degree _POLY_DEGREE is off exp(A) by at most (18/17)/17! = 3.0e-15 in the
+# 2-norm, below DPLUS_TOL / 100: the p(A) whose diagonal meets tol is returned
+# as C, with no eigh.  Its Jacobian keeps the terms of degree <= 4 that the
 # Paterson-Stockmeyer power table A^0 ... A^4 holds; the dropped ones weigh at
 # most sum_(m > 4) 1/m! = 0.01 against eigenvalues >= 1/e, so a step from near
 # the solution cuts the error at least 30-fold.  At the bound, 4 steps reach
@@ -110,9 +111,13 @@ def _dplus_poly_newton(h, d, tol):
 
     A sample takes part while its point's infinity norm is at most
     _POLY_BOUND and its residual max|diag p - 1| is above tol; the others
-    keep their d.
+    keep their d.  Returns (d, c, res): where an evaluation met tol, c holds
+    that p(diag(d) + h) and res its residual; res is inf elsewhere and c
+    unset.
     """
     eye = np.arange(h.shape[-1])
+    c = np.empty_like(h)
+    res = np.full(len(h), np.inf)
     idx = np.arange(len(h))
     for _ in range(_POLY_STEPS):
         a = h[idx]
@@ -123,35 +128,27 @@ def _dplus_poly_newton(h, d, tol):
             break
         p, _, table = la.matrix_poly(a, _EXP_TAYLOR)
         e = la.diagvec(p)
-        far = np.abs(e - 1.0).max(axis=-1) > tol
-        if not far.any():
+        r = np.abs(e - 1.0).max(axis=-1)
+        met = r <= tol
+        c[idx[met]], res[idx[met]] = p[met], r[met]
+        if met.all():
             break
+        far = ~met
         idx, e = idx[far], e[far]
         jac = _poly_jacobian(table)[far]
         d[idx] += np.linalg.solve(jac, -(e * np.log(e))[..., None])[..., 0]
-    return d
+    return d, c, res
 
 
-def dplus_solve(h, tol, max_iter):
-    """Find diagonal vectors d with unit-diagonal exp(diag(d) + h), batched.
+def _dplus_eigh_newton(h, d, tol, max_iter):
+    """Backtracking Newton on log(e) = 0, e = diag(exp(diag(d) + h)), from d.
 
-    Two phases from _dplus_start's d0 (an Archakov-Hansen, 2021, step).
-    Samples whose diag(d0) + h has infinity norm at most _POLY_BOUND first
-    take _dplus_poly_newton's steps, in Taylor arithmetic of degree
-    _POLY_DEGREE and with no eigh.  Every sample then makes one evaluation,
-    and the ones still above tol continue on backtracking Newton on
-    log(e) = 0, e = diag(exp(diag(d) + h)): the Jacobian of d -> e is the SPD
-    H0 = h0_build(U, loewner(lam, exp, exp)), and a trial is taken once its
-    residual max|e - 1| is below its base point's.  Each evaluation (one
-    eigh) counts as an iteration; the polynomial steps do not.
-
-    Returns (d, iterations, residuals, lam, u) with (lam, u) the
-    eigendecomposition of diag(d) + h at the returned d; a residual above tol
-    (or not finite) means the budget ran out, no step length lowered the
-    residual, or exp overflowed at the start.
+    The Jacobian of d -> e is the SPD H0 = h0_build(U, loewner(lam, exp,
+    exp)), and a trial is taken once its residual max|e - 1| is below its
+    base point's.  Each evaluation is one eigh and one iteration, the one at
+    d included.  Returns (d, iterations, residuals, lam, u) with (lam, u) the
+    eigendecomposition of diag(d) + h at the returned d.
     """
-    h = np.asarray(h, dtype=np.float64)
-    d = _dplus_poly_newton(h, _dplus_start(h), tol)
     lam, u, e, res = _dplus_eval(h, np.arange(len(h)), d)
     iters = np.ones(len(h), dtype=np.int64)
     # an overflowed residual gives no finite step: the sample stops there
@@ -176,6 +173,35 @@ def dplus_solve(h, tol, max_iter):
         d[active], ok, _ = _backtrack(d[active], step, accept)
         active = active[ok & (res[active] > tol)]
     return d, iters, res, lam, u
+
+
+def dplus_solve(h, tol, max_iter):
+    """Find diagonal vectors d with unit-diagonal C = exp(diag(d) + h), batched.
+
+    Two phases from _dplus_start's d0 (an Archakov-Hansen, 2021, step).
+    Samples whose diag(d0) + h has infinity norm at most _POLY_BOUND first
+    take _dplus_poly_newton's steps, in Taylor arithmetic of degree
+    _POLY_DEGREE and with no eigh.  A sample whose last polynomial
+    evaluation met tol is done: its C is that p(diag(d) + h), and it makes
+    no eigh.  Every other sample goes on by _dplus_eigh_newton and gets
+    C = U diag(exp lam) U^T.  The iterations count eigh evaluations, so a
+    sample the polynomial phase solved reads 0; the polynomial steps do not
+    count.
+
+    Returns (d, iterations, residuals, c, (lam, u)) with (lam, u) the
+    eigendecompositions of diag(d) + h of the samples with iterations > 0,
+    in batch order.  A residual above tol (or not finite) means the budget
+    ran out, no step length lowered the residual, or exp overflowed at the
+    start; such a sample's c may be inf or NaN.
+    """
+    h = np.asarray(h, dtype=np.float64)
+    d, c, res = _dplus_poly_newton(h, _dplus_start(h), tol)
+    iters = np.zeros(len(h), dtype=np.int64)
+    rest = np.flatnonzero(res > tol)
+    d[rest], iters[rest], res[rest], lam, u = _dplus_eigh_newton(h[rest], d[rest], tol, max_iter)
+    with np.errstate(over="ignore", invalid="ignore"):  # an unconverged sample may overflow
+        c[rest] = la.from_eig(np.exp(lam), u)
+    return d, iters, res, c, (lam, u)
 
 
 def _residual(c, x):

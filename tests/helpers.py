@@ -266,8 +266,7 @@ def dplus(h, tol=sv.DPLUS_TOL, max_iter=sv.DPLUS_MAX_ITER):
 
 def off_exp_batch(h, tol=sv.DPLUS_TOL, max_iter=sv.DPLUS_MAX_ITER):
     """exp(diag(d) + h) for the solved shift d: hollow symmetric -> correlation."""
-    _, _, _, lam, u = sv.dplus_batch(h, tol, max_iter)
-    return la.from_eig(np.exp(lam), u)
+    return sv.dplus_batch(h, tol, max_iter)[3]
 
 
 def dstar(c, mode="full", tol=sv.DSTAR_TOL, max_iter=sv.DSTAR_MAX_ITER):
@@ -285,8 +284,9 @@ def scaled_spd_batch(c, mode="full", tol=sv.DSTAR_TOL, max_iter=sv.DSTAR_MAX_ITE
 def dplus_backward(h, grad_c, tol=sv.DPLUS_TOL, max_iter=sv.DPLUS_MAX_ITER):
     """dplus_backward_batch for one sample, at its solved shift: the adjoint
     of h given that of exp(diag(dplus(h)) + h)."""
-    _, _, _, lam, u = sv.dplus_batch(np.asarray(h, dtype=np.float64)[None], tol, max_iter)
-    return sv.dplus_backward_batch(np.asarray(grad_c)[None], (lam, u))[0]
+    h = np.asarray(h, dtype=np.float64)[None]
+    d, iters, _, _, eig = sv.dplus_batch(h, tol, max_iter)
+    return sv.dplus_backward_batch(np.asarray(grad_c)[None], sv.dplus_eig(h, d, iters, eig))[0]
 
 
 def dstar_backward(c, grad_sigma, tol=sv.DSTAR_TOL, max_iter=sv.DSTAR_MAX_ITER):

@@ -395,7 +395,7 @@ class TestFactorizationCounts:
 
     @pytest.mark.parametrize("metric, small, bench", [
         ("ecm", [], []), ("lecm", [], []), ("phcm", [], []),
-        ("olm", [("dplus", [3, 3, 3, 4])], [("dplus", [1, 1, 1, 1])]),
+        ("olm", [("dplus", [3, 3, 3, 4])], [("dplus", [0, 0, 0, 0])]),
         ("lsm", [("dstar", [8, 8, 6, 6, 5, 6, 7, 8]), ("dstar", [5, 4, 8, 5])],
          [("dstar", [5, 5, 5, 5]), ("dstar", [3, 3, 3, 3])]),
     ])
@@ -446,6 +446,41 @@ class TestFactorizationCounts:
 
         assert self.count_matrices(monkeypatch, run_forward) == forward
         assert self.count_matrices(monkeypatch, run_vjp) == vjp
+
+    def test_fc_mlr_layers_olm_bench(self, monkeypatch):
+        """olm FC(30 -> 20) + MLR(10 classes) at ``corrgeo bench``'s weights
+        on 4 samples: the FC outputs solve in Taylor arithmetic, so the
+        forward factors only the inputs and the MLR's chart points, and the
+        vjp forms the outputs' eigendecompositions once, for the cache."""
+        rng, fc, mlr, x = self.fc_mlr("olm", bench=True)
+        grad_v = rng.standard_normal((4, 10))
+        caches, evals = {}, []
+        solve = sv.dplus_batch
+
+        def recording(*args):
+            out = solve(*args)
+            evals.append(out[1])
+            return out
+
+        def run_forward():
+            caches["y"], caches["fc"] = ly.fc_forward(x, fc)
+            caches["mlr"] = ly.mlr_forward(caches["y"], mlr)[1]
+
+        def run_vjp():
+            gy = ly.mlr_vjp(mlr, caches["mlr"], grad_v)[1]
+            ly.fc_vjp(fc, caches["fc"], gy)
+            caches["gy"] = gy
+
+        monkeypatch.setattr(sv, "dplus_batch", recording)
+        assert self.count_matrices(monkeypatch, run_forward) == {"eigh": 8, "solve": 4}
+        assert len(evals) == 1 and np.array_equal(evals[0], np.zeros(4))
+        assert self.count_matrices(monkeypatch, run_vjp) == {"eigh": 4, "eigvalsh": 4, "solve": 4}
+        icache = caches["fc"]["icache"]
+        first = (icache["lam"], icache["u"])
+        again = self.count_matrices(
+            monkeypatch, lambda: geo.inverse_vjp("olm", icache, caches["gy"]))
+        assert again == {"eigvalsh": 4, "solve": 4}
+        assert icache["lam"] is first[0] and icache["u"] is first[1]
 
 
 class TestRiemannianOps:

@@ -77,25 +77,47 @@ def start_norms(h):
     return np.abs(h + la.diag_from_vec(kernels._dplus_start(h))).sum(axis=-1).max(axis=-1)
 
 
+def sample_rows(got):
+    """dplus_solve's output as per-sample rows (d, iterations, residual, c,
+    lam, u), with lam and u None for a sample solved without an eigh."""
+    d, iters, res, c, (lam, u) = got
+    pos = np.cumsum(iters > 0) - 1
+    return [(d[k], iters[k], res[k], c[k]) + ((lam[pos[k]], u[pos[k]]) if iters[k] else (None, None))
+            for k in range(len(d))]
+
+
+def assert_same_rows(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for a, b in zip(g, w):
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+
 def assert_matches_fixed_point(h, got, tol=1e-12):
-    d, iters, res, lam, u = got
+    d, iters, res, c, (lam, u) = got
     assert (res <= tol).all()
     for k in range(len(h)):
         d_ref, hist = dplus_history(h[k], tol, 5000)
         assert hist[-1] <= tol
         assert np.abs(d[k] - d_ref).max() <= 1e-10
-    # (lam, u) is the eigendecomposition of the final S, not a recomputation
-    want_lam, want_u = np.linalg.eigh(h + la.diag_from_vec(d))
+    # (lam, u) is the eigendecomposition of the final S, not a recomputation,
+    # and C is formed from it; the samples without one got C = p(S)
+    formed = iters > 0
+    want_lam, want_u = np.linalg.eigh(h[formed] + la.diag_from_vec(d[formed]))
     assert np.array_equal(lam, want_lam) and np.array_equal(u, want_u)
+    assert np.array_equal(c[formed], la.from_eig(np.exp(lam), u))
+    assert np.abs(c - la.sym_exp(h + la.diag_from_vec(d))).max() <= 1e-13
 
 
 class TestDplusSolve:
     def test_zero_input(self):
         assert np.array_equal(kernels._dplus_start(np.zeros((2, 4, 4))), np.zeros((2, 4)))
-        d, iters, res, lam, u = kernels.dplus_solve(np.zeros((2, 4, 4)), 1e-12, 100)
+        d, iters, res, c, (lam, u) = kernels.dplus_solve(np.zeros((2, 4, 4)), 1e-12, 100)
         assert np.array_equal(d, np.zeros((2, 4)))
-        assert np.array_equal(iters, [1, 1])
+        # the polynomial phase finds d = 0 solved, with C = p(0) = I
+        assert np.array_equal(iters, [0, 0]) and lam.shape == (0, 4)
         assert np.array_equal(res, [0.0, 0.0])
+        assert np.array_equal(c, np.broadcast_to(np.eye(4), (2, 4, 4)))
 
     @pytest.mark.parametrize("n", [2, 6, 8, 30])
     def test_matches_fixed_point(self, n):
@@ -126,17 +148,17 @@ class TestDplusSolve:
         monkeypatch.setattr(kernels, "_dplus_eval", recording)
         monkeypatch.setattr(kernels, "_backtrack", searching)
         h = hollow_batch(3, 5, 70, 0.8)
-        d, iters, res, lam, u = kernels.dplus_solve(h, 1e-12, 100)
-        assert np.array_equal(iters, [22, 22, 22])
+        got = kernels.dplus_solve(h, 1e-12, 100)
+        assert np.array_equal(got[1], [22, 22, 22])
         assert len(points) == 22 and np.array_equal(points[0], kernels._dplus_start(h))
         [(base, step)] = searches
         assert np.array_equal(base, points[0])
         for k, trial in enumerate(points[1:]):
             assert np.array_equal(trial, base + 2.0**-k * step)
         # what is returned is the base point d0 and its evaluation
-        d0, _, res0, lam0, u0 = kernels.dplus_solve(h, 1e-12, 1)
-        for got, want in ((d, d0), (res, res0), (lam, lam0), (u, u0)):
-            assert np.array_equal(got, want)
+        first = kernels.dplus_solve(h, 1e-12, 1)
+        assert_same_rows([r[:1] + r[2:] for r in sample_rows(got)],
+                         [r[:1] + r[2:] for r in sample_rows(first)])
 
     def test_spread_inputs_converge(self):
         # at scale 12 these six exhausted 100 evaluations when a rejected
@@ -181,8 +203,7 @@ class TestDplusSolve:
         h = np.concatenate([hollow_batch(2, 4, 97, 0.5), big])
         got = kernels.dplus_solve(h, 1e-12, 100)
         assert got[1][2] == 1 and not got[2][2] <= 1e-12
-        for g, w in zip(got, kernels.dplus_solve(h[:2], 1e-12, 100)):
-            assert np.array_equal(g[:2], w)
+        assert_same_rows(sample_rows(got)[:2], sample_rows(kernels.dplus_solve(h[:2], 1e-12, 100)))
         with pytest.raises(NoConvergence):
             sv.dplus_batch(big)
         with pytest.raises(NoConvergence):
@@ -208,11 +229,10 @@ class TestDplusSolve:
         h = np.concatenate([np.zeros((1, 6, 6)), hollow_batch(3, 6, 95, 0.5),
                             hollow_batch(3, 6, 96, 5.0), hollow_batch(3, 6, 94, 0.1)])
         assert (start_norms(h[-3:]) <= kernels._POLY_BOUND).all()
-        got = kernels.dplus_solve(h, 1e-12, 100)
+        got = sample_rows(kernels.dplus_solve(h, 1e-12, 100))
+        assert [r[1] for r in got][-3:] == [0, 0, 0] and got[0][1] == 0
         for k in range(len(h)):
-            single = kernels.dplus_solve(h[k:k + 1], 1e-12, 100)
-            for g, w in zip(got, single):
-                assert np.array_equal(g[k], w[0])
+            assert_same_rows(got[k:k + 1], sample_rows(kernels.dplus_solve(h[k:k + 1], 1e-12, 100)))
 
     @pytest.mark.parametrize("scale", [0.1, 0.5, 1.0, 3.0, 12.0])
     @pytest.mark.parametrize("n", [2, 5, 30])
@@ -231,37 +251,41 @@ class TestDplusSolve:
         assert np.array_equal(d0[:2], kernels._dplus_start(h[:2])) and (d0[:2] < 0.0).all()
         got = kernels.dplus_solve(h, 1e-12, 100)
         assert got[1][2] == 1 and not got[2][2] <= 1e-12
-        for g, w in zip(got, kernels.dplus_solve(h[:2], 1e-12, 100)):
-            assert np.array_equal(g[:2], w)
+        assert_same_rows(sample_rows(got)[:2], sample_rows(kernels.dplus_solve(h[:2], 1e-12, 100)))
 
     def test_start_saves_an_evaluation(self):
         # olm FC(30 -> 20) outputs at bench_forward's initialization scale
-        # solve in 1 evaluation: the polynomial steps from the start leave
-        # them converged (2 evaluations from the start without those steps,
-        # 3 from d = 0)
+        # solve in 0 evaluations: the polynomial steps from the start leave
+        # them converged, with C from the last polynomial (2 evaluations
+        # from the start without those steps, 3 from d = 0)
         h = fc30_dplus_inputs(8, 20)
         iters = kernels.dplus_solve(h, sv.DPLUS_TOL, sv.DPLUS_MAX_ITER)[1]
-        assert np.array_equal(iters, np.full(8, 1))
+        assert np.array_equal(iters, np.full(8, 0))
 
     def test_poly_phase_matches_eigh_reference(self, monkeypatch):
-        # infer30 shapes: one polynomial step, the polynomial evaluation that
-        # finds it converged, then the one eigh; an eigh-only Newton takes two
+        # infer30 shapes: one polynomial step, then the polynomial evaluation
+        # that finds it converged and gives C, with no eigh; an eigh-only
+        # Newton takes two
         h = fc30_dplus_inputs(32, 21)
         assert h.shape == (32, 20, 20) and (start_norms(h) <= kernels._POLY_BOUND).all()
         polys = []
         poly = la.matrix_poly
         monkeypatch.setattr(la, "matrix_poly", lambda *a: polys.append(len(a[0])) or poly(*a))
-        d, iters, res, lam, u = kernels.dplus_solve(h, 1e-12, 100)
+        d, iters, res, c, eig = kernels.dplus_solve(h, 1e-12, 100)
         assert polys == [32, 32]
         d_ref, evals, res_ref, lam_ref, u_ref = dplus_newton_ref(h, 1e-12, 100)
-        assert np.array_equal(iters, np.ones(32)) and np.array_equal(evals, np.full(32, 2))
+        assert np.array_equal(iters, np.zeros(32)) and np.array_equal(evals, np.full(32, 2))
         assert (res <= 1e-12).all() and (res_ref <= 1e-12).all()
         assert np.abs(d - d_ref).max() <= 1e-11
+        # C = p(S) is the eigh reference's C, and its diagonal is the one
+        # the residual measured
+        c_ref = la.from_eig(np.exp(lam_ref), u_ref)
+        assert np.abs(c - c_ref).max() <= 1e-12
+        assert np.array_equal(np.abs(la.diagvec(c) - 1.0).max(axis=-1), res)
+        # the eigendecomposition formed on demand is that of the returned point
+        lam, u = sv.dplus_eig(h, d, iters, eig)
         assert np.abs(lam - lam_ref).max() <= 1e-11
         assert np.abs(la.from_eig(lam, u) - la.from_eig(lam_ref, u_ref)).max() <= 1e-11
-        c, c_ref = la.from_eig(np.exp(lam), u), la.from_eig(np.exp(lam_ref), u_ref)
-        assert np.abs(c - c_ref).max() <= 1e-11
-        # (lam, u) is the eigendecomposition of the returned point
         want_lam, want_u = np.linalg.eigh(h + la.diag_from_vec(d))
         assert np.array_equal(lam, want_lam) and np.array_equal(u, want_u)
 
@@ -275,9 +299,10 @@ class TestDplusSolve:
         got = kernels.dplus_solve(h, 1e-12, 100)
         monkeypatch.setattr(kernels, "_POLY_STEPS", 0)
         eigh_only = kernels.dplus_solve(h, 1e-12, 100)
-        for g, w in zip(got, eigh_only):
-            assert np.array_equal(g[above], w[above])
-        assert (got[1][~above] == 1).all() and (eigh_only[1][~above] == 2).all()
+        rows, rows_eigh = sample_rows(got), sample_rows(eigh_only)
+        assert_same_rows([rows[k] for k in np.flatnonzero(above)],
+                         [rows_eigh[k] for k in np.flatnonzero(above)])
+        assert (got[1][~above] == 0).all() and (eigh_only[1][~above] == 2).all()
         assert (got[2] <= 1e-12).all()
 
     def test_poly_residual_above_tol_continues_on_eigh(self, monkeypatch):
@@ -289,7 +314,8 @@ class TestDplusSolve:
         h[:, 0, 1] = h[:, 1, 0] = t
         assert (start_norms(h) <= kernels._POLY_BOUND).all()
         d0 = kernels._dplus_start(h)
-        d1 = kernels._dplus_poly_newton(h, d0.copy(), 1e-12)
+        d1, _, res1 = kernels._dplus_poly_newton(h, d0.copy(), 1e-12)
+        assert np.array_equal(res1, np.full(3, np.inf))
         assert (d1 != d0).all()
         assert (kernels._dplus_eval(h, np.arange(3), d1)[3] > 1e-12).all()
         d, iters, res, _, _ = kernels.dplus_solve(h, 1e-12, 100)

@@ -334,6 +334,29 @@ class TestLayerAdjoints:
         gap, scale = dot_product_gap(f, point, direction, rng.standard_normal((b, k, m, m)), pullback)
         assert gap <= self.TOL * scale
 
+    def test_fc_olm_bench(self):
+        # at corrgeo bench's weights every FC(30 -> 20) output solves in
+        # Taylor arithmetic, so the pullback runs on the eigendecompositions
+        # the vjp forms for the cache
+        from test_geometry import TestFactorizationCounts
+
+        rng, params, _, x = TestFactorizationCounts.fc_mlr("olm", bench=True)
+        cache = ly.fc_forward(x, params)[1]
+        assert np.array_equal(cache["icache"]["iters"], np.zeros(4))
+
+        def f(p):
+            return ly.fc_forward(p["x"], ly.FcParams("olm", 30, 20, 1, 1, p["z"], p["gamma"]))[0]
+
+        def pullback(w):
+            grads, gx = ly.fc_vjp(params, cache, w)
+            return {**grads, "x": gx}
+
+        point = {"x": x, "z": params.z, "gamma": params.gamma}
+        direction = {"x": 0.1 * hollow_batch((4, 1), 30, rng), "z": rng.standard_normal(params.z.shape),
+                     "gamma": rng.standard_normal(params.gamma.shape)}
+        gap, scale = dot_product_gap(f, point, direction, rng.standard_normal((4, 1, 20, 20)), pullback)
+        assert gap <= self.TOL * scale
+
     @pytest.mark.parametrize("metric", ["olm", "lsm", "phcm"])
     @cases
     @inputs
