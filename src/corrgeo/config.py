@@ -103,4 +103,6 @@ def load_config(path):
         text = Path(path).read_text()
     except OSError as e:
         raise IoError(f"cannot read config {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config {path} is not UTF-8 text: {e}") from e
     return parse_config_text(text)

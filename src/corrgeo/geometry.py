@@ -10,13 +10,13 @@ return the mapped value and a cache of the input and its factorization:
     ecm     strict_lower(theta(C))  c, L = chol(C), theta, X  cor_of(K K^T), K = I + X
     lecm    tri_log(theta(C))       c, L, theta, X            cor_of(K K^T), K = tri_exp(X)
     olm     off(logm(C))            c, (lam, U) of C          expm(diag(dplus(X)) + X)
-    lsm     logm(D* C D*)           c, D* = diag(x), D* C D*, cor_of(expm(X))
+    lsm     logm(D* C D*)           c, D* = diag(x), D* C D*, cor_of(la.sym_exp_taylor(X))
                                     its (lam, U), newton1 alpha
 
 The inverse caches hold X with K, K K^T and C (ecm, lecm), X with the shift
 d and the (lam, U) of diag(d) + X the dplus solve formed (olm; the rest are
-formed on the first ``inverse_vjp`` and kept), or (lam, U) of X, expm(X)
-and C (lsm).  The
+formed on the first ``inverse_vjp`` and kept), or X, expm(X) and C (lsm;
+the (lam, U) of X are formed on the first ``inverse_vjp`` and kept).  The
 differentials (``push``, ``push_inv``) and adjoints (``vjp``,
 ``inverse_vjp``) take the cache, never the point, so no base point is
 factored twice.  Each inverse ends in cor_of (ecm, lecm, lsm) or in the
@@ -170,7 +170,8 @@ class OffLogChart:
 
 
 class ScaledLogChart:
-    """lsm: C -> logm(D* C D*) with D* = diag(x) the unit-row-sum scaling."""
+    """lsm: C -> logm(D* C D*), D* = diag(x) the unit-row-sum scaling; inverse
+    cor_of(la.sym_exp_taylor(X)), whose vjp forms and keeps the eigh of X."""
 
     coords = staticmethod(dom.rowzero_coords)
     from_coords = staticmethod(dom.rowzero_from_coords)
@@ -201,10 +202,9 @@ class ScaledLogChart:
         return r, {"c": c, "s": s, "sigma": sigma, "lam": lam, "u": u, "alpha": alpha}
 
     def inverse(self, x, solver):
-        lam, u = np.linalg.eigh(x)
-        sigma = la.from_eig(np.exp(lam), u)
+        sigma = la.sym_exp_taylor(x)
         c = dom.cor_of(sigma)
-        return c, {"x": x, "lam": lam, "u": u, "sigma": sigma, "c": c}
+        return c, {"x": x, "sigma": sigma, "c": c}
 
     def vjp(self, cache, g):
         gs = la.sym(g) if cache["alpha"] is None else project_rowzero(la.sym(g))
@@ -214,6 +214,8 @@ class ScaledLogChart:
         return sv.dstar_newton1_backward_batch(cache["c"], gsigma, cache["s"], cache["alpha"])
 
     def inverse_vjp(self, cache, g):
+        if "lam" not in cache:
+            cache["lam"], cache["u"] = np.linalg.eigh(cache["x"])
         gsigma = dom.cor_of_backward(cache["c"], la.diagvec(cache["sigma"]) ** -0.5, g)
         return la.daleckii_krein(cache["u"], la.loewner(cache["lam"], np.exp, np.exp), gsigma)
 

@@ -11,6 +11,7 @@ A checkpoint is a directory holding ``manifest.txt`` (config echo plus a
 ``tensor <name> <shape>`` line per block) and one tensor file per block.
 """
 
+import math
 import struct
 from pathlib import Path
 
@@ -53,7 +54,7 @@ def read_tensor(path):
     if len(blob) < off:
         raise IoError(f"{path}: truncated shape")
     shape = struct.unpack_from(f"<{ndim}I", blob, 12)
-    count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+    count = math.prod(shape)  # Python ints: a huge shape cannot wrap to a small count
     expect = off + 8 * count
     if len(blob) != expect:
         raise IoError(f"{path}: payload length {len(blob)} != {expect}")
@@ -112,7 +113,7 @@ def read_checkpoint(path):
     path = Path(path)
     try:
         text = (path / "manifest.txt").read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise IoError(f"cannot read manifest in {path}: {e}") from e
     config = {}
     params = {}

@@ -81,7 +81,8 @@ def _dplus_start(h):
 # Paterson-Stockmeyer power table A^0 ... A^4 holds; the dropped ones weigh at
 # most sum_(m > 4) 1/m! = 0.01 against eigenvalues >= 1/e, so a step from near
 # the solution cuts the error at least 30-fold.  At the bound, 4 steps reach
-# 1e-14 on random hollow inputs of sizes 3-30.
+# 1e-14 on random hollow inputs of sizes 3-30.  (linalg.sym_exp_taylor, the
+# lsm inverse's exp, bounds its Taylor phase the same way; see _EXP_DEGREE.)
 _POLY_BOUND = 1.0
 _POLY_DEGREE = 16
 _POLY_STEPS = 4

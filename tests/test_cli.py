@@ -1,10 +1,11 @@
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from corrgeo import cli, data as datamod, io
-from corrgeo.config import RunConfig, parse_config_text
+from corrgeo.config import RunConfig, load_config, parse_config_text
 from corrgeo.errors import (
     ConfigError, DampingFailure, InfeasibleSeparation, IoError, NoConvergence, NonFiniteLoss,
     NotPositiveDefinite,
@@ -52,6 +53,13 @@ class TestTensorFiles:
         with pytest.raises(IoError):
             io.read_tensor(path)
 
+    def test_huge_shape_is_io_error(self, tmp_path):
+        # 2^31 * 2^31 * 4 elements wrap to 0 in int64: the empty payload must not pass
+        path = tmp_path / "huge.cort"
+        path.write_bytes(b"CORT\x01\x00\x00\x00" + struct.pack("<4I", 3, 2**31, 2**31, 4))
+        with pytest.raises(IoError, match="payload length"):
+            io.read_tensor(path)
+
     def test_checkpoint_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
         params = {"conv.z": rng.standard_normal((1, 3, 2, 6)), "mlr.gamma": np.zeros(3)}
@@ -91,6 +99,15 @@ class TestConfig:
             RunConfig(seed=-1).validate()
         with pytest.raises(ConfigError):
             parse_config_text("seed = -1")
+
+    def test_invalid_utf8_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"\xff\xfe seed = 1\n")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load_config(path)
+        assert cli.main(["gradcheck", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
 
 
 class TestDatagen:
@@ -439,7 +456,8 @@ class TestTrainEval:
                          str(tmp_path / "one_channel"), "--out", str(tmp_path / "ckpt")]) == 0
         assert cli.main(["eval", "--ckpt", str(tmp_path / "ckpt"), "--data", str(tmp_path / "one_channel")]) == 0
 
-    @pytest.mark.parametrize("case", ["no shape", "bad shape", "missing block", "wrong size", "non-finite"])
+    @pytest.mark.parametrize("case", ["no shape", "bad shape", "missing block", "wrong size", "non-finite",
+                                      "not utf-8"])
     def test_bad_checkpoint_is_io_error(self, tmp_path, capsys, case):
         cfg, cfg_path = write_tiny_setup(tmp_path, epochs=0)
         ckpt = tmp_path / "ckpt"
@@ -456,11 +474,12 @@ class TestTrainEval:
         elif case == "wrong size":  # an MLR for 4 classes, not 2
             io.write_tensor(ckpt / "mlr.gamma.cort", np.zeros(4))
             lines[at["mlr.gamma"]] = "tensor mlr.gamma 4"
-        else:
+        elif case == "non-finite":
             z = io.read_tensor(ckpt / "mlr.z.cort")
             z.flat[1] = np.nan
             io.write_tensor(ckpt / "mlr.z.cort", z)
-        (ckpt / "manifest.txt").write_text("\n".join(lines) + "\n")
+        text = ("\n".join(lines) + "\n").encode()
+        (ckpt / "manifest.txt").write_bytes(b"\xff\xfe" + text if case == "not utf-8" else text)
         capsys.readouterr()
         rc = cli.main(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path / "data")])
         err = capsys.readouterr().err
@@ -572,6 +591,16 @@ class TestHyperplaneCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: z must be finite") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_huge_shape_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "z.cort"
+        path.write_bytes(b"CORT\x01\x00\x00\x00" + struct.pack("<4I", 3, 2**31, 2**31, 4))
+        out = tmp_path / "grid.csv"
+        rc = cli.main(["hyperplane", "--metric", "ecm", "--z", str(path),
+                       "--gamma", "0.0", "--grid", "3", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3 and err.startswith("io error: ") and "Traceback" not in err
         assert not out.exists()
 
     def test_wrong_dim_rejected(self, tmp_path):

@@ -324,7 +324,7 @@ class TestFactorizationCounts:
         return tally["chol"], tally["dstar"], tally["eigh"] - tally["dplus_evals"]
 
     @pytest.mark.parametrize("metric, op, expect", [
-        ("lsm", "log", (0, 2, 2)), ("lsm", "exp", (0, 1, 2)),
+        ("lsm", "log", (0, 2, 2)), ("lsm", "exp", (0, 1, 1)),
         ("olm", "log", (0, 0, 2)), ("olm", "exp", (0, 0, 1)),
         ("ecm", "log", (2, 0, 0)), ("ecm", "exp", (1, 0, 0)),
         ("lecm", "log", (2, 0, 0)), ("lecm", "exp", (1, 0, 0)),
@@ -363,7 +363,7 @@ class TestFactorizationCounts:
         ("lecm", {"cholesky": 2}, {"cholesky": 1, "solve": 2}, {"cholesky": 2, "solve": 2}),
         ("olm", {"eigh": 2, "eigvalsh": 1, "solve": 1}, {"eigh": 13, "solve": 8},
          {"eigh": 2, "eigvalsh": 1, "solve": 1}),
-        ("lsm", {"eigh": 2, "solve": 12}, {"eigh": 2, "solve": 9}, {"eigh": 2, "solve": 13}),
+        ("lsm", {"eigh": 2, "solve": 12}, {"eigh": 1, "solve": 9}, {"eigh": 2, "solve": 13}),
     ])
     def test_riem_log_exp_pt_matrices(self, monkeypatch, metric, log, exp, pt):
         """Matrices through each LAPACK routine in riem_log, riem_exp and
@@ -426,7 +426,7 @@ class TestFactorizationCounts:
         ("lecm", {"cholesky": 12}, {"solve": 24}),
         ("phcm", {"cholesky": 12}, {"solve": 24}),
         ("olm", {"eigh": 25, "solve": 9}, {"eigvalsh": 4, "solve": 4}),
-        ("lsm", {"eigh": 16, "solve": 88}, {"solve": 12}),
+        ("lsm", {"eigh": 12, "solve": 88}, {"eigh": 4, "solve": 12}),
     ])
     def test_fc_mlr_layers(self, monkeypatch, metric, forward, vjp):
         """Matrices factored by an FC(8 -> 6, 2 channels) + MLR(3 classes)
@@ -480,6 +480,25 @@ class TestFactorizationCounts:
         again = self.count_matrices(
             monkeypatch, lambda: geo.inverse_vjp("olm", icache, caches["gy"]))
         assert again == {"eigvalsh": 4, "solve": 4}
+        assert icache["lam"] is first[0] and icache["u"] is first[1]
+
+    def test_lsm_inverse_vjp_eighs_once(self, monkeypatch):
+        """An lsm FC(30 -> 20) forward at ``corrgeo bench``'s weights on 4
+        samples factors only its inputs: the chart inverse makes no eigh.
+        The first inverse_vjp forms the eigendecompositions of X for the
+        cache, and a second reuses them."""
+        rng, fc, _, x = self.fc_mlr("lsm", bench=True)
+        caches = {}
+
+        def run_forward():
+            caches["fc"] = ly.fc_forward(x, fc)[1]
+
+        grad_y = rng.standard_normal((4, 1, 20, 20))
+        assert self.count_matrices(monkeypatch, run_forward) == {"eigh": 4, "solve": 4}
+        icache = caches["fc"]["icache"]
+        assert self.count_matrices(monkeypatch, lambda: geo.inverse_vjp("lsm", icache, grad_y)) == {"eigh": 4}
+        first = (icache["lam"], icache["u"])
+        assert self.count_matrices(monkeypatch, lambda: geo.inverse_vjp("lsm", icache, grad_y)) == {}
         assert icache["lam"] is first[0] and icache["u"] is first[1]
 
 

@@ -334,18 +334,17 @@ class TestLayerAdjoints:
         gap, scale = dot_product_gap(f, point, direction, rng.standard_normal((b, k, m, m)), pullback)
         assert gap <= self.TOL * scale
 
-    def test_fc_olm_bench(self):
-        # at corrgeo bench's weights every FC(30 -> 20) output solves in
-        # Taylor arithmetic, so the pullback runs on the eigendecompositions
-        # the vjp forms for the cache
+    def fc_bench(self, metric):
+        """(inverse cache, its keys after the forward, dot-product gap, scale)
+        of FC(30 -> 20) at ``corrgeo bench``'s weights on 4 samples."""
         from test_geometry import TestFactorizationCounts
 
-        rng, params, _, x = TestFactorizationCounts.fc_mlr("olm", bench=True)
+        rng, params, _, x = TestFactorizationCounts.fc_mlr(metric, bench=True)
         cache = ly.fc_forward(x, params)[1]
-        assert np.array_equal(cache["icache"]["iters"], np.zeros(4))
+        formed = set(cache["icache"])
 
         def f(p):
-            return ly.fc_forward(p["x"], ly.FcParams("olm", 30, 20, 1, 1, p["z"], p["gamma"]))[0]
+            return ly.fc_forward(p["x"], ly.FcParams(metric, 30, 20, 1, 1, p["z"], p["gamma"]))[0]
 
         def pullback(w):
             grads, gx = ly.fc_vjp(params, cache, w)
@@ -355,6 +354,22 @@ class TestLayerAdjoints:
         direction = {"x": 0.1 * hollow_batch((4, 1), 30, rng), "z": rng.standard_normal(params.z.shape),
                      "gamma": rng.standard_normal(params.gamma.shape)}
         gap, scale = dot_product_gap(f, point, direction, rng.standard_normal((4, 1, 20, 20)), pullback)
+        return cache["icache"], formed, gap, scale
+
+    def test_fc_olm_bench(self):
+        # at corrgeo bench's weights every FC(30 -> 20) output solves in
+        # Taylor arithmetic, so the pullback runs on the eigendecompositions
+        # the vjp forms for the cache
+        icache, _, gap, scale = self.fc_bench("olm")
+        assert np.array_equal(icache["iters"], np.zeros(4))
+        assert gap <= self.TOL * scale
+
+    def test_fc_lsm_bench(self):
+        # the FC(30 -> 20) outputs are exponentials by scaling and squaring,
+        # so the pullback runs on the eigendecompositions of X the vjp forms
+        # for the cache
+        icache, formed, gap, scale = self.fc_bench("lsm")
+        assert "lam" not in formed and "lam" in icache
         assert gap <= self.TOL * scale
 
     @pytest.mark.parametrize("metric", ["olm", "lsm", "phcm"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,51 @@ class TestSymFun:
         out = sym_log(s)
         for i in range(5):
             assert rel_err(out[i], sym_log(s[i])) < 1e-13
+
+
+class TestSymExpTaylor:
+    @staticmethod
+    def scaled(n, rng, norms):
+        """Random symmetric n x n matrices with the given infinity norms."""
+        s = np.stack([random_sym(n, rng) for _ in norms])
+        return s * (np.asarray(norms) / np.abs(s).sum(axis=-1).max(axis=-1))[:, None, None]
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 30])
+    def test_matches_eigh(self, n):
+        # the truncation is below rounding, so each of the 7 + s products adds
+        # about n u of relative error and each squaring doubles what came
+        # before; the eigh reference is off by about n u ||X|| <= n u 2^s
+        rng = np.random.default_rng(30 + n)
+        norms = [0.0, 0.3, 1.0, 1.5, 3.0, 7.0, 12.0, 25.0, 50.0] * 4
+        x = self.scaled(n, rng, norms)
+        got, ref = la.sym_exp_taylor(x), la.sym_exp(x)
+        for norm, g, r in zip(norms, got, ref):
+            s = max(0, math.ceil(math.log2(norm))) if norm else 0
+            tol = 2**s * (8 + s) * n * 2.0**-53
+            assert np.abs(g - r).max() <= tol * np.abs(r).max(), (n, norm)
+
+    def test_symmetric_and_exact_at_zero(self):
+        rng = np.random.default_rng(31)
+        out = la.sym_exp_taylor(self.scaled(20, rng, [0.4, 2.0, 9.0, 40.0]))
+        assert np.array_equal(out, la.transpose(out))
+        assert np.array_equal(la.sym_exp_taylor(np.zeros((2, 5, 5))), np.broadcast_to(np.eye(5), (2, 5, 5)))
+
+    @pytest.mark.parametrize("n", [3, 20, 30])
+    def test_batch_independent(self, n):
+        """A sample's value is bitwise the same alone and in a batch of other norms."""
+        rng = np.random.default_rng(32)
+        x = self.scaled(n, rng, [0.0, 0.3, 1.0, 2.0, 5.0, 13.0, 50.0, 0.9, 7.5])
+        out = la.sym_exp_taylor(x)
+        for k in range(len(x)):
+            assert np.array_equal(la.sym_exp_taylor(x[k]), out[k])
+        assert np.array_equal(la.sym_exp_taylor(x[[6, 2, 4]]), out[[6, 2, 4]])
+
+    def test_overflow_is_not_masked(self):
+        # exp of an eigenvalue above log(max float) overflows, as it does on the eigh path
+        x = np.diag([800.0, -800.0, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(la.sym_exp(x)).all()
+            assert not np.isfinite(la.sym_exp_taylor(x)).all()
 
 
 class TestSymFunDiff:
