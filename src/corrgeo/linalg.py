@@ -243,10 +243,8 @@ def sym_exp_taylor(x):
     p = matrix_poly(np.ldexp(x, -s[..., None, None]), _exp_coeffs(_EXP_DEGREE))[0]
     for k in range(int(s.max(initial=0))):
         more = s > k
-        if more.all():
-            p = p @ p
-        else:
-            p[more] = p[more] @ p[more]
+        q = p[more]
+        p[more] = q @ q
     return sym(p)
 
 
