@@ -14,20 +14,19 @@ return the mapped value and a cache of the input and its factorization:
                                     its (lam, U), newton1 alpha
 
 The inverse caches hold X with K, K K^T and C (ecm, lecm), X with the shift
-d and the (lam, U) of diag(d) + X the dplus solve formed (olm; the rest are
-formed on the first ``inverse_vjp`` and kept), or X, expm(X) and C (lsm;
-the (lam, U) of X are formed on the first ``inverse_vjp`` and kept).  The
-differentials (``push``, ``push_inv``) and adjoints (``vjp``,
-``inverse_vjp``) take the cache, never the point, so no base point is
-factored twice.  Each inverse ends in cor_of (ecm, lecm, lsm) or in the
-dplus shift (olm), and its differential ``push_inv`` and adjoint
+d and the (lam, U) of diag(d) + X the dplus solve formed, with their samples
+(olm; the rest are formed on the first ``inverse_vjp`` and kept), or X,
+expm(X) and C (lsm; the (lam, U) of X are formed on the first
+``inverse_vjp`` and kept).  The differentials (``push``, ``push_inv``) and
+adjoints (``vjp``, ``inverse_vjp``) take the cache, never the point, so no
+base point is factored twice.  Each inverse ends in cor_of (ecm, lecm, lsm)
+or in the dplus shift (olm), and its differential ``push_inv`` and adjoint
 ``inverse_vjp`` end in that map's: ``dom.cor_of_diff`` and
 ``dom.cor_of_backward``, or ``sv.dplus_diff`` and
-``sv.dplus_backward_batch``.  ``coords``, ``from_coords`` and their
-adjoints vectorize the prototype space.  The
-lsm differentials are those of the full-mode scaling and reject a newton1
-cache, so the Riemannian operators solve lsm in full mode whatever
-``dstar_mode`` they are given.
+``sv.dplus_backward_batch``.  ``coords``, ``from_coords`` and their adjoints
+vectorize the prototype space.  The lsm differentials are those of the
+full-mode scaling and reject a newton1 cache, so the Riemannian operators
+solve lsm in full mode whatever ``dstar_mode`` they are given.
 
 The fifth metric (phcm) is the pullback of a product of hyperbolic
 hemispheres through the Cholesky rows; only its distance and the layer
@@ -150,15 +149,15 @@ class OffLogChart:
     def inverse(self, x, solver):
         tol = solver.get("dplus_tol", sv.DPLUS_TOL)
         max_iter = solver.get("dplus_max_iter", sv.DPLUS_MAX_ITER)
-        d, iters, _, c, eig = sv.dplus_batch(x, tol, max_iter)
-        return c, {"x": x, "d": d, "iters": iters, "eig": eig}
+        d, _, _, c, eig = sv.dplus_batch(x, tol, max_iter)
+        return c, {"x": x, "d": d, "eig": eig}
 
     def vjp(self, cache, g):
         return la.daleckii_krein(cache["u"], _log_loewner(cache["lam"]), la.offmat(la.sym(g)))
 
     def inverse_vjp(self, cache, g):
         if "lam" not in cache:
-            cache["lam"], cache["u"] = sv.dplus_eig(cache["x"], cache["d"], cache["iters"], cache.pop("eig"))
+            cache["lam"], cache["u"] = sv.dplus_eig(cache["x"], cache["d"], cache.pop("eig"))
         return sv.dplus_backward_batch(g, (cache["lam"], cache["u"]))
 
     def push(self, cache, v):

@@ -74,84 +74,85 @@ def _dplus_start(h):
 
 
 # dplus_solve's polynomial phase runs at points A = diag(d) + h with infinity
-# norm at most _POLY_BOUND, so ||A||_2 <= 1 and the Taylor polynomial p of exp
-# of degree _POLY_DEGREE is off exp(A) by at most (18/17)/17! = 3.0e-15 in the
-# 2-norm, below DPLUS_TOL / 100: the p(A) whose diagonal meets tol is returned
-# as C, with no eigh.  Its Jacobian keeps the terms of degree <= 4 that the
-# Paterson-Stockmeyer power table A^0 ... A^4 holds; the dropped ones weigh at
-# most sum_(m > 4) 1/m! = 0.01 against eigenvalues >= 1/e, so a step from near
-# the solution cuts the error at least 30-fold.  At the bound, 4 steps reach
-# 1e-14 on random hollow inputs of sizes 3-30.  (linalg.sym_exp_taylor, the
-# lsm inverse's exp, bounds its Taylor phase the same way; see _EXP_DEGREE.)
+# norm at most _POLY_BOUND, so ||A||_2 <= 1 and linalg's Taylor polynomial p
+# of exp of degree _EXP_DEGREE is off exp(A) by a factor below 1 + u/4 (the
+# bound above la._EXP_DEGREE, at s = 0): the p(A) whose diagonal meets tol is
+# returned as C, with no eigh.  Its Jacobian keeps the terms of degree <= 5
+# of the power table A^0 ... A^5; the dropped ones weigh at most
+# sum_(m > 5) 1/m! = 1.6e-3 against eigenvalues >= 1/e, so a step from near
+# the solution cuts the error at least 200-fold.
 _POLY_BOUND = 1.0
-_POLY_DEGREE = 16
-_POLY_STEPS = 4
-_EXP_TAYLOR = la._exp_coeffs(_POLY_DEGREE)
 
 
 def _poly_jacobian(table):
-    """J = d diag p(A) / dd = sum_m c_(m+1) sum_(a+b=m) A^a o A^b for m <= s, batched.
+    """J = d diag p(A) / dd = sum_(a+b<=s) c_(a+b+1) A^a o A^b, batched.
 
-    ``table`` holds A^0 ... A^s; c_k = 1/k!.  The terms a = 0 and b = 0,
-    I o A^m, are diagonal.
+    ``table`` holds A^0 ... A^s; c_k = 1/k!.  A^a o A^b = A^b o A^a, so J is
+    summed over a <= b as sum_a A^a o (sum_b w c_(a+b+1) A^b), w = 2 where
+    a < b; the terms a = 0, I o A^b, are diagonal.
     """
-    eye = np.arange(table.shape[-1])
+    s = len(table) - 1
+    c = la._exp_coeffs(s + 1)
     jac = np.zeros(table.shape[1:])
-    jac[:, eye, eye] = 1.0
-    for m in range(1, len(table)):
-        c = _EXP_TAYLOR[m + 1]
-        jac[:, eye, eye] += 2 * c * la.diagvec(table[m])
-        for a in range(1, m):
-            jac += c * table[a] * table[m - a]
+    for a in range(s // 2 + 1):
+        w = [(2 - (a == b)) * c[a + b + 1] for b in range(a, s + 1 - a)]
+        jac += table[a] * np.tensordot(w, table[a:s + 1 - a], axes=1)
     return jac
 
 
-def _dplus_poly_newton(h, d, tol):
-    """Up to _POLY_STEPS Newton steps on log diag p(diag(d) + h) = 0, p the
-    degree-_POLY_DEGREE Taylor polynomial of exp, with no eigh.
+def _dplus_poly_newton(h, d, tol, max_iter):
+    """Newton on log diag p(diag(d) + h) = 0, p linalg's degree-_EXP_DEGREE
+    Taylor polynomial of exp, with no eigh.
 
     A sample takes part while its point's infinity norm is at most
-    _POLY_BOUND and its residual max|diag p - 1| is above tol; the others
-    keep their d.  Returns (d, c, res): where an evaluation met tol, c holds
-    that p(diag(d) + h) and res its residual; res is inf elsewhere and c
-    unset.
+    _POLY_BOUND, its residual max|diag p - 1| is above tol, each evaluation
+    lowers it (else the sample is set back to its base point) and it has
+    made fewer than max_iter - 1 evaluations, leaving the eigh Newton one to
+    form C.  Returns (d, iterations, res, c): res is the last accepted
+    residual, inf for a sample that made no evaluation; where it meets tol,
+    c holds that p(diag(d) + h), and c is unset elsewhere.
     """
     eye = np.arange(h.shape[-1])
-    c = np.empty_like(h)
-    res = np.full(len(h), np.inf)
+    coeffs = la._exp_coeffs(la._EXP_DEGREE)
+    c, base = np.empty_like(h), d.copy()
+    res, iters = np.full(len(h), np.inf), np.zeros(len(h), dtype=np.int64)
     idx = np.arange(len(h))
-    for _ in range(_POLY_STEPS):
+    # the samples still taking part have all made the same number of evaluations
+    for _ in range(max_iter - 1):
         a = h[idx]
         a[:, eye, eye] += d[idx]
         inside = np.abs(a).sum(axis=-1).max(axis=-1) <= _POLY_BOUND
         idx, a = idx[inside], a[inside]
         if not idx.size:
             break
-        p, _, table = la.matrix_poly(a, _EXP_TAYLOR)
+        p, _, table = la.matrix_poly(a, coeffs)
+        iters[idx] += 1
         e = la.diagvec(p)
         r = np.abs(e - 1.0).max(axis=-1)
-        met = r <= tol
-        c[idx[met]], res[idx[met]] = p[met], r[met]
-        if met.all():
+        lower = r < res[idx]
+        d[idx[~lower]] = base[idx[~lower]]
+        res[idx[lower]] = r[lower]
+        go = lower & (r > tol)
+        c[idx[lower & ~go]] = p[lower & ~go]
+        idx, e = idx[go], e[go]
+        if not idx.size:
             break
-        far = ~met
-        idx, e = idx[far], e[far]
-        jac = _poly_jacobian(table)[far]
-        d[idx] += np.linalg.solve(jac, -(e * np.log(e))[..., None])[..., 0]
-    return d, c, res
+        base[idx] = d[idx]
+        d[idx] += np.linalg.solve(_poly_jacobian(table)[go], -(e * np.log(e))[..., None])[..., 0]
+    return d, iters, res, c
 
 
-def _dplus_eigh_newton(h, d, tol, max_iter):
+def _dplus_eigh_newton(h, d, iters, tol, max_iter):
     """Backtracking Newton on log(e) = 0, e = diag(exp(diag(d) + h)), from d.
 
     The Jacobian of d -> e is the SPD H0 = h0_build(U, loewner(lam, exp,
     exp)), and a trial is taken once its residual max|e - 1| is below its
     base point's.  Each evaluation is one eigh and one iteration, the one at
-    d included.  Returns (d, iterations, residuals, lam, u) with (lam, u) the
-    eigendecomposition of diag(d) + h at the returned d.
+    d included, counted on from ``iters`` up to max_iter.  Returns (d,
+    iterations, residuals, lam, u), (lam, u) at the returned d.
     """
     lam, u, e, res = _dplus_eval(h, np.arange(len(h)), d)
-    iters = np.ones(len(h), dtype=np.int64)
+    iters = iters + 1
     # an overflowed residual gives no finite step: the sample stops there
     active = np.flatnonzero(np.isfinite(res) & (res > tol))
     while active.size:
@@ -179,30 +180,29 @@ def _dplus_eigh_newton(h, d, tol, max_iter):
 def dplus_solve(h, tol, max_iter):
     """Find diagonal vectors d with unit-diagonal C = exp(diag(d) + h), batched.
 
-    Two phases from _dplus_start's d0 (an Archakov-Hansen, 2021, step).
-    Samples whose diag(d0) + h has infinity norm at most _POLY_BOUND first
-    take _dplus_poly_newton's steps, in Taylor arithmetic of degree
-    _POLY_DEGREE and with no eigh.  A sample whose last polynomial
-    evaluation met tol is done: its C is that p(diag(d) + h), and it makes
-    no eigh.  Every other sample goes on by _dplus_eigh_newton and gets
-    C = U diag(exp lam) U^T.  The iterations count eigh evaluations, so a
-    sample the polynomial phase solved reads 0; the polynomial steps do not
-    count.
+    One Newton method from _dplus_start's d0 (an Archakov-Hansen, 2021,
+    step), with a budget of max_iter evaluations per sample.  A sample whose
+    diag(d0) + h has infinity norm at most _POLY_BOUND first takes
+    _dplus_poly_newton's steps, in Taylor arithmetic with no eigh; one whose
+    polynomial evaluation met tol is done, and its C is that
+    p(diag(d) + h).  Every other sample goes on by _dplus_eigh_newton with
+    the budget it has left and gets C = U diag(exp lam) U^T.  The iterations
+    count the evaluations of both kinds, at most max_iter per sample.
 
-    Returns (d, iterations, residuals, c, (lam, u)) with (lam, u) the
-    eigendecompositions of diag(d) + h of the samples with iterations > 0,
-    in batch order.  A residual above tol (or not finite) means the budget
-    ran out, no step length lowered the residual, or exp overflowed at the
-    start; such a sample's c may be inf or NaN.
+    Returns (d, iterations, residuals, c, (rows, lam, u)) with (lam, u) the
+    eigendecompositions of diag(d) + h of the samples ``rows`` (batch
+    indices, ascending) that went on by the eigh Newton.  A residual above
+    tol (or not finite) means the budget ran out, no step length lowered the
+    residual, or exp overflowed at the start; such a sample's c may be inf
+    or NaN.
     """
     h = np.asarray(h, dtype=np.float64)
-    d, c, res = _dplus_poly_newton(h, _dplus_start(h), tol)
-    iters = np.zeros(len(h), dtype=np.int64)
-    rest = np.flatnonzero(res > tol)
-    d[rest], iters[rest], res[rest], lam, u = _dplus_eigh_newton(h[rest], d[rest], tol, max_iter)
+    d, iters, res, c = _dplus_poly_newton(h, _dplus_start(h), tol, max_iter)
+    rows = np.flatnonzero(res > tol)
+    d[rows], iters[rows], res[rows], lam, u = _dplus_eigh_newton(h[rows], d[rows], iters[rows], tol, max_iter)
     with np.errstate(over="ignore", invalid="ignore"):  # an unconverged sample may overflow
-        c[rest] = la.from_eig(np.exp(lam), u)
-    return d, iters, res, c, (lam, u)
+        c[rows] = la.from_eig(np.exp(lam), u)
+    return d, iters, res, c, (rows, lam, u)
 
 
 def _residual(c, x):

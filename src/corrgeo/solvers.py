@@ -2,20 +2,21 @@
 
 Two solvers, each with an exact reverse-mode rule:
 
-* ``dplus``: the diagonal d making exp(diag(d) + H) unit-diagonal, from
-  d0 = -log diag p4(H), p4 the degree-4 Taylor polynomial of exp: the first
-  Archakov & Hansen (2021) fixed-point step from d = 0, without an eigh.
-  Samples whose diag(d0) + H has infinity norm at most 1 then take up to 4
-  Newton steps in Taylor arithmetic of degree 16, without an eigh; one whose
-  last polynomial evaluation meets tol is solved, with C = p(diag(d) + H)
-  that evaluation's polynomial.  Every other sample goes on by backtracking
-  Newton on the residual max|diag(exp(diag(d) + H)) - 1|, one eigh per
+* ``dplus``: the diagonal d making exp(diag(d) + H) unit-diagonal, by one
+  Newton method with one budget of evaluations, from d0 = -log diag p4(H),
+  p4 the degree-4 Taylor polynomial of exp: the first Archakov & Hansen
+  (2021) fixed-point step from d = 0, without an eigh.  While diag(d) + H
+  has infinity norm at most 1 and each evaluation lowers the residual, a
+  sample is evaluated in Taylor arithmetic of ``linalg.sym_exp_taylor``'s
+  degree, without an eigh; one whose polynomial evaluation meets tol is
+  solved, with C = p(diag(d) + H) that evaluation's polynomial.  Every other
+  sample goes on by backtracking Newton on the residual
+  max|diag(exp(diag(d) + H)) - 1| with the budget it has left, one eigh per
   evaluated point, and gets C from the last eigendecomposition.  The
-  iteration count is the number of those evaluations, 0 for a sample the
-  polynomial phase solved.  ``dplus_eig`` completes the eigendecompositions
-  of the final diag(d) + H, from which ``dplus_diff`` forms the
-  differential of H -> exp(diag(d) + H) and ``dplus_backward_batch`` its
-  adjoint.
+  iteration count is the number of evaluations of both kinds.  ``dplus_eig``
+  completes the eigendecompositions of the final diag(d) + H, from which
+  ``dplus_diff`` forms the differential of H -> exp(diag(d) + H) and
+  ``dplus_backward_batch`` its adjoint.
 * ``dstar``: the positive vector x with (diag(x) C diag(x)) 1 = 1, i.e. the
   zero of f(x) = C x - 1/x (Marshall & Olkin, 1968), by backtracking Newton
   from x = 1 (``full``) or a single damped Newton step (``newton1``).
@@ -51,11 +52,11 @@ def dplus_batch(h, tol=DPLUS_TOL, max_iter=DPLUS_MAX_ITER):
     """Batched diagonal solve; raises NoConvergence if any sample fails.
 
     Returns (d, iterations, residuals, c, eig) with c = exp(diag(d) + h) at
-    the solved shift.  The iterations count eigh evaluations
-    (``kernels.dplus_solve``): 0 means the polynomial phase solved the
-    sample and formed no eigendecomposition.  ``eig`` = (lam, u) holds those
-    of diag(d) + h for the samples with iterations > 0, in the flat batch
-    order of the iterations; ``dplus_eig`` completes them.
+    the solved shift.  The iterations count every evaluation of the solve,
+    polynomial or eigh, at most max_iter per sample (``kernels.dplus_solve``).
+    ``eig`` = (rows, lam, u) holds the eigendecompositions of diag(d) + h
+    the solve formed, with rows the flat batch indices of their samples;
+    ``dplus_eig`` completes them.
     """
     hb = _as_batch(h)
     d, iters, res, c, eig = kernels.dplus_solve(hb, tol, max_iter)
@@ -65,20 +66,20 @@ def dplus_batch(h, tol=DPLUS_TOL, max_iter=DPLUS_MAX_ITER):
     return d.reshape(np.shape(h)[:-1]), iters, res, c.reshape(np.shape(h)), eig
 
 
-def dplus_eig(h, d, iters, eig):
+def dplus_eig(h, d, eig):
     """(lam, u) of diag(d) + h for every sample of a ``dplus_batch`` solve.
 
-    ``d``, ``iters`` and ``eig`` are what the solve returned for h; the
-    samples it solved without an eigh (iterations 0) get one batched eigh
-    here, the others keep the solve's.
+    ``d`` and ``eig`` = (rows, lam, u) are what the solve returned for h;
+    the samples outside rows, which it solved without an eigh, get one
+    batched eigh here, the others keep the solve's.
     """
     hb = _as_batch(h)
     db = np.reshape(d, hb.shape[:-1])
+    rows, *formed = eig
     lam, u = np.empty(db.shape), np.empty(hb.shape)
-    formed = iters > 0
-    lam[formed], u[formed] = eig
-    missing = ~formed
-    if missing.any():
+    lam[rows], u[rows] = formed
+    missing = np.delete(np.arange(len(hb)), rows)
+    if missing.size:
         lam[missing], u[missing] = np.linalg.eigh(hb[missing] + la.diag_from_vec(db[missing]))
     return lam.reshape(np.shape(d)), u.reshape(np.shape(h))
 

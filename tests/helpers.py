@@ -285,8 +285,8 @@ def dplus_backward(h, grad_c, tol=sv.DPLUS_TOL, max_iter=sv.DPLUS_MAX_ITER):
     """dplus_backward_batch for one sample, at its solved shift: the adjoint
     of h given that of exp(diag(dplus(h)) + h)."""
     h = np.asarray(h, dtype=np.float64)[None]
-    d, iters, _, _, eig = sv.dplus_batch(h, tol, max_iter)
-    return sv.dplus_backward_batch(np.asarray(grad_c)[None], sv.dplus_eig(h, d, iters, eig))[0]
+    d, _, _, _, eig = sv.dplus_batch(h, tol, max_iter)
+    return sv.dplus_backward_batch(np.asarray(grad_c)[None], sv.dplus_eig(h, d, eig))[0]
 
 
 def dstar_backward(c, grad_sigma, tol=sv.DSTAR_TOL, max_iter=sv.DSTAR_MAX_ITER):

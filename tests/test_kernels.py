@@ -80,10 +80,9 @@ def start_norms(h):
 def sample_rows(got):
     """dplus_solve's output as per-sample rows (d, iterations, residual, c,
     lam, u), with lam and u None for a sample solved without an eigh."""
-    d, iters, res, c, (lam, u) = got
-    pos = np.cumsum(iters > 0) - 1
-    return [(d[k], iters[k], res[k], c[k]) + ((lam[pos[k]], u[pos[k]]) if iters[k] else (None, None))
-            for k in range(len(d))]
+    d, iters, res, c, (rows, lam, u) = got
+    eig = {k: (lam[i], u[i]) for i, k in enumerate(rows)}
+    return [(d[k], iters[k], res[k], c[k]) + eig.get(k, (None, None)) for k in range(len(d))]
 
 
 def assert_same_rows(got, want):
@@ -94,7 +93,7 @@ def assert_same_rows(got, want):
 
 
 def assert_matches_fixed_point(h, got, tol=1e-12):
-    d, iters, res, c, (lam, u) = got
+    d, iters, res, c, (rows, lam, u) = got
     assert (res <= tol).all()
     for k in range(len(h)):
         d_ref, hist = dplus_history(h[k], tol, 5000)
@@ -102,20 +101,19 @@ def assert_matches_fixed_point(h, got, tol=1e-12):
         assert np.abs(d[k] - d_ref).max() <= 1e-10
     # (lam, u) is the eigendecomposition of the final S, not a recomputation,
     # and C is formed from it; the samples without one got C = p(S)
-    formed = iters > 0
-    want_lam, want_u = np.linalg.eigh(h[formed] + la.diag_from_vec(d[formed]))
+    want_lam, want_u = np.linalg.eigh(h[rows] + la.diag_from_vec(d[rows]))
     assert np.array_equal(lam, want_lam) and np.array_equal(u, want_u)
-    assert np.array_equal(c[formed], la.from_eig(np.exp(lam), u))
+    assert np.array_equal(c[rows], la.from_eig(np.exp(lam), u))
     assert np.abs(c - la.sym_exp(h + la.diag_from_vec(d))).max() <= 1e-13
 
 
 class TestDplusSolve:
     def test_zero_input(self):
         assert np.array_equal(kernels._dplus_start(np.zeros((2, 4, 4))), np.zeros((2, 4)))
-        d, iters, res, c, (lam, u) = kernels.dplus_solve(np.zeros((2, 4, 4)), 1e-12, 100)
+        d, iters, res, c, (rows, lam, u) = kernels.dplus_solve(np.zeros((2, 4, 4)), 1e-12, 100)
         assert np.array_equal(d, np.zeros((2, 4)))
-        # the polynomial phase finds d = 0 solved, with C = p(0) = I
-        assert np.array_equal(iters, [0, 0]) and lam.shape == (0, 4)
+        # one polynomial evaluation finds d = 0 solved, with C = p(0) = I
+        assert np.array_equal(iters, [1, 1]) and rows.size == 0 and lam.shape == (0, 4)
         assert np.array_equal(res, [0.0, 0.0])
         assert np.array_equal(c, np.broadcast_to(np.eye(4), (2, 4, 4)))
 
@@ -230,7 +228,9 @@ class TestDplusSolve:
                             hollow_batch(3, 6, 96, 5.0), hollow_batch(3, 6, 94, 0.1)])
         assert (start_norms(h[-3:]) <= kernels._POLY_BOUND).all()
         got = sample_rows(kernels.dplus_solve(h, 1e-12, 100))
-        assert [r[1] for r in got][-3:] == [0, 0, 0] and got[0][1] == 0
+        # solved in Taylor arithmetic: no eigendecomposition, 3 evaluations (1 at 0)
+        assert [r[1] for r in got][-3:] == [3, 3, 3] and got[0][1] == 1
+        assert all(r[4] is None for r in got[-3:] + got[:1])
         for k in range(len(h)):
             assert_same_rows(got[k:k + 1], sample_rows(kernels.dplus_solve(h[k:k + 1], 1e-12, 100)))
 
@@ -255,12 +255,12 @@ class TestDplusSolve:
 
     def test_start_saves_an_evaluation(self):
         # olm FC(30 -> 20) outputs at bench_forward's initialization scale
-        # solve in 0 evaluations: the polynomial steps from the start leave
-        # them converged, with C from the last polynomial (2 evaluations
-        # from the start without those steps, 3 from d = 0)
+        # solve in 2 evaluations from the start, both in Taylor arithmetic,
+        # with C from the last polynomial and no eigh (3 evaluations from
+        # d = 0)
         h = fc30_dplus_inputs(8, 20)
-        iters = kernels.dplus_solve(h, sv.DPLUS_TOL, sv.DPLUS_MAX_ITER)[1]
-        assert np.array_equal(iters, np.full(8, 0))
+        _, iters, _, _, (rows, _, _) = kernels.dplus_solve(h, sv.DPLUS_TOL, sv.DPLUS_MAX_ITER)
+        assert np.array_equal(iters, np.full(8, 2)) and rows.size == 0
 
     def test_poly_phase_matches_eigh_reference(self, monkeypatch):
         # infer30 shapes: one polynomial step, then the polynomial evaluation
@@ -272,9 +272,9 @@ class TestDplusSolve:
         poly = la.matrix_poly
         monkeypatch.setattr(la, "matrix_poly", lambda *a: polys.append(len(a[0])) or poly(*a))
         d, iters, res, c, eig = kernels.dplus_solve(h, 1e-12, 100)
-        assert polys == [32, 32]
+        assert polys == [32, 32] and eig[0].size == 0
         d_ref, evals, res_ref, lam_ref, u_ref = dplus_newton_ref(h, 1e-12, 100)
-        assert np.array_equal(iters, np.zeros(32)) and np.array_equal(evals, np.full(32, 2))
+        assert np.array_equal(iters, np.full(32, 2)) and np.array_equal(evals, np.full(32, 2))
         assert (res <= 1e-12).all() and (res_ref <= 1e-12).all()
         assert np.abs(d - d_ref).max() <= 1e-11
         # C = p(S) is the eigh reference's C, and its diagonal is the one
@@ -283,7 +283,7 @@ class TestDplusSolve:
         assert np.abs(c - c_ref).max() <= 1e-12
         assert np.array_equal(np.abs(la.diagvec(c) - 1.0).max(axis=-1), res)
         # the eigendecomposition formed on demand is that of the returned point
-        lam, u = sv.dplus_eig(h, d, iters, eig)
+        lam, u = sv.dplus_eig(h, d, eig)
         assert np.abs(lam - lam_ref).max() <= 1e-11
         assert np.abs(la.from_eig(lam, u) - la.from_eig(lam_ref, u_ref)).max() <= 1e-11
         want_lam, want_u = np.linalg.eigh(h + la.diag_from_vec(d))
@@ -297,30 +297,80 @@ class TestDplusSolve:
         above = start_norms(h) > kernels._POLY_BOUND
         assert np.array_equal(above, [False, False, True, True, True, False, False, False])
         got = kernels.dplus_solve(h, 1e-12, 100)
-        monkeypatch.setattr(kernels, "_POLY_STEPS", 0)
+        monkeypatch.setattr(kernels, "_POLY_BOUND", -1.0)
         eigh_only = kernels.dplus_solve(h, 1e-12, 100)
         rows, rows_eigh = sample_rows(got), sample_rows(eigh_only)
         assert_same_rows([rows[k] for k in np.flatnonzero(above)],
                          [rows_eigh[k] for k in np.flatnonzero(above)])
-        assert (got[1][~above] == 0).all() and (eigh_only[1][~above] == 2).all()
+        # the samples below the bound make their 2 evaluations with no eigh
+        assert np.array_equal(got[4][0], np.flatnonzero(above))
+        assert (got[1][~above] == 2).all() and (eigh_only[1][~above] == 2).all()
         assert (got[2] <= 1e-12).all()
 
     def test_poly_residual_above_tol_continues_on_eigh(self, monkeypatch):
-        # near the bound one polynomial step leaves these 2 x 2 samples above
-        # tol; the eigh Newton goes on from there to d = -log cosh t
-        monkeypatch.setattr(kernels, "_POLY_STEPS", 1)
-        t = np.array([0.6, 0.7, 0.74])
-        h = np.zeros((3, 2, 2))
-        h[:, 0, 1] = h[:, 1, 0] = t
+        # with the bound at the start point's norm, one polynomial step
+        # takes each 2 x 2 sample out of the bound still above tol; the eigh
+        # Newton goes on from there to d = -log cosh t, on the same count
+        for t in (0.6, 0.7, 0.74):
+            h = np.array([[[0.0, t], [t, 0.0]]])
+            monkeypatch.setattr(kernels, "_POLY_BOUND", start_norms(h)[0])
+            d0 = kernels._dplus_start(h)
+            d1, iters1, res1, _ = kernels._dplus_poly_newton(h, d0.copy(), 1e-12, 100)
+            assert iters1[0] == 1 and 1e-12 < res1[0] < np.inf
+            assert (d1 != d0).all()
+            assert kernels._dplus_eval(h, np.arange(1), d1)[3][0] > 1e-12
+            d, iters, res, _, (rows, _, _) = kernels.dplus_solve(h, 1e-12, 100)
+            assert iters[0] >= 3 and rows.tolist() == [0] and res[0] <= 1e-12
+            assert np.abs(d + np.log(np.cosh(t))).max() <= 1e-14
+
+    def test_poly_trial_that_raises_the_residual_is_dropped(self, monkeypatch):
+        # a negated polynomial Jacobian steps away from the solution, so the
+        # second evaluation does not lower the residual: the sample goes back
+        # to the start d0, and the eigh Newton goes on from d0 with 2 of its
+        # evaluations spent
+        jacobian, evaluate = kernels._poly_jacobian, kernels._dplus_eval
+        points = []
+        monkeypatch.setattr(kernels, "_poly_jacobian", lambda table: -jacobian(table))
+        monkeypatch.setattr(kernels, "_dplus_eval", lambda h, idx, d: points.append(d.copy()) or evaluate(h, idx, d))
+        h = hollow_batch(2, 6, 94, 0.1)
         assert (start_norms(h) <= kernels._POLY_BOUND).all()
-        d0 = kernels._dplus_start(h)
-        d1, _, res1 = kernels._dplus_poly_newton(h, d0.copy(), 1e-12)
-        assert np.array_equal(res1, np.full(3, np.inf))
-        assert (d1 != d0).all()
-        assert (kernels._dplus_eval(h, np.arange(3), d1)[3] > 1e-12).all()
-        d, iters, res, _, _ = kernels.dplus_solve(h, 1e-12, 100)
-        assert (iters >= 2).all() and (res <= 1e-12).all()
-        assert np.abs(d + np.log(np.cosh(t))[:, None]).max() <= 1e-14
+        got = kernels.dplus_solve(h, 1e-12, 100)
+        assert np.array_equal(points[0], kernels._dplus_start(h))
+        monkeypatch.setattr(kernels, "_POLY_BOUND", -1.0)
+        eigh_only = kernels.dplus_solve(h, 1e-12, 100)
+        assert np.array_equal(got[1], eigh_only[1] + 2) and (got[2] <= 1e-12).all()
+        assert_same_rows([r[:1] + r[2:] for r in sample_rows(got)],
+                         [r[:1] + r[2:] for r in sample_rows(eigh_only)])
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 100])
+    def test_one_budget(self, monkeypatch, max_iter):
+        # start norms on both sides of the bound: every evaluation, in Taylor
+        # arithmetic or by eigh, counts once in iters and against max_iter,
+        # and a sample's row does not depend on its batch-mates
+        h = np.concatenate([hollow_batch(3, 6, 94, 0.1), hollow_batch(3, 6, 95, 0.5),
+                            hollow_batch(2, 6, 93, 0.2)])
+        norms = start_norms(h)
+        assert (norms <= kernels._POLY_BOUND).sum() == 5 and (norms > kernels._POLY_BOUND).sum() == 3
+        poly, evaluate = la.matrix_poly, kernels._dplus_eval
+        evals = []
+        monkeypatch.setattr(la, "matrix_poly", lambda *a: evals.append(len(a[0])) or poly(*a))
+        monkeypatch.setattr(kernels, "_dplus_eval", lambda h, idx, d: evals.append(len(idx)) or evaluate(h, idx, d))
+        got = kernels.dplus_solve(h, 1e-12, max_iter)
+        assert (got[1] <= max_iter).all() and got[1].sum() == sum(evals)
+        rows = sample_rows(got)
+        for k in range(len(h)):
+            evals.clear()
+            alone = kernels.dplus_solve(h[k:k + 1], 1e-12, max_iter)
+            assert alone[1][0] == sum(evals)
+            assert_same_rows(rows[k:k + 1], sample_rows(alone))
+        # an exhausted budget stops a sample unconverged, and the batch fails
+        failed = got[2] > 1e-12
+        assert failed.any() == (max_iter <= 3) and (got[1][failed] == max_iter).all()
+        if failed.any():
+            with pytest.raises(NoConvergence):
+                sv.dplus_batch(h, max_iter=max_iter)
+        else:
+            assert (sv.dplus_batch(h, max_iter=max_iter)[2] <= 1e-12).all()
 
     @pytest.mark.parametrize("n", [2, 5, 20])
     def test_poly_jacobian_is_the_series_derivative(self, n):
@@ -329,9 +379,10 @@ class TestDplusSolve:
         rng = np.random.default_rng(n)
         a = np.stack([random_hollow(n, rng) + np.diag(rng.standard_normal(n)) for _ in range(3)])
         a /= np.abs(a).sum(axis=-1).max(axis=-1)[:, None, None]
-        table = la.matrix_poly(a, kernels._EXP_TAYLOR)[2]
+        table = la.matrix_poly(a, la._exp_coeffs(la._EXP_DEGREE))[2]
+        assert len(table) == 6
         jac = kernels._poly_jacobian(table)
-        coeffs = kernels._EXP_TAYLOR[: len(table) + 1]
+        coeffs = la._exp_coeffs(len(table))
         for j in range(n):
             e_j = np.zeros((n, n))
             e_j[j, j] = 1.0
@@ -340,7 +391,7 @@ class TestDplusSolve:
 
     def test_poly_truncation_below_tol(self):
         # at the bound the Taylor remainder sits well below the tolerance
-        q = kernels._POLY_DEGREE
+        q = la._EXP_DEGREE
         assert kernels._POLY_BOUND ** (q + 1) / math.factorial(q + 1) <= sv.DPLUS_TOL / 100
 
 
