@@ -4,6 +4,8 @@ import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import solvers as sv
 from .errors import ConfigError, IoError
 from .geometry import METRICS
@@ -64,6 +66,14 @@ class RunConfig:
             raise ConfigError("field_size exceeds channels")
         if (self.channels - self.field_size) % self.stride != 0:
             raise ConfigError("channels minus field_size not divisible by stride")
+        # float64 entries of the conv and MLR blocks and of one input sample,
+        # in Python ints, which cannot wrap
+        slots = self.m_hidden * (self.m_hidden - 1) // 2
+        out_channels = ((self.channels - self.field_size) // self.stride + 1) * self.kernels
+        count = (self.kernels * slots * (self.field_size * self.n_in * (self.n_in - 1) // 2 + 1)
+                 + self.classes * (out_channels * slots + 1) + self.channels * self.n_in**2)
+        if 8 * count > np.iinfo(np.intp).max:
+            raise ConfigError(f"the network needs {count} float64 entries, more than an array can hold")
         return self
 
     def solver_options(self):

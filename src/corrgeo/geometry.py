@@ -15,13 +15,14 @@ return the mapped value and a cache of the input and its factorization:
 
 The inverse caches hold X with K, K K^T and C (ecm, lecm), X with the shift
 d and the (lam, U) of diag(d) + X the dplus solve formed, with their samples
-(olm; the rest are formed on the first ``inverse_vjp`` and kept), or X,
-expm(X) and C (lsm; the (lam, U) of X are formed on the first
-``inverse_vjp`` and kept).  The differentials (``push``, ``push_inv``) and
-adjoints (``vjp``, ``inverse_vjp``) take the cache, never the point, so no
-base point is factored twice.  Each inverse ends in cor_of (ecm, lecm, lsm)
-or in the dplus shift (olm), and its differential ``push_inv`` and adjoint
-``inverse_vjp`` end in that map's: ``dom.cor_of_diff`` and
+(olm), or X, expm(X) and C (lsm).  The differentials (``push``,
+``push_inv``) and adjoints (``vjp``, ``inverse_vjp``) take the cache, never
+the point, so no base point is factored twice, and they read the cache and
+never write it.  What a cache lacks, an adjoint forms on each call: the olm
+``inverse_vjp`` the (lam, U) of the samples its solve took without an eigh,
+the lsm one the (lam, U) of X.  Each inverse ends in cor_of (ecm, lecm,
+lsm) or in the dplus shift (olm), and its differential ``push_inv`` and
+adjoint ``inverse_vjp`` end in that map's: ``dom.cor_of_diff`` and
 ``dom.cor_of_backward``, or ``sv.dplus_diff`` and
 ``sv.dplus_backward_batch``.  ``coords``, ``from_coords`` and their adjoints
 vectorize the prototype space.  The lsm differentials are those of the
@@ -86,14 +87,14 @@ class TriangularChart:
     """ecm and lecm: C -> log(theta(C)) with theta(C) = L / diag(L), L = chol(C).
 
     ``log``/``exp`` are the triangular log and exp (or their first-order
-    stand-ins for ecm), ``log_diff``/``exp_diff`` their differentials at a
-    base point and ``log_adjoint``/``exp_adjoint`` the adjoints of those.
+    stand-ins for ecm) and ``log_diff``/``exp_diff`` their differentials at
+    a base point.  Both are polynomials, so each differential at the
+    transposed base point is its adjoint (``linalg``'s note on the series).
     """
 
-    def __init__(self, log, exp, log_diff, exp_diff, log_adjoint, exp_adjoint):
+    def __init__(self, log, exp, log_diff, exp_diff):
         self.log, self.exp = log, exp
         self.log_diff, self.exp_diff = log_diff, exp_diff
-        self.log_adjoint, self.exp_adjoint = log_adjoint, exp_adjoint
 
     coords = staticmethod(dom.lt0_coords)
     from_coords = staticmethod(dom.lt0_from_coords)
@@ -115,13 +116,13 @@ class TriangularChart:
     def vjp(self, cache, g):
         # the adjoint of theta = L / diag(L), then of L = chol(C)
         l, t = cache["l"], cache["t"]
-        g = self.log_adjoint(t, g)
+        g = self.log_diff(la.transpose(t), g)
         return la.chol_backward(l, (g - la.dmat(g @ la.transpose(t))) / la.diagvec(l)[..., :, None])
 
     def inverse_vjp(self, cache, g):
         gsigma = dom.cor_of_backward(cache["c"], la.diagvec(cache["sigma"]) ** -0.5, g)
         gk = 2.0 * gsigma @ cache["k"]
-        return la.strict_lower(self.exp_adjoint(cache["x"], gk))
+        return la.strict_lower(self.exp_diff(la.transpose(cache["x"]), gk))
 
     def push(self, cache, v):
         l, t = cache["l"], cache["t"]
@@ -156,9 +157,7 @@ class OffLogChart:
         return la.daleckii_krein(cache["u"], _log_loewner(cache["lam"]), la.offmat(la.sym(g)))
 
     def inverse_vjp(self, cache, g):
-        if "lam" not in cache:
-            cache["lam"], cache["u"] = sv.dplus_eig(cache["x"], cache["d"], cache.pop("eig"))
-        return sv.dplus_backward_batch(g, (cache["lam"], cache["u"]))
+        return sv.dplus_backward_batch(g, sv.dplus_eig(cache["x"], cache["d"], cache["eig"]))
 
     def push(self, cache, v):
         return la.offmat(la.daleckii_krein(cache["u"], _log_loewner(cache["lam"]), v))
@@ -170,7 +169,7 @@ class OffLogChart:
 
 class ScaledLogChart:
     """lsm: C -> logm(D* C D*), D* = diag(x) the unit-row-sum scaling; inverse
-    cor_of(la.sym_exp_taylor(X)), whose vjp forms and keeps the eigh of X."""
+    cor_of(la.sym_exp_taylor(X)), whose vjp forms the eigh of X."""
 
     coords = staticmethod(dom.rowzero_coords)
     from_coords = staticmethod(dom.rowzero_from_coords)
@@ -213,10 +212,9 @@ class ScaledLogChart:
         return sv.dstar_newton1_backward_batch(cache["c"], gsigma, cache["s"], cache["alpha"])
 
     def inverse_vjp(self, cache, g):
-        if "lam" not in cache:
-            cache["lam"], cache["u"] = np.linalg.eigh(cache["x"])
+        lam, u = np.linalg.eigh(cache["x"])
         gsigma = dom.cor_of_backward(cache["c"], la.diagvec(cache["sigma"]) ** -0.5, g)
-        return la.daleckii_krein(cache["u"], la.loewner(cache["lam"], np.exp, np.exp), gsigma)
+        return la.daleckii_krein(u, la.loewner(lam, np.exp, np.exp), gsigma)
 
     @staticmethod
     def _full_mode(cache):
@@ -243,13 +241,9 @@ class ScaledLogChart:
 
 CHARTS = {
     "ecm": TriangularChart(
-        la.strict_lower, lambda x: x + np.eye(x.shape[-1]), _identity, _identity,
-        lambda t, g: la.strict_lower(g), _identity,
+        la.strict_lower, lambda x: x + np.eye(x.shape[-1]), lambda _, v: la.strict_lower(v), _identity,
     ),
-    "lecm": TriangularChart(
-        la.tri_log, la.tri_exp, la.tri_log_diff, la.tri_exp_diff,
-        la.tri_log_diff_adjoint, la.tri_exp_diff_adjoint,
-    ),
+    "lecm": TriangularChart(la.tri_log, la.tri_exp, la.tri_log_diff, la.tri_exp_diff),
     "olm": OffLogChart(),
     "lsm": ScaledLogChart(),
 }

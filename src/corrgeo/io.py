@@ -127,6 +127,9 @@ def read_checkpoint(path):
                 expect = tuple(int(s) for s in shape.split(",") if s)
             except ValueError as e:
                 raise IoError(f"{path / 'manifest.txt'}: bad tensor line {line!r}") from e
+            # a block name is a file name in the checkpoint, never a path
+            if name in ("", ".", "..") or "/" in name or "\0" in name:
+                raise IoError(f"{path / 'manifest.txt'}: bad tensor name {name!r}")
             arr = read_tensor(path / f"{name}.cort")
             if arr.shape != expect:
                 raise IoError(f"{name}: shape {arr.shape} != manifest {expect}")

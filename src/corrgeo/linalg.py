@@ -273,36 +273,21 @@ def tri_exp(x):
 
 
 # The series have degree n - 1: for strictly lower N and xi every term of
-# degree >= n is zero.  The adjoints run the same derivative at N^T, where the
-# degree-(n-1) series is exact only on the strictly lower part -- the part
-# their consumers read (the chart's vjp cancels the diagonal and ignores the
-# upper part, and its inverse_vjp keeps the strictly lower part).
+# degree >= n is zero.  For a polynomial p the adjoint of xi -> Dp(N)[xi] is
+# zeta -> Dp(N^T)[zeta] (Al-Mohy & Higham 2009), so each differential, called
+# at the transposed base point, is also its adjoint; there the degree-(n-1)
+# series is exact only on the strictly lower part -- the part the triangular
+# charts' adjoints read.  Both copy the base point contiguous: the adjoints
+# pass a transposed view, and matrix_poly's products are slower on one.
 
 def tri_log_diff(k, xi):
     """Directional derivative of tri_log at k along strictly lower xi."""
-    k = np.asarray(k, dtype=np.float64)
+    k = np.ascontiguousarray(k, dtype=np.float64)
     n = k.shape[-1]
     return matrix_poly(k - np.eye(n), _log_coeffs(n - 1), xi)[1]
 
 
 def tri_exp_diff(x, xi):
     """Directional derivative of tri_exp at x along strictly lower xi."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     return matrix_poly(x, _exp_coeffs(x.shape[-1] - 1), xi)[1]
-
-
-def tri_log_diff_adjoint(k, zbar):
-    """Adjoint of xi -> tri_log_diff(k, xi) under the Frobenius pairing,
-    exact on the strictly lower part."""
-    k = np.asarray(k, dtype=np.float64)
-    n = k.shape[-1]
-    nt = np.ascontiguousarray(transpose(k - np.eye(n)))
-    return matrix_poly(nt, _log_coeffs(n - 1), zbar)[1]
-
-
-def tri_exp_diff_adjoint(x, zbar):
-    """Adjoint of xi -> tri_exp_diff(x, xi) under the Frobenius pairing,
-    exact on the strictly lower part."""
-    x = np.asarray(x, dtype=np.float64)
-    nt = np.ascontiguousarray(transpose(x))
-    return matrix_poly(nt, _exp_coeffs(x.shape[-1] - 1), zbar)[1]

@@ -457,7 +457,7 @@ class TestTrainEval:
         assert cli.main(["eval", "--ckpt", str(tmp_path / "ckpt"), "--data", str(tmp_path / "one_channel")]) == 0
 
     @pytest.mark.parametrize("case", ["no shape", "bad shape", "missing block", "wrong size", "non-finite",
-                                      "not utf-8"])
+                                      "not utf-8", "path in name", "nul in name"])
     def test_bad_checkpoint_is_io_error(self, tmp_path, capsys, case):
         cfg, cfg_path = write_tiny_setup(tmp_path, epochs=0)
         ckpt = tmp_path / "ckpt"
@@ -469,6 +469,11 @@ class TestTrainEval:
             lines[at["conv.z"]] = "tensor conv.z"
         elif case == "bad shape":
             lines[at["conv.z"]] = "tensor conv.z 1,x"
+        elif case == "path in name":  # a readable tensor file outside the checkpoint
+            io.write_tensor(tmp_path / "outside.cort", np.zeros((2, 2)))
+            lines[at["conv.z"]] = "tensor ../outside 2,2"
+        elif case == "nul in name":
+            lines[at["conv.z"]] = "tensor conv.z\0 1,2"
         elif case == "missing block":
             del lines[at["conv.gamma"]]
         elif case == "wrong size":  # an MLR for 4 classes, not 2
@@ -484,6 +489,8 @@ class TestTrainEval:
         rc = cli.main(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path / "data")])
         err = capsys.readouterr().err
         assert rc == 3 and err.startswith("io error: ") and "Traceback" not in err
+        if case.endswith("in name"):
+            assert "bad tensor name" in err
 
 
 class TestGradcheckCli:
@@ -499,6 +506,19 @@ class TestGradcheckCli:
         assert cli.main(["gradcheck", "--config", str(path), "--seed", "-1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: seed must be") and "Traceback" not in err
+
+    @pytest.mark.parametrize("line", [
+        *(f"{key} = 999999999999999999999" for key in ("n_in", "channels", "kernels", "m_hidden", "classes")),
+        "n_in = 3000000000", "m_hidden = 3000000000",
+        # two fields, but 10^18 channels in each input sample
+        "channels = 1000000000000000001\nfield_size = 1\nstride = 1000000000000000000",
+    ])
+    def test_unallocatable_network_is_config_error(self, tmp_path, capsys, line):
+        path = tmp_path / "g.cfg"
+        path.write_text(line + "\n")
+        assert cli.main(["gradcheck", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the network needs") and "Traceback" not in err
 
 
 class TestBenchCli:

@@ -221,7 +221,7 @@ class TestTriangularAdjoints:
     and <push_inv(w), G> = <w, inverse_vjp(G)>, alongside the finite-difference
     gates above."""
 
-    cases = settings(derandomize=True, deadline=None, database=None, max_examples=25)
+    cases = settings(max_examples=25)
     inputs = given(
         n=st.integers(2, 30),
         spread=st.sampled_from([0.5, 1.0, 2.0]),
@@ -450,8 +450,8 @@ class TestFactorizationCounts:
     def test_fc_mlr_layers_olm_bench(self, monkeypatch):
         """olm FC(30 -> 20) + MLR(10 classes) at ``corrgeo bench``'s weights
         on 4 samples: the FC outputs solve in Taylor arithmetic, so the
-        forward factors only the inputs and the MLR's chart points, and the
-        vjp forms the outputs' eigendecompositions once, for the cache."""
+        forward factors only the inputs and the MLR's chart points, and each
+        inverse_vjp forms the outputs' eigendecompositions afresh."""
         rng, fc, mlr, x = self.fc_mlr("olm", bench=True)
         grad_v = rng.standard_normal((4, 10))
         caches, evals = {}, []
@@ -476,17 +476,16 @@ class TestFactorizationCounts:
         assert len(evals) == 1 and np.array_equal(evals[0], np.full(4, 2))
         assert self.count_matrices(monkeypatch, run_vjp) == {"eigh": 4, "eigvalsh": 4, "solve": 4}
         icache = caches["fc"]["icache"]
-        first = (icache["lam"], icache["u"])
         again = self.count_matrices(
             monkeypatch, lambda: geo.inverse_vjp("olm", icache, caches["gy"]))
-        assert again == {"eigvalsh": 4, "solve": 4}
-        assert icache["lam"] is first[0] and icache["u"] is first[1]
+        assert again == {"eigh": 4, "eigvalsh": 4, "solve": 4}
+        assert sorted(icache) == ["d", "eig", "x"]
 
     def test_lsm_inverse_vjp_eighs_once(self, monkeypatch):
         """An lsm FC(30 -> 20) forward at ``corrgeo bench``'s weights on 4
         samples factors only its inputs: the chart inverse makes no eigh.
-        The first inverse_vjp forms the eigendecompositions of X for the
-        cache, and a second reuses them."""
+        Each inverse_vjp forms the eigendecompositions of X once, and keeps
+        none of them in the cache."""
         rng, fc, _, x = self.fc_mlr("lsm", bench=True)
         caches = {}
 
@@ -496,10 +495,62 @@ class TestFactorizationCounts:
         grad_y = rng.standard_normal((4, 1, 20, 20))
         assert self.count_matrices(monkeypatch, run_forward) == {"eigh": 4, "solve": 4}
         icache = caches["fc"]["icache"]
-        assert self.count_matrices(monkeypatch, lambda: geo.inverse_vjp("lsm", icache, grad_y)) == {"eigh": 4}
-        first = (icache["lam"], icache["u"])
-        assert self.count_matrices(monkeypatch, lambda: geo.inverse_vjp("lsm", icache, grad_y)) == {}
-        assert icache["lam"] is first[0] and icache["u"] is first[1]
+        for _ in range(2):
+            assert self.count_matrices(monkeypatch, lambda: geo.inverse_vjp("lsm", icache, grad_y)) == {"eigh": 4}
+        assert sorted(icache) == ["c", "sigma", "x"]
+
+
+def _frozen(cache):
+    """(key, the object, a copy of its value) for each cache entry; tuples
+    (olm's ``eig``) are unpacked."""
+    out = []
+    for key, val in cache.items():
+        for k, item in enumerate(val if isinstance(val, tuple) else (val,)):
+            out.append(((key, k), item, None if item is None else np.array(item, copy=True)))
+    return out
+
+
+class TestCachesReadOnly:
+    """The differentials and adjoints read a chart cache and never write it:
+    the same keys, objects and bits after each call, and the same result on
+    a second call."""
+
+    @staticmethod
+    def points(metric):
+        c = np.stack([rand_cor(6, 110 + k, 0.8) for k in range(3)])
+        x = geo.to_prototype(metric, c, {"dstar_mode": "full"})
+        # olm: the scaled samples solve in Taylor arithmetic, the rest by eigh
+        return c, np.concatenate([x, 0.05 * x])
+
+    @staticmethod
+    def check(cache, op):
+        before = _frozen(cache)
+        first = op()
+        after = _frozen(cache)
+        assert [k for k, _, _ in after] == [k for k, _, _ in before]
+        for (_, obj, val), (_, obj2, _) in zip(before, after):
+            assert obj2 is obj
+            assert (obj is None and val is None) or np.array_equal(obj, val)
+        assert np.array_equal(op(), first)
+
+    @pytest.mark.parametrize("metric", LE)
+    def test_inverse_vjp(self, metric):
+        _, x = self.points(metric)
+        cache = geo.inverse_forward(metric, x)[1]
+        g = np.random.default_rng(120).standard_normal(x.shape)
+        if metric == "olm":
+            assert 0 < cache["eig"][0].size < len(x)
+        self.check(cache, lambda: geo.inverse_vjp(metric, cache, g))
+
+    @pytest.mark.parametrize("metric", LE)
+    def test_forward_maps(self, metric):
+        c, _ = self.points(metric)
+        cache = geo.prototype_forward(metric, c, {"dstar_mode": "full"})[1]
+        rng = np.random.default_rng(121)
+        g, v = rng.standard_normal(c.shape), np.stack([rand_tangent(6, 122 + k, 0.2) for k in range(3)])
+        self.check(cache, lambda: geo.prototype_vjp(metric, cache, g))
+        self.check(cache, lambda: geo.pushforward(metric, cache, v))
+        self.check(cache, lambda: geo.pushforward_inv(metric, cache, geo.pushforward(metric, cache, v)))
 
 
 class TestRiemannianOps:

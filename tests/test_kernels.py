@@ -535,7 +535,7 @@ class TestH0Build:
         assert got.shape == (2, 3, 4, 4)
         assert np.linalg.norm(got - h0_build_ref(u, lw)) <= 1e-13 * np.linalg.norm(got)
 
-    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @settings(max_examples=40)
     @given(n=st.integers(1, 30), spread=st.floats(0.0, 25.0), low=st.floats(-10.0, 3.0),
            seed=st.integers(0, 2**32 - 1))
     def test_eigenvalues_within_loewner_range(self, n, spread, low, seed):
