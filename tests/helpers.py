@@ -150,12 +150,18 @@ def chol_diff_inv(l, z):
 def tri_diff_block(name, a, xi):
     """linalg's triangular derivative ``name`` by the block embedding
     (Higham, Functions of Matrices, 2008, sec. 3.2): the top-right block of
-    the degree-(2n-1) series at [[N, xi], [0, N]], summed by plain Horner,
-    with N = a - I for the log and a for the exp.
+    the degree-(2n-1) series at [[N, xi], [0, N]], summed by plain Horner.
+
+    N is a - I for the log, a for the exp, and its transpose for the
+    adjoints ``tri_log_diff_adjoint`` and ``tri_exp_diff_adjoint`` (each
+    differential at the transposed base point), which are then exact
+    everywhere, not only strictly below the diagonal.
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[-1]
     nbase = a - np.eye(n) if name.startswith("tri_log") else a
+    if name.endswith("adjoint"):
+        nbase = la.transpose(nbase)
     coeffs = (la._log_coeffs if name.startswith("tri_log") else la._exp_coeffs)(2 * n - 1)
     big = np.zeros(np.broadcast_shapes(nbase.shape, np.shape(xi))[:-2] + (2 * n, 2 * n))
     big[..., :n, :n] = nbase

@@ -343,40 +343,54 @@ class TestTriSeries:
         back = la.tri_exp_diff(x, la.tri_log_diff(k, xi))
         assert rel_err(back, xi) < 1e-10
 
-    @pytest.mark.parametrize("name", ["tri_log_diff", "tri_exp_diff"])
+    @pytest.mark.parametrize("name", [
+        "tri_log_diff", "tri_exp_diff", "tri_log_diff_adjoint", "tri_exp_diff_adjoint",
+    ])
     def test_diff_matches_block_formula(self, name):
-        # degree n - 1 is exact for strictly lower directions
+        # degree n - 1 is exact for strictly lower directions; the adjoints
+        # (each differential at the transposed base point) are exact on the
+        # strictly lower part, the part the triangular charts read
         rng = np.random.default_rng(23)
+        adjoint = name.endswith("adjoint")
+        diff = getattr(la, name.removesuffix("_adjoint"))
         for n in list(range(2, 13)) + [20, 30]:
             for scale in (0.3, 1.0, 3.0):
                 for batch in ((), (3,)):
                     base = scale * np.tril(rng.standard_normal(batch + (n, n)), -1)
-                    if name == "tri_log_diff":
+                    if name.startswith("tri_log"):
                         base = base + np.eye(n)
-                    xi = np.tril(rng.standard_normal(batch + (n, n)), -1)
+                    xi = rng.standard_normal(batch + (n, n))
+                    if adjoint:
+                        got = diff(la.transpose(base), xi)
+                    else:
+                        xi = np.tril(xi, -1)
+                        got = diff(base, xi)
                     want = tri_diff_block(name, base, xi)
-                    assert rel_err(getattr(la, name)(base, xi), want) < 1e-13, (n, scale, batch)
+                    if adjoint:
+                        got, want = la.strict_lower(got), la.strict_lower(want)
+                    assert rel_err(got, want) < 1e-13, (n, scale, batch)
 
-    @pytest.mark.parametrize("name", ["tri_log_diff", "tri_exp_diff"])
-    def test_diff_at_transpose_is_adjoint(self, name):
+    def test_adjoint_pairing(self):
         """<D(N)[xi], zeta> = <xi, D(N^T)[zeta]> for strictly lower xi and any
         zeta: the pairing the triangular charts' vjp and inverse_vjp rest on."""
         rng = np.random.default_rng(22)
-        diff = getattr(la, name)
-        for n in list(range(2, 13)) + [20, 30]:
-            for scale in (0.3, 1.0, 3.0):
-                for batch in ((), (3,)):
-                    base = scale * np.tril(rng.standard_normal(batch + (n, n)), -1)
-                    if name == "tri_log_diff":
-                        base = base + np.eye(n)
-                    xi = np.tril(rng.standard_normal(batch + (n, n)), -1)
-                    zeta = rng.standard_normal(batch + (n, n))
-                    push, pull = diff(base, xi), diff(la.transpose(base), zeta)
-                    lhs = np.sum(push * zeta, axis=(-2, -1))
-                    rhs = np.sum(xi * pull, axis=(-2, -1))
-                    norms = np.sum(push**2 + xi**2, axis=(-2, -1)) * np.sum(zeta**2 + pull**2, axis=(-2, -1))
-                    bound = 1e-14 * np.sqrt(norms)
-                    assert (np.abs(lhs - rhs) <= bound).all(), (n, scale, batch)
+        for name in ("tri_log_diff", "tri_exp_diff"):
+            diff = getattr(la, name)
+            for n in list(range(2, 13)) + [20, 30]:
+                for scale in (0.3, 1.0, 3.0):
+                    for batch in ((), (3,)):
+                        base = scale * np.tril(rng.standard_normal(batch + (n, n)), -1)
+                        if name == "tri_log_diff":
+                            base = base + np.eye(n)
+                        xi = np.tril(rng.standard_normal(batch + (n, n)), -1)
+                        zeta = rng.standard_normal(batch + (n, n))
+                        push, pull = diff(base, xi), diff(la.transpose(base), zeta)
+                        lhs = np.sum(push * zeta, axis=(-2, -1))
+                        rhs = np.sum(xi * pull, axis=(-2, -1))
+                        norms = (np.sum(push**2 + xi**2, axis=(-2, -1))
+                                 * np.sum(zeta**2 + pull**2, axis=(-2, -1)))
+                        bound = 1e-14 * np.sqrt(norms)
+                        assert (np.abs(lhs - rhs) <= bound).all(), (name, n, scale, batch)
 
     @pytest.mark.parametrize("n", [2, 5, 30])
     def test_value_unchanged_by_derivative(self, n):
