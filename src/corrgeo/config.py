@@ -1,6 +1,7 @@
 """Run configuration: flat ``key = value`` text files."""
 
 import math
+import os
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -9,6 +10,14 @@ import numpy as np
 from . import solvers as sv
 from .errors import ConfigError, IoError
 from .geometry import METRICS
+
+
+def _memory_bytes():
+    """Physical memory in bytes, or no limit where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
 
 
 @dataclass
@@ -72,8 +81,9 @@ class RunConfig:
         out_channels = ((self.channels - self.field_size) // self.stride + 1) * self.kernels
         count = (self.kernels * slots * (self.field_size * self.n_in * (self.n_in - 1) // 2 + 1)
                  + self.classes * (out_channels * slots + 1) + self.channels * self.n_in**2)
-        if 8 * count > np.iinfo(np.intp).max:
-            raise ConfigError(f"the network needs {count} float64 entries, more than an array can hold")
+        if 8 * count > min(np.iinfo(np.intp).max, _memory_bytes()):
+            raise ConfigError(f"the network needs {count} float64 entries, more than an array "
+                              f"or this machine's memory can hold")
         return self
 
     def solver_options(self):

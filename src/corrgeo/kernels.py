@@ -73,15 +73,39 @@ def _dplus_start(h):
     return np.where(np.isfinite(d).all(axis=-1, keepdims=True), d, 0.0)
 
 
-# dplus_solve's polynomial phase runs at points A = diag(d) + h with infinity
-# norm at most _POLY_BOUND, so ||A||_2 <= 1 and linalg's Taylor polynomial p
-# of exp of degree _EXP_DEGREE is off exp(A) by a factor below 1 + u/4 (the
-# bound above la._EXP_DEGREE, at s = 0): the p(A) whose diagonal meets tol is
-# returned as C, with no eigh.  Its Jacobian keeps the terms of degree <= 5
-# of the power table A^0 ... A^5; the dropped ones weigh at most
-# sum_(m > 5) 1/m! = 1.6e-3 against eigenvalues >= 1/e, so a step from near
-# the solution cuts the error at least 200-fold.
-_POLY_BOUND = 1.0
+# dplus_solve's polynomial phase evaluates E ~ exp(A), A = diag(d) + h, in
+# Taylor arithmetic, with no eigh, and returns the E whose diagonal meets tol
+# as C.  p is linalg's Taylor polynomial of exp of degree _EXP_DEGREE.
+#
+# * ||A||_inf <= 1: E = p(A), so ||A||_2 <= 1 and E is off exp(A) by a factor
+#   below 1 + u/4 (the bound above la._EXP_DEGREE, at s = 0).  The Jacobian
+#   keeps the terms of degree <= 5 of the power table A^0 ... A^5; the dropped
+#   ones weigh at most sum_(k > 5) 1/k! = 1.6e-3 against eigenvalues >= 1/e,
+#   so a step from near the solution cuts the error at least 200-fold.
+# * 1 < ||A||_inf <= _SCALED_CAP, for n >= _SCALED_MIN_N: with s = ceil(log2
+#   ||A||_inf) and m = 2^(s+1) <= 16, E = F^m with F = p(A/m), ||A/m||_2 <=
+#   1/2.  The Jacobian of diag exp(A) in d is J = int_0^1 e^(tA) o e^((1-t)A)
+#   dt (Higham 2008, eq. 10.15), which is h0_build's H0 with LW_jk = int_0^1
+#   e^(t lam_j + (1-t) lam_k) dt.  Composite Simpson with step 1/m over the
+#   powers F^k = e^(kA/m) gives each LW_jk times the ratio of Simpson's rule
+#   to the integral of e^(cx) over one panel, c = lam_j - lam_k; with |c| / m
+#   <= 2 ||A||_inf / m <= 1 that ratio lies in [1, 1.005], so the Simpson J
+#   is within a factor 1 + 0.005 of J in the Loewner order, and a step from
+#   near the solution cuts the error about 200-fold, as the table Jacobian
+#   does.  Each power costs a matmul, so m is capped at 16.  Below
+#   _SCALED_MIN_N a batched eigh costs about as much for one sample as for
+#   16 (at n = 8, 0.07 against 0.25 ms), so where some samples of a batch
+#   still need the eigh Newton, taking the others out of it saves less than
+#   their Taylor evaluations cost; from n = 12 on each sample taken out saves
+#   4-8 times what its Taylor evaluation costs.
+_SCALED_CAP = 8.0
+_SCALED_MIN_N = 12
+
+
+def _taylor_cap(n):
+    """The largest ||diag(d) + h||_inf at which an n x n sample is evaluated
+    in Taylor arithmetic."""
+    return _SCALED_CAP if n >= _SCALED_MIN_N else 1.0
 
 
 def _poly_jacobian(table):
@@ -100,20 +124,75 @@ def _poly_jacobian(table):
     return jac
 
 
+def _simpson_jacobian(powers):
+    """J = sum_k w_k F^k o F^(m-k) ~ int_0^1 e^(tA) o e^((1-t)A) dt, batched.
+
+    ``powers`` holds F^0 ... F^m, F ~ e^(A/m), m even; w is composite
+    Simpson's with step 1/m.  F^k o F^(m-k) = F^(m-k) o F^k, so the sum
+    folds onto k <= m/2, the terms k < m/2 weighted twice.
+    """
+    m = len(powers) - 1
+    w = np.where(np.arange(m // 2 + 1) % 2, 8.0, 4.0) / (3 * m)
+    w[0], w[-1] = 2.0 / (3 * m), w[-1] / 2
+    return np.tensordot(w, powers[:m // 2 + 1] * powers[:m // 2 - 1:-1], axes=1)
+
+
+def _taylor_exp(a, m):
+    """(E, jacobian) at A (batched): E = p(A/m)^m ~ exp(A), and jacobian()
+    forms J ~ d diag E / dd from the same powers, for m = 1 (the power
+    table's Jacobian) or even m (Simpson's)."""
+    coeffs = la._exp_coeffs(la._EXP_DEGREE)
+    if m == 1:
+        p, _, table = la.matrix_poly(a, coeffs)
+        return p, lambda: _poly_jacobian(table)
+    powers = np.empty((m + 1,) + a.shape)
+    powers[0] = np.eye(a.shape[-1])
+    powers[1] = la.matrix_poly(a / m, coeffs)[0]
+    for k in range(2, m + 1):
+        np.matmul(powers[k - 1], powers[1], out=powers[k])
+    return powers[m], lambda: _simpson_jacobian(powers)
+
+
+def _taylor_exp_batch(a, norm):
+    """_taylor_exp's (E, jacobian) over a batch, each sample at the m its own
+    infinity norm picks: 1 up to norm 1, else 2^(s+1), s = ceil(log2 norm)."""
+    # norm = frac 2^expo, 1/2 <= frac < 1: s = max(ceil(log2 norm), 0) exactly
+    frac, expo = np.frexp(norm)
+    s = np.maximum(expo - (frac == 0.5), 0)
+    m = np.where(s == 0, 1, 2 ** (s + 1))
+    # a set, not np.unique, whose first call imports 1.7 MB of numpy
+    ms = sorted(set(m.tolist()))
+    if len(ms) == 1:
+        return _taylor_exp(a, ms[0])
+    p, parts = np.empty_like(a), []
+    for mk in ms:
+        g = m == mk
+        p[g], part = _taylor_exp(a[g], mk)
+        parts.append((g, part))
+
+    def jacobian():
+        jac = np.empty_like(a)
+        for g, part in parts:
+            jac[g] = part()
+        return jac
+    return p, jacobian
+
+
 def _dplus_poly_newton(h, d, tol, max_iter):
-    """Newton on log diag p(diag(d) + h) = 0, p linalg's degree-_EXP_DEGREE
-    Taylor polynomial of exp, with no eigh.
+    """Newton on log diag E = 0, E ~ exp(diag(d) + h) in Taylor arithmetic
+    (_taylor_exp), with no eigh.
 
     A sample takes part while its point's infinity norm is at most
-    _POLY_BOUND, its residual max|diag p - 1| is above tol, each evaluation
-    lowers it (else the sample is set back to its base point) and it has
-    made fewer than max_iter - 1 evaluations, leaving the eigh Newton one to
-    form C.  Returns (d, iterations, res, c): res is the last accepted
-    residual, inf for a sample that made no evaluation; where it meets tol,
-    c holds that p(diag(d) + h), and c is unset elsewhere.
+    _taylor_cap(n), its residual max|diag E - 1| is above tol, each
+    evaluation lowers it (else the sample is set back to its base point) and
+    it has made fewer than max_iter - 1 evaluations, leaving the eigh Newton
+    one to form C.  Each evaluation takes m from that point's own norm
+    (_taylor_exp_batch).  Returns (d, iterations, res, c): res is the last
+    accepted residual, inf for a sample that made no evaluation; where it
+    meets tol, c holds that E, and c is unset elsewhere.
     """
     eye = np.arange(h.shape[-1])
-    coeffs = la._exp_coeffs(la._EXP_DEGREE)
+    cap = _taylor_cap(h.shape[-1])
     c, base = np.empty_like(h), d.copy()
     res, iters = np.full(len(h), np.inf), np.zeros(len(h), dtype=np.int64)
     idx = np.arange(len(h))
@@ -121,11 +200,12 @@ def _dplus_poly_newton(h, d, tol, max_iter):
     for _ in range(max_iter - 1):
         a = h[idx]
         a[:, eye, eye] += d[idx]
-        inside = np.abs(a).sum(axis=-1).max(axis=-1) <= _POLY_BOUND
+        norm = np.abs(a).sum(axis=-1).max(axis=-1)
+        inside = norm <= cap
         idx, a = idx[inside], a[inside]
         if not idx.size:
             break
-        p, _, table = la.matrix_poly(a, coeffs)
+        p, jacobian = _taylor_exp_batch(a, norm[inside])
         iters[idx] += 1
         e = la.diagvec(p)
         r = np.abs(e - 1.0).max(axis=-1)
@@ -138,7 +218,7 @@ def _dplus_poly_newton(h, d, tol, max_iter):
         if not idx.size:
             break
         base[idx] = d[idx]
-        d[idx] += np.linalg.solve(_poly_jacobian(table)[go], -(e * np.log(e))[..., None])[..., 0]
+        d[idx] += np.linalg.solve(jacobian()[go], -(e * np.log(e))[..., None])[..., 0]
     return d, iters, res, c
 
 
@@ -182,11 +262,12 @@ def dplus_solve(h, tol, max_iter):
 
     One Newton method from _dplus_start's d0 (an Archakov-Hansen, 2021,
     step), with a budget of max_iter evaluations per sample.  A sample whose
-    diag(d0) + h has infinity norm at most _POLY_BOUND first takes
-    _dplus_poly_newton's steps, in Taylor arithmetic with no eigh; one whose
-    polynomial evaluation met tol is done, and its C is that
-    p(diag(d) + h).  Every other sample goes on by _dplus_eigh_newton with
-    the budget it has left and gets C = U diag(exp lam) U^T.  The iterations
+    diag(d0) + h has infinity norm at most _taylor_cap(n) (1, or 8 for n >=
+    _SCALED_MIN_N) first takes _dplus_poly_newton's steps, in Taylor
+    arithmetic with no eigh; one whose polynomial evaluation met tol is done,
+    and its C is that evaluation's E ~ exp(diag(d) + h).  Every other sample
+    goes on by _dplus_eigh_newton with the budget it has left and gets
+    C = U diag(exp lam) U^T.  The iterations
     count the evaluations of both kinds, at most max_iter per sample.
 
     Returns (d, iterations, residuals, c, (rows, lam, u)) with (lam, u) the
@@ -327,6 +408,14 @@ def _column_pairs(n):
     return pairs
 
 
+# h0_build forms its pair products R in slices of samples whose R takes at
+# most this many bytes, so that R and its weighted copy stay in a core's L2
+# cache (2 MB on the 2-vCPU Xeon this was timed on): a whole (16, 30, 30)
+# batch, R 1.8 MB, took 1.19-2.17 ms, and 0.98-1.63 ms in slices of 4
+# samples.  Batches of (150, 6, 6) and (64, 8, 8), R 150 KB, stay whole.
+_H0_SLICE_BYTES = 2**19
+
+
 def h0_build(u, lw):
     """Eigenbasis coupling matrix H0[i,l] = sum_jk U_ij U_ik U_lj U_lk LW_jk, batched.
 
@@ -340,7 +429,12 @@ def h0_build(u, lw):
     u = np.asarray(u, dtype=np.float64)
     n = u.shape[-1]
     j, k, flat, weight = _column_pairs(n)
-    ut = np.swapaxes(u, -1, -2)
-    r = np.take(ut, j, axis=-2) * np.take(ut, k, axis=-2)
-    w = np.take(np.reshape(lw, np.shape(lw)[:-2] + (n * n,)), flat, axis=-1) * weight
-    return np.swapaxes(r, -1, -2) @ (r * w[..., None])
+    ut = np.swapaxes(u, -1, -2).reshape((-1, n, n))
+    w = np.take(np.reshape(lw, (-1, n * n)), flat, axis=-1) * weight
+    out = np.empty(ut.shape)
+    step = max(1, _H0_SLICE_BYTES // (8 * len(j) * n))
+    for lo in range(0, len(ut), step):
+        part = ut[lo:lo + step]
+        r = np.take(part, j, axis=-2) * np.take(part, k, axis=-2)
+        out[lo:lo + step] = np.swapaxes(r, -1, -2) @ (r * w[lo:lo + step, :, None])
+    return out.reshape(u.shape)

@@ -6,14 +6,15 @@ Two solvers, each with an exact reverse-mode rule:
   Newton method with one budget of evaluations, from d0 = -log diag p4(H),
   p4 the degree-4 Taylor polynomial of exp: the first Archakov & Hansen
   (2021) fixed-point step from d = 0, without an eigh.  While diag(d) + H
-  has infinity norm at most 1 and each evaluation lowers the residual, a
-  sample is evaluated in Taylor arithmetic of ``linalg.sym_exp_taylor``'s
-  degree, without an eigh; one whose polynomial evaluation meets tol is
-  solved, with C = p(diag(d) + H) that evaluation's polynomial.  Every other
-  sample goes on by backtracking Newton on the residual
-  max|diag(exp(diag(d) + H)) - 1| with the budget it has left, one eigh per
-  evaluated point, and gets C from the last eigendecomposition.  The
-  iteration count is the number of evaluations of both kinds.  ``dplus_eig``
+  has infinity norm at most 1 (at most 8 for n >= 12, scaled and squared)
+  and each evaluation lowers the residual, a sample is evaluated in Taylor
+  arithmetic of ``linalg.sym_exp_taylor``'s degree, without an eigh; one
+  whose evaluation meets tol is solved, with C that evaluation's
+  approximation of exp(diag(d) + H).  Every other sample goes on by
+  backtracking Newton on the residual max|diag(exp(diag(d) + H)) - 1| with
+  the budget it has left, one eigh per evaluated point, and gets C from the
+  last eigendecomposition.  The iteration count is the number of
+  evaluations of both kinds.  ``dplus_eig``
   completes the eigendecompositions of the final diag(d) + H, from which
   ``dplus_diff`` forms the differential of H -> exp(diag(d) + H) and
   ``dplus_backward_batch`` its adjoint.
@@ -122,8 +123,11 @@ def dplus_diff(eig, v):
     lam, u = eig
     lw = la.loewner(lam, np.exp, np.exp)
     h0 = kernels.h0_build(u, lw)
-    # H0 is SPD, so its condition number is its eigenvalue ratio
-    ev = np.linalg.eigvalsh(h0)
+    # H0 is SPD with its eigenvalues in [min LW, max LW] (kernels.h0_build),
+    # so its condition number, its eigenvalue ratio, needs the spectrum only
+    # where that range is wider than the limit
+    wide = ~(lw.max(axis=(-2, -1)) <= H0_COND_LIMIT * lw.min(axis=(-2, -1)))
+    ev = np.linalg.eigvalsh(h0[wide])
     if (ev[..., -1] > H0_COND_LIMIT * ev[..., 0]).any():
         raise SingularH0("eigenbasis coupling matrix condition exceeds 1e12")
     w = np.linalg.solve(h0, la.diagvec(la.daleckii_krein(u, lw, v))[..., None])[..., 0]

@@ -510,6 +510,8 @@ class TestGradcheckCli:
     @pytest.mark.parametrize("line", [
         *(f"{key} = 999999999999999999999" for key in ("n_in", "channels", "kernels", "m_hidden", "classes")),
         "n_in = 3000000000", "m_hidden = 3000000000",
+        # about 10^14 bytes: within an array's size limit, beyond any machine's memory
+        "n_in = 1000000",
         # two fields, but 10^18 channels in each input sample
         "channels = 1000000000000000001\nfield_size = 1\nstride = 1000000000000000000",
     ])

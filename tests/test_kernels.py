@@ -77,6 +77,19 @@ def start_norms(h):
     return np.abs(h + la.diag_from_vec(kernels._dplus_start(h))).sum(axis=-1).max(axis=-1)
 
 
+def eigh_only(monkeypatch):
+    """Take every sample of later dplus solves to the eigh Newton from its start."""
+    monkeypatch.setattr(kernels, "_taylor_cap", lambda n: -1.0)
+
+
+def scaled_batch(n):
+    """n x n samples whose start norms fall at s = 0, 1, 2 and 3 and above
+    the scaled phase's cap of 8 (n = 16)."""
+    return np.concatenate([hollow_batch(1, n, 106, 0.05), hollow_batch(1, n, 107, 0.1),
+                           hollow_batch(1, n, 108, 0.2), hollow_batch(1, n, 109, 0.5),
+                           hollow_batch(1, n, 106, 0.7)])
+
+
 def sample_rows(got):
     """dplus_solve's output as per-sample rows (d, iterations, residual, c,
     lam, u), with lam and u None for a sample solved without an eigh."""
@@ -226,13 +239,23 @@ class TestDplusSolve:
         # the scale-0.1 samples start inside the polynomial phase's bound
         h = np.concatenate([np.zeros((1, 6, 6)), hollow_batch(3, 6, 95, 0.5),
                             hollow_batch(3, 6, 96, 5.0), hollow_batch(3, 6, 94, 0.1)])
-        assert (start_norms(h[-3:]) <= kernels._POLY_BOUND).all()
+        assert (start_norms(h[-3:]) <= 1.0).all()
         got = sample_rows(kernels.dplus_solve(h, 1e-12, 100))
         # solved in Taylor arithmetic: no eigendecomposition, 3 evaluations (1 at 0)
         assert [r[1] for r in got][-3:] == [3, 3, 3] and got[0][1] == 1
         assert all(r[4] is None for r in got[-3:] + got[:1])
         for k in range(len(h)):
             assert_same_rows(got[k:k + 1], sample_rows(kernels.dplus_solve(h[k:k + 1], 1e-12, 100)))
+        # at n = 16 each sample's own norm picks its scaling, s = 0 ... 3, and
+        # the one above the cap takes the eigh path
+        h = scaled_batch(16)
+        norms = start_norms(h)
+        assert (norms[:-1] <= 2.0 ** np.arange(4)).all() and (norms[1:] > 2.0 ** np.arange(4)).all()
+        got = kernels.dplus_solve(h, 1e-12, 100)
+        assert got[4][0].tolist() == [4] and (got[2] <= 1e-12).all()
+        rows = sample_rows(got)
+        for k in range(len(h)):
+            assert_same_rows(rows[k:k + 1], sample_rows(kernels.dplus_solve(h[k:k + 1], 1e-12, 100)))
 
     @pytest.mark.parametrize("scale", [0.1, 0.5, 1.0, 3.0, 12.0])
     @pytest.mark.parametrize("n", [2, 5, 30])
@@ -267,7 +290,7 @@ class TestDplusSolve:
         # that finds it converged and gives C, with no eigh; an eigh-only
         # Newton takes two
         h = fc30_dplus_inputs(32, 21)
-        assert h.shape == (32, 20, 20) and (start_norms(h) <= kernels._POLY_BOUND).all()
+        assert h.shape == (32, 20, 20) and (start_norms(h) <= 1.0).all()
         polys = []
         poly = la.matrix_poly
         monkeypatch.setattr(la, "matrix_poly", lambda *a: polys.append(len(a[0])) or poly(*a))
@@ -290,22 +313,28 @@ class TestDplusSolve:
         assert np.array_equal(lam, want_lam) and np.array_equal(u, want_u)
 
     def test_samples_above_bound_take_the_eigh_path(self, monkeypatch):
-        # scaled by 6, FC outputs start outside the bound: their (d, iters,
-        # residual, lam, u) are those of the solve without polynomial steps
+        # n = 20 FC outputs scaled by 40 start above the cap of 8, and n = 8
+        # samples above 1 are below the size the scaled phase takes: their
+        # (d, iters, residual, lam, u) are those of the solve without
+        # polynomial steps, and the samples below the bound solve with no eigh
         below = fc30_dplus_inputs(5, 22)
-        h = np.concatenate([below[:2], 6.0 * below[2:], below[2:]])
-        above = start_norms(h) > kernels._POLY_BOUND
-        assert np.array_equal(above, [False, False, True, True, True, False, False, False])
-        got = kernels.dplus_solve(h, 1e-12, 100)
-        monkeypatch.setattr(kernels, "_POLY_BOUND", -1.0)
-        eigh_only = kernels.dplus_solve(h, 1e-12, 100)
-        rows, rows_eigh = sample_rows(got), sample_rows(eigh_only)
-        assert_same_rows([rows[k] for k in np.flatnonzero(above)],
-                         [rows_eigh[k] for k in np.flatnonzero(above)])
-        # the samples below the bound make their 2 evaluations with no eigh
-        assert np.array_equal(got[4][0], np.flatnonzero(above))
-        assert (got[1][~above] == 2).all() and (eigh_only[1][~above] == 2).all()
-        assert (got[2] <= 1e-12).all()
+        for h, bound in [(np.concatenate([below[:2], 40.0 * below[2:], below[2:]]), 8.0),
+                         (np.concatenate([hollow_batch(2, 8, 94, 0.1), hollow_batch(3, 8, 93, 0.3),
+                                          hollow_batch(3, 8, 94, 0.1)]), 1.0)]:
+            above = start_norms(h) > bound
+            assert np.array_equal(above, [False, False, True, True, True, False, False, False])
+            got = kernels.dplus_solve(h, 1e-12, 100)
+            with monkeypatch.context() as mp:
+                eigh_only(mp)
+                reference = kernels.dplus_solve(h, 1e-12, 100)
+            rows, rows_eigh = sample_rows(got), sample_rows(reference)
+            assert_same_rows([rows[k] for k in np.flatnonzero(above)],
+                             [rows_eigh[k] for k in np.flatnonzero(above)])
+            assert np.array_equal(got[4][0], np.flatnonzero(above))
+            assert (got[2] <= 1e-12).all()
+            # the FC outputs below the bound make their 2 evaluations; the
+            # n = 8 samples above 1 are within the cap of n >= _SCALED_MIN_N
+            assert (got[1][~above] == 2).all() if bound == 8.0 else (start_norms(h[above]) <= 8.0).all()
 
     def test_poly_residual_above_tol_continues_on_eigh(self, monkeypatch):
         # with the bound at the start point's norm, one polynomial step
@@ -313,7 +342,7 @@ class TestDplusSolve:
         # Newton goes on from there to d = -log cosh t, on the same count
         for t in (0.6, 0.7, 0.74):
             h = np.array([[[0.0, t], [t, 0.0]]])
-            monkeypatch.setattr(kernels, "_POLY_BOUND", start_norms(h)[0])
+            monkeypatch.setattr(kernels, "_taylor_cap", lambda n: start_norms(h)[0])
             d0 = kernels._dplus_start(h)
             d1, iters1, res1, _ = kernels._dplus_poly_newton(h, d0.copy(), 1e-12, 100)
             assert iters1[0] == 1 and 1e-12 < res1[0] < np.inf
@@ -333,44 +362,47 @@ class TestDplusSolve:
         monkeypatch.setattr(kernels, "_poly_jacobian", lambda table: -jacobian(table))
         monkeypatch.setattr(kernels, "_dplus_eval", lambda h, idx, d: points.append(d.copy()) or evaluate(h, idx, d))
         h = hollow_batch(2, 6, 94, 0.1)
-        assert (start_norms(h) <= kernels._POLY_BOUND).all()
+        assert (start_norms(h) <= 1.0).all()
         got = kernels.dplus_solve(h, 1e-12, 100)
         assert np.array_equal(points[0], kernels._dplus_start(h))
-        monkeypatch.setattr(kernels, "_POLY_BOUND", -1.0)
-        eigh_only = kernels.dplus_solve(h, 1e-12, 100)
-        assert np.array_equal(got[1], eigh_only[1] + 2) and (got[2] <= 1e-12).all()
+        eigh_only(monkeypatch)
+        reference = kernels.dplus_solve(h, 1e-12, 100)
+        assert np.array_equal(got[1], reference[1] + 2) and (got[2] <= 1e-12).all()
         assert_same_rows([r[:1] + r[2:] for r in sample_rows(got)],
-                         [r[:1] + r[2:] for r in sample_rows(eigh_only)])
+                         [r[:1] + r[2:] for r in sample_rows(reference)])
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 100])
     def test_one_budget(self, monkeypatch, max_iter):
-        # start norms on both sides of the bound: every evaluation, in Taylor
-        # arithmetic or by eigh, counts once in iters and against max_iter,
-        # and a sample's row does not depend on its batch-mates
-        h = np.concatenate([hollow_batch(3, 6, 94, 0.1), hollow_batch(3, 6, 95, 0.5),
-                            hollow_batch(2, 6, 93, 0.2)])
-        norms = start_norms(h)
-        assert (norms <= kernels._POLY_BOUND).sum() == 5 and (norms > kernels._POLY_BOUND).sum() == 3
+        # start norms on both sides of the bound (n = 6) and at s = 0 ... 3
+        # and above the cap (n = 16): every evaluation, in Taylor arithmetic
+        # or by eigh, counts once in iters and against max_iter, and a
+        # sample's row does not depend on its batch-mates
+        h6 = np.concatenate([hollow_batch(3, 6, 94, 0.1), hollow_batch(3, 6, 95, 0.5),
+                             hollow_batch(2, 6, 93, 0.2)])
+        norms = start_norms(h6)
+        assert (norms <= 1.0).sum() == 5 and (norms > 1.0).sum() == 3
         poly, evaluate = la.matrix_poly, kernels._dplus_eval
         evals = []
         monkeypatch.setattr(la, "matrix_poly", lambda *a: evals.append(len(a[0])) or poly(*a))
         monkeypatch.setattr(kernels, "_dplus_eval", lambda h, idx, d: evals.append(len(idx)) or evaluate(h, idx, d))
-        got = kernels.dplus_solve(h, 1e-12, max_iter)
-        assert (got[1] <= max_iter).all() and got[1].sum() == sum(evals)
-        rows = sample_rows(got)
-        for k in range(len(h)):
+        for h in (h6, scaled_batch(16)):
             evals.clear()
-            alone = kernels.dplus_solve(h[k:k + 1], 1e-12, max_iter)
-            assert alone[1][0] == sum(evals)
-            assert_same_rows(rows[k:k + 1], sample_rows(alone))
-        # an exhausted budget stops a sample unconverged, and the batch fails
-        failed = got[2] > 1e-12
-        assert failed.any() == (max_iter <= 3) and (got[1][failed] == max_iter).all()
-        if failed.any():
-            with pytest.raises(NoConvergence):
-                sv.dplus_batch(h, max_iter=max_iter)
-        else:
-            assert (sv.dplus_batch(h, max_iter=max_iter)[2] <= 1e-12).all()
+            got = kernels.dplus_solve(h, 1e-12, max_iter)
+            assert (got[1] <= max_iter).all() and got[1].sum() == sum(evals)
+            rows = sample_rows(got)
+            for k in range(len(h)):
+                evals.clear()
+                alone = kernels.dplus_solve(h[k:k + 1], 1e-12, max_iter)
+                assert alone[1][0] == sum(evals)
+                assert_same_rows(rows[k:k + 1], sample_rows(alone))
+            # an exhausted budget stops a sample unconverged, and the batch fails
+            failed = got[2] > 1e-12
+            assert failed.any() == (max_iter <= 3) and (got[1][failed] == max_iter).all()
+            if failed.any():
+                with pytest.raises(NoConvergence):
+                    sv.dplus_batch(h, max_iter=max_iter)
+            else:
+                assert (sv.dplus_batch(h, max_iter=max_iter)[2] <= 1e-12).all()
 
     @pytest.mark.parametrize("n", [2, 5, 20])
     def test_poly_jacobian_is_the_series_derivative(self, n):
@@ -390,9 +422,46 @@ class TestDplusSolve:
             assert np.abs(jac[:, :, j] - column).max() <= 1e-14
 
     def test_poly_truncation_below_tol(self):
-        # at the bound the Taylor remainder sits well below the tolerance
+        # at norm 1, and at the cap scaled by its m = 16, the Taylor
+        # remainder sits well below the tolerance
         q = la._EXP_DEGREE
-        assert kernels._POLY_BOUND ** (q + 1) / math.factorial(q + 1) <= sv.DPLUS_TOL / 100
+        for norm in (1.0, kernels._SCALED_CAP / 16):
+            assert norm ** (q + 1) / math.factorial(q + 1) <= sv.DPLUS_TOL / 100
+
+    @pytest.mark.parametrize("norm", [1.5, 3.0, 6.0])
+    def test_simpson_jacobian_within_its_bound(self, norm):
+        # at s = 1, 2, 3 (m = 4, 8, 16) Simpson's J lies between the exact
+        # derivative J0 = h0_build(U, loewner(lam, exp, exp)) and 1.005 J0 in
+        # the Loewner order, and E = F^m is exp(A) to rounding
+        rng = np.random.default_rng(int(norm * 10))
+        a = np.stack([sym_log(dom.random_correlation(30, 1.0, rng=rng)) for _ in range(3)])
+        a *= norm / np.abs(a).sum(axis=-1).max(axis=-1)[:, None, None]
+        m = 2 ** (math.ceil(math.log2(norm)) + 1)
+        e, jacobian = kernels._taylor_exp(a, m)
+        jac = jacobian()
+        lam, u = np.linalg.eigh(a)
+        exact = kernels.h0_build(u, la.loewner(lam, np.exp, np.exp))
+        assert np.abs(e - la.sym_exp(a)).max() <= 1e-14 * np.exp(norm)
+        inv = np.linalg.inv(np.linalg.cholesky(exact))
+        ratio = np.linalg.eigvalsh(inv @ la.sym(jac) @ la.transpose(inv))
+        assert ratio.min() >= 1.0 - 1e-12 and ratio.max() <= 1.005
+        # one Simpson panel of e^(cx) at |hc| = 1 sets the 1.005
+        x = 1.0
+        assert 1.0 < x / 3 * (1 + 4 * np.exp(x) + np.exp(2 * x)) / np.expm1(2 * x) <= 1.005
+
+    def test_geom30_norms_solve_without_eigh(self):
+        # n = 30 inputs with start norms 1.5-6.9, those of geom30's olm
+        # solves: every sample solves in the scaled phase within 4
+        # evaluations, and agrees with the eigh Newton to the tolerance's level
+        h = np.concatenate([hollow_batch(1, 30, 300 + k, scale)
+                            for k, scale in enumerate(np.linspace(0.068, 0.27, 12))])
+        norms = start_norms(h)
+        assert 1.5 <= norms.min() <= 1.6 and 6.5 <= norms.max() <= 6.9
+        d, iters, res, c, (rows, _, _) = kernels.dplus_solve(h, 1e-12, 100)
+        assert rows.size == 0 and (res <= 1e-12).all() and iters.max() <= 4
+        d_ref, _, _, lam_ref, u_ref = dplus_newton_ref(h, 1e-12, 100)
+        assert np.abs(d - d_ref).max() <= 1e-11
+        assert np.abs(c - la.from_eig(np.exp(lam_ref), u_ref)).max() <= 1e-11
 
 
 class TestDstarFull:
