@@ -604,6 +604,22 @@ class TestH0Build:
         assert got.shape == (2, 3, 4, 4)
         assert np.linalg.norm(got - h0_build_ref(u, lw)) <= 1e-13 * np.linalg.norm(got)
 
+    @pytest.mark.parametrize("shape", [(7, 30, 30), (2, 3, 6, 6)])
+    def test_slices_are_bitwise_the_whole_batch(self, monkeypatch, shape):
+        # slices of 1 sample, of 3 (an uneven last one) and the whole batch
+        # give the same bits, extra batch axes included
+        rng = np.random.default_rng(12)
+        lam, u = np.linalg.eigh(la.sym(rng.standard_normal(shape)))
+        lw = la.loewner(lam, np.exp, np.exp)
+        n = shape[-1]
+        per_sample = 8 * n * n * (n + 1) // 2
+        got = []
+        for samples in (1, 3, 10**6):
+            monkeypatch.setattr(kernels, "_H0_SLICE_BYTES", samples * per_sample)
+            got.append(kernels.h0_build(u, lw))
+        assert got[0].shape == shape
+        assert np.array_equal(got[0], got[2]) and np.array_equal(got[1], got[2])
+
     @settings(max_examples=40)
     @given(n=st.integers(1, 30), spread=st.floats(0.0, 25.0), low=st.floats(-10.0, 3.0),
            seed=st.integers(0, 2**32 - 1))
