@@ -69,6 +69,16 @@ def _build_parser():
     return parser
 
 
+def _write_csv(path, header, rows):
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as e:
+        raise IoError(f"cannot write {path}: {e}") from e
+
+
 def cmd_datagen(args):
     for flag, low in (("classes", 1), ("per_class", 1), ("dim", 2), ("channels", 1), ("seed", 0)):
         if getattr(args, flag) < low:
@@ -136,21 +146,14 @@ def cmd_bench(args):
         rows.append((n, dict(zip(metrics, times))))
         print(f"{n:>5} " + " ".join(f"{t:10.6f}" for t in times))
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["dim"] + metrics)
-            for n, per in rows:
-                writer.writerow([n] + [f"{per[m]:.9f}" for m in metrics])
+        body = ([n] + [f"{per[m]:.9f}" for m in metrics] for n, per in rows)
+        _write_csv(args.csv, ["dim"] + metrics, body)
     return 0
 
 
 def cmd_hyperplane(args):
     rows = trainmod.hyperplane_grid(args.metric, args.z, args.gamma, args.grid)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r21", "r31", "r32", "v"])
-        for row in rows:
-            writer.writerow([f"{v:.10g}" for v in row])
+    _write_csv(args.out, ["r21", "r31", "r32", "v"], ([f"{v:.10g}" for v in row] for row in rows))
     print(f"wrote {len(rows)} grid rows to {args.out}")
     return 0
 

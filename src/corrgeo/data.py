@@ -84,8 +84,7 @@ def generate(classes, per_class, n, channels, spread, separation, seed):
 
 
 def save_dataset(out_dir, samples, labels):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = io.make_dir(out_dir)
     io.write_tensor(out / "samples.cort", samples)
     io.write_labels(out / "labels.corl", labels)
 

@@ -46,9 +46,16 @@ def validate_correlation(c, tol=VALIDATE_TOL, eps_pd=EPS_PD):
     a matrix or a stack of them; raise if violated, naming the first bad
     matrix of a stack.
 
-    Inputs violating the contract are rejected, never projected.
+    Inputs violating the contract are rejected, never projected; so are
+    entries that are not real numbers (complex, text, other objects).
     """
-    c = np.asarray(c, dtype=np.float64)
+    try:
+        c = np.asarray(c)
+        if c.dtype.kind not in "biufO":
+            raise TypeError(f"dtype {c.dtype}")
+        c = c.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise NonFiniteInput(f"entries are not real numbers: {e}") from e
     if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
         raise NotSymmetric(f"expected a square matrix, got shape {c.shape}")
     _raise_first(NonFiniteInput, ~np.isfinite(c).all(axis=(-2, -1)), "non-finite entries")

@@ -117,7 +117,7 @@ class TriangularChart:
         # the adjoint of theta = L / diag(L), then of L = chol(C)
         l, t = cache["l"], cache["t"]
         g = self.log_diff(la.transpose(t), g)
-        return la.chol_backward(l, (g - la.dmat(g @ la.transpose(t))) / la.diagvec(l)[..., :, None])
+        return la.chol_backward(l, (g - la.diag_from_vec((g * t).sum(axis=-1))) / la.diagvec(l)[..., :, None])
 
     def inverse_vjp(self, cache, g):
         gsigma = dom.cor_of_backward(cache["c"], la.diagvec(cache["sigma"]) ** -0.5, g)
@@ -126,8 +126,8 @@ class TriangularChart:
 
     def push(self, cache, v):
         l, t = cache["l"], cache["t"]
-        a = la.inner_solve_spd(l, v)
-        return self.log_diff(t, t @ la.half_lower(a) - 0.5 * la.dmat(a) @ t)
+        a = la.inv_congruence(l, v)
+        return self.log_diff(t, t @ la.half_lower(a) - 0.5 * la.diagvec(a)[..., :, None] * t)
 
     def push_inv(self, cache, w):
         # C = cor_of(theta theta^T) with diag(theta theta^T) = diag(L)^-2

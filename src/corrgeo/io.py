@@ -88,13 +88,19 @@ def read_labels(path):
     return np.frombuffer(blob, dtype="<u4", count=count, offset=8).astype(np.int64)
 
 
-def write_checkpoint(path, config_lines, params):
-    """Write manifest + one tensor file per parameter block."""
+def make_dir(path):
+    """Create directory ``path`` and its parents; an IoError where that fails."""
     path = Path(path)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as e:
-        raise IoError(f"cannot create checkpoint dir {path}: {e}") from e
+        raise IoError(f"cannot create directory {path}: {e}") from e
+    return path
+
+
+def write_checkpoint(path, config_lines, params):
+    """Write manifest + one tensor file per parameter block."""
+    path = make_dir(path)
     lines = ["# corrgeo checkpoint v1"]
     lines.extend(config_lines)
     for name in sorted(params):

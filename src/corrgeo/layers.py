@@ -500,9 +500,9 @@ def build_network(conv_metric, mlr_metric, n_in, channels, field_size, stride,
 def network_input(net, x):
     """The input of ``net`` as a ChartInput under its conv metric, power and solver.
 
-    A raw (B, C, n, n) batch is checked by ``domain.validate_correlation``
-    and mapped; a ChartInput must have been mapped for a network with the
-    same conv metric, power and solver.
+    A raw (B, C, n, n) batch ((B, n, n) for one channel), B >= 1, is checked
+    by ``domain.validate_correlation`` and mapped; a ChartInput must have been
+    mapped for a network with the same conv metric, power and solver.
     """
     if isinstance(x, ChartInput):
         want = (net.conv.fc.metric, net.power, {**DEFAULT_LAYER_SOLVER, **(net.solver or {})})
@@ -512,7 +512,10 @@ def network_input(net, x):
                 f"the network has metric {want[0]}, power {want[1]}, solver {want[2]}"
             )
         return x
-    return map_input(dom.validate_correlation(x), net.conv.fc.metric, net.solver, net.power)
+    x = dom.validate_correlation(x)
+    if x.ndim not in (3, 4) or not len(x):
+        raise ShapeMismatch(f"expected a nonempty (B, C, n, n) batch, got shape {x.shape}")
+    return map_input(x, net.conv.fc.metric, net.solver, net.power)
 
 
 def _network_pass(net, x):

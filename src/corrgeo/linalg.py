@@ -38,11 +38,6 @@ def diag_from_vec(v):
     return out
 
 
-def dmat(m):
-    """Diagonal part of a square matrix, as a diagonal matrix."""
-    return diag_from_vec(diagvec(m))
-
-
 def offmat(m):
     """Matrix with its diagonal zeroed."""
     out = np.array(m, dtype=np.float64, copy=True)
@@ -58,7 +53,7 @@ def strict_lower(m):
 
 def half_lower(m):
     """Strictly lower part plus half the diagonal."""
-    return np.tril(m, -1) + 0.5 * dmat(m)
+    return np.tril(m, -1) + 0.5 * diag_from_vec(diagvec(m))
 
 
 def sym(m):
@@ -138,9 +133,10 @@ def chol(p):
         raise NotPositiveDefinite("cholesky pivot failure") from e
 
 
-def inner_solve_spd(l, v):
-    """Congruence l^-1 @ v @ l^-T for a triangular factor l (stacked)."""
-    return np.linalg.solve(l, transpose(np.linalg.solve(l, v)))
+def inv_congruence(l, v):
+    """Congruence l^-1 @ v @ l^-T for a triangular factor l (stacked), by one inverse."""
+    li = np.linalg.inv(l)
+    return li @ v @ transpose(li)
 
 
 def chol_backward(l, grad_l):
@@ -151,7 +147,7 @@ def chol_backward(l, grad_l):
     l = np.asarray(l, dtype=np.float64)
     if diagvec(l).min() <= EPS_PD:
         raise SingularFactor("cholesky factor diagonal at or below threshold")
-    return sym(inner_solve_spd(transpose(l), half_lower(transpose(l) @ grad_l)))
+    return sym(inv_congruence(transpose(l), half_lower(transpose(l) @ grad_l)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -169,8 +168,7 @@ def train(cfg, data_dir, out_dir, log=print):
     opt = make_optimizer(cfg, params)
     order_rng = np.random.default_rng(cfg.seed + 1)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = io.make_dir(out_dir)
     metrics_path = out / "metrics.csv"
     with open(metrics_path, "w") as fh:
         fh.write("epoch,loss,acc,seconds\n")

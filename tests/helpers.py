@@ -139,7 +139,12 @@ def chol_diff(p, v):
 
 
 def chol_diff_at(l, v):
-    return l @ la.half_lower(la.inner_solve_spd(l, v))
+    return l @ la.half_lower(congruence_two_solves(l, v))
+
+
+def congruence_two_solves(l, v):
+    """Reference for ``la.inv_congruence``: l^-1 v l^-T by two general LU solves."""
+    return np.linalg.solve(l, la.transpose(np.linalg.solve(l, v)))
 
 
 def chol_diff_inv(l, z):

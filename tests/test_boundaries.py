@@ -1,5 +1,6 @@
-"""Every file and config boundary either reads its input or raises a typed
-``CorrGeoError``, which the CLI maps to an exit code: never a raw exception.
+"""Every file, config and network-input boundary either reads its input or
+raises a typed ``CorrGeoError``, which the CLI maps to an exit code: never a
+raw exception.
 
 Each property test mutates the input layout field by field (magic, header,
 shape, payload length, encoding, names, values).  The ``@example`` inputs
@@ -14,8 +15,10 @@ from pathlib import Path
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from corrgeo import io
+from corrgeo import layers as ly
 from corrgeo import train as trainmod
 from corrgeo.config import RunConfig, parse_config_text
 from corrgeo.errors import CorrGeoError
@@ -165,3 +168,45 @@ class TestConfigs:
             trainmod.build_from_config(parse_config_text("\n".join(lines)))
         except CorrGeoError:
             pass
+
+
+# network inputs: any rank 0-6 with sides 0-4 (the network takes (B, 2, 4, 4)),
+# real, complex, text or object entries; square stacks are often identities
+# (each a valid correlation matrix), so some inputs get through
+input_dtypes = st.sampled_from([np.float64, np.float32, np.int8, np.bool_, np.complex128, "U3", object])
+objects = st.one_of(st.floats(), st.integers(-2, 2), st.text(max_size=2), st.none(), st.complex_numbers())
+
+
+@st.composite
+def network_inputs(draw):
+    shape = draw(st.one_of(
+        hnp.array_shapes(min_dims=0, max_dims=6, min_side=0, max_side=4),
+        st.tuples(st.integers(0, 2), st.just(2), st.just(4), st.just(4)),
+    ))
+    dtype = draw(input_dtypes)
+    if dtype is object:
+        return draw(hnp.arrays(object, shape, elements=objects))
+    x = draw(hnp.arrays(dtype, shape))
+    if len(shape) >= 2 and shape[-1] == shape[-2] and draw(st.booleans()):
+        return np.broadcast_to(np.eye(shape[-1]), shape).astype(dtype)
+    return x
+
+
+class TestNetworkInput:
+    net = trainmod.build_from_config(RunConfig(
+        conv_metric="ecm", mlr_metric="ecm", n_in=4, channels=2, field_size=2, stride=1,
+        kernels=1, m_hidden=3, classes=2,
+    ))
+
+    @cases
+    @given(x=network_inputs())
+    @example(x=np.zeros((0, 2, 4, 4)))
+    @example(x=np.broadcast_to(np.eye(4), (1, 2, 2, 4, 4)))
+    @example(x=np.full((1, 2, 4, 4), "a", dtype=object))
+    @example(x=np.broadcast_to(np.eye(4), (3, 2, 4, 4)) * (1 + 1j))
+    def test_network_forward(self, x):
+        try:
+            logits = ly.network_forward(self.net, x)
+        except CorrGeoError:
+            return
+        assert logits.shape == (len(x), 2) and np.isfinite(logits).all()

@@ -184,6 +184,17 @@ class TestDatagen:
         assert capsys.readouterr().err.startswith(f"config error: {flag} must be")
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("spread", ["1e6", "1e308"])
+    def test_overflowing_spread_is_numerical_failure(self, tmp_path, capsys, spread):
+        # at 1e308 the bumps themselves overflow to inf
+        argv = ["datagen", "--out", str(tmp_path / "d"), "--classes", "2", "--per-class", "3",
+                "--dim", "4", "--spread", spread]
+        with np.errstate(over="ignore"):
+            assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: dplus: no convergence") and "residual inf" in err
+        assert not (tmp_path / "d").exists()
+
 
 def write_tiny_setup(tmp_path, epochs=3, metric="ecm"):
     cfg = RunConfig(
@@ -631,6 +642,34 @@ class TestHyperplaneCli:
         rc = cli.main(["hyperplane", "--metric", "ecm", "--z", str(path),
                        "--gamma", "0.0", "--grid", "3", "--out", str(tmp_path / "o.csv")])
         assert rc == 2
+
+
+class TestOutputPaths:
+    """An output path that cannot be created or written is an IoError (exit
+    3): a file where a directory should be, or a path under a file."""
+
+    @pytest.mark.parametrize("command", ["datagen", "train", "bench", "hyperplane"])
+    def test_unwritable_output_is_io_error(self, tmp_path, capsys, command):
+        _, cfg_path = write_tiny_setup(tmp_path, epochs=1)
+        zpath = tmp_path / "z.cort"
+        io.write_tensor(zpath, np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv, flag, targets = {
+            "datagen": (["datagen", "--classes", "2", "--per-class", "2", "--dim", "4"], "--out",
+                        [blocker, blocker / "x"]),
+            "train": (["train", "--config", str(cfg_path), "--data", str(tmp_path / "data")], "--out",
+                      [blocker, blocker / "x"]),
+            "bench": (["bench", "--dims", "4", "--metrics", "ecm", "--repeats", "1"], "--csv",
+                      [blocker / "x.csv", tmp_path]),
+            "hyperplane": (["hyperplane", "--metric", "ecm", "--z", str(zpath), "--gamma", "0.0",
+                            "--grid", "3"], "--out", [blocker / "q.csv", tmp_path]),
+        }[command]
+        for target in targets:
+            assert cli.main(argv + [flag, str(target)]) == 3, target
+            err = capsys.readouterr().err
+            assert err.startswith("io error: cannot ") and str(target) in err
+        assert blocker.read_text() == ""
 
 
 class TestTrainingFailures:

@@ -220,6 +220,30 @@ class TestDplusSolve:
         with pytest.raises(NoConvergence):
             geo.from_prototype("olm", big[0])
 
+    def test_non_finite_point_stops_sample(self, monkeypatch):
+        # a point with an inf or NaN entry (datagen's --spread 1e308 overflows
+        # its bumps) gives the eigh nothing to decompose: the sample stops
+        # after one evaluation at residual inf, its C NaN, and the others
+        # take the eigh path as they do alone
+        bad = hollow_batch(2, 4, 5, 0.5)
+        bad[0, 0, 1] = bad[0, 1, 0] = np.inf
+        bad[1, 2, 3] = bad[1, 3, 2] = np.nan
+        h = np.concatenate([hollow_batch(2, 4, 97, 3.0), bad])
+        eigh = np.linalg.eigh
+
+        def finite_eigh(a):
+            assert np.isfinite(a).all()
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", finite_eigh)
+        got = kernels.dplus_solve(h, 1e-12, 100)
+        assert np.array_equal(got[1][2:], [1, 1]) and np.array_equal(got[2][2:], [np.inf, np.inf])
+        assert np.isnan(got[3][2:]).all() and (got[2][:2] <= 1e-12).all()
+        assert_same_rows(sample_rows(got)[:2], sample_rows(kernels.dplus_solve(h[:2], 1e-12, 100)))
+        for b in bad:
+            with pytest.raises(NoConvergence, match="residual inf"):
+                sv.dplus_batch(b)
+
     def test_overflowed_step_stops_sample(self):
         # at entries 730, exp(S) is finite at the start but e log(e)
         # overflows: the Newton step is not finite, so no trial is evaluated
