@@ -18,7 +18,7 @@ the adjoints ``*_from_coords_adjoint``.
 import numpy as np
 
 from . import linalg as la
-from .errors import NonFiniteInput, NonPositiveDiagonal, NotPositiveDefinite, NotSymmetric
+from .errors import NonFiniteInput, NonPositiveDiagonal, NotPositiveDefinite, NotSymmetric, ShapeMismatch
 
 EPS_PD = la.EPS_PD
 VALIDATE_TOL = 1e-10
@@ -47,12 +47,17 @@ def validate_correlation(c, tol=VALIDATE_TOL, eps_pd=EPS_PD):
     matrix of a stack.
 
     Inputs violating the contract are rejected, never projected; so are
-    entries that are not real numbers (complex, text, other objects).
+    entries that are not real numbers (complex, text, other objects), in a
+    typed or an object array alike, and nestings that do not form an array.
     """
     try:
         c = np.asarray(c)
-        if c.dtype.kind not in "biufO":
-            raise TypeError(f"dtype {c.dtype}")
+    except ValueError as e:
+        raise ShapeMismatch(f"entries do not form an array: {e}") from e
+    try:
+        text = c.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in c.flat)
+        if c.dtype.kind not in "biufO" or text:
+            raise TypeError(f"dtype {c.dtype}" + " with text entries" * text)
         c = c.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError) as e:
         raise NonFiniteInput(f"entries are not real numbers: {e}") from e

@@ -231,16 +231,13 @@ def _dplus_eigh_newton(h, d, iters, tol, max_iter):
     d included, counted on from ``iters`` up to max_iter.  Returns (d,
     iterations, residuals, lam, u), (lam, u) at the returned d.
     """
-    if np.isfinite(h).all() and np.isfinite(d).all():
-        lam, u, e, res = _dplus_eval(h, np.arange(len(h)), d)
-    else:
-        # a point that is not finite forms no eigh: its lam, u and e are NaN
-        # and its residual inf, so it stops as an overflowed one does (every
-        # later point is a finite trial from a finite one)
-        k = np.flatnonzero(np.isfinite(h).all(axis=(-2, -1)) & np.isfinite(d).all(axis=-1))
-        lam, u = np.full(d.shape, np.nan), np.full(h.shape, np.nan)
-        e, res = np.full(d.shape, np.nan), np.full(len(h), np.inf)
-        lam[k], u[k], e[k], res[k] = _dplus_eval(h, k, d[k])
+    # a point that is not finite forms no eigh: its lam, u and e are NaN and
+    # its residual inf, so it stops as an overflowed one does (every later
+    # point is a finite trial from a finite one)
+    k = np.flatnonzero(np.isfinite(h).all(axis=(-2, -1)) & np.isfinite(d).all(axis=-1))
+    lam, u = np.full(d.shape, np.nan), np.full(h.shape, np.nan)
+    e, res = np.full(d.shape, np.nan), np.full(len(h), np.inf)
+    lam[k], u[k], e[k], res[k] = _dplus_eval(h, k, d[k])
     iters = iters + 1
     # an overflowed residual gives no finite step: the sample stops there
     active = np.flatnonzero(np.isfinite(res) & (res > tol))

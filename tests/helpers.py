@@ -143,8 +143,9 @@ def chol_diff_at(l, v):
 
 
 def congruence_two_solves(l, v):
-    """Reference for ``la.inv_congruence``: l^-1 v l^-T by two general LU solves."""
-    return np.linalg.solve(l, la.transpose(np.linalg.solve(l, v)))
+    """Reference for ``la.inv_congruence``: l^-1 v l^-T by two general LU
+    solves, l^-1 (l^-1 v^T)^T, for any square v."""
+    return np.linalg.solve(l, la.transpose(np.linalg.solve(l, la.transpose(v))))
 
 
 def chol_diff_inv(l, z):

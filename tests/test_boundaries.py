@@ -204,6 +204,8 @@ class TestNetworkInput:
     @example(x=np.broadcast_to(np.eye(4), (1, 2, 2, 4, 4)))
     @example(x=np.full((1, 2, 4, 4), "a", dtype=object))
     @example(x=np.broadcast_to(np.eye(4), (3, 2, 4, 4)) * (1 + 1j))
+    @example(x=np.broadcast_to(np.eye(4), (1, 2, 4, 4)).astype(str).astype(object))
+    @example(x=[[np.eye(4), np.eye(4)], [np.eye(4)]])
     def test_network_forward(self, x):
         try:
             logits = ly.network_forward(self.net, x)

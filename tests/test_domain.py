@@ -3,7 +3,7 @@ import pytest
 
 from corrgeo import domain as dom
 from corrgeo import linalg as la
-from corrgeo.errors import NonFiniteInput, NonPositiveDiagonal, NotPositiveDefinite, NotSymmetric
+from corrgeo.errors import NonFiniteInput, NonPositiveDiagonal, NotPositiveDefinite, NotSymmetric, ShapeMismatch
 
 from helpers import (
     central_fd_dir, fd_grad_sym, has_unit_rows, hol_basis, is_rowzero, is_valid_correlation, random_spd, rel_err,
@@ -102,6 +102,18 @@ class TestValidation:
         with pytest.raises(NonFiniteInput):
             dom.validate_correlation(c)
         assert not is_valid_correlation(c)
+
+    @pytest.mark.parametrize("dtype", ["U3", object])
+    def test_rejects_text_in_any_array(self, dtype):
+        # numeric strings parse as floats, but text is not a real number
+        # whether the array holds it as str or as objects
+        with pytest.raises(NonFiniteInput, match="not real numbers"):
+            dom.validate_correlation(np.array([["1", "0"], ["0", "1"]], dtype=dtype))
+        assert dom.validate_correlation(np.eye(2).astype(dtype if dtype is object else int)).dtype == np.float64
+
+    def test_rejects_ragged_nesting_as_shape(self):
+        with pytest.raises(ShapeMismatch, match="do not form an array"):
+            dom.validate_correlation([[1.0, 0.0], [0.0]])
 
     def test_stack_names_first_bad_matrix(self):
         stack = np.stack([dom.random_correlation(4, 0.5, rng=s) for s in range(6)]).reshape(3, 2, 4, 4)

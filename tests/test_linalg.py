@@ -282,8 +282,12 @@ class TestInvCongruence:
     def test_matches_two_solves(self, n, cond):
         l, v, grad_l = self.factors(n, cond, 40 + n)
         lt = la.transpose(l)
+        # chol_backward hands the congruence a lower-triangular, not a
+        # symmetric, matrix: the order l^-1 v l^-T is pinned on both kinds
+        tril = np.tril(np.random.default_rng(n).standard_normal(v.shape))
         for k in (slice(None), 0):
-            assert self.close(la.inv_congruence(l[k], v[k]), congruence_two_solves(l[k], v[k]))
+            for w in (v[k], tril[k]):
+                assert self.close(la.inv_congruence(l[k], w), congruence_two_solves(l[k], w))
             want = la.sym(congruence_two_solves(lt[k], la.half_lower(lt[k] @ grad_l[k])))
             assert self.close(la.chol_backward(l[k], grad_l[k]), want)
 
